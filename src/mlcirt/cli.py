@@ -17,7 +17,7 @@ import numpy as np
 from . import io as mio
 from .data import validate_dataset
 from .em import MultistartError, e_step, multistart_fit
-from .model import Parameterization, count_free_parameters, validate_spec
+from .model import Parameterization, count_free_parameters, validate_params, validate_spec
 from .selection import classify, resolve_bic_n, sweep_school_types, type_probabilities_by_profile
 from .simulate import (
     CategoricalCovariate,
@@ -111,7 +111,10 @@ def cmd_fit(args) -> int:
 def _parse_ku_range(value: str):
     if ".." in value:
         lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        ks = list(range(int(lo), int(hi) + 1))
+        if not ks:
+            raise mio.DataFormatError(f"--ku range {value!r} is empty")
+        return ks
     return [int(value)]
 
 
@@ -260,8 +263,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     report = mio.read_report(args.report)
-    spec = mio.spec_from_dict(report["model"])
-    params = mio.params_from_dict(report["parameters"])
+    try:
+        spec = mio.spec_from_dict(report["model"])
+        params = mio.params_from_dict(report["parameters"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise mio.DataFormatError(f"{args.report}: bad report ({exc!r})") from exc
+    problems = validate_params(params, spec)
+    if problems:
+        raise mio.DataFormatError(f"{args.report}: {'; '.join(problems)}")
     config = mio.parse_config(args.config)
     config_spec = config.model_spec()
     mismatches = []

@@ -310,8 +310,8 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
 # Dataset writing (used by the simulate command)
 # ---------------------------------------------------------------------------
 
-def _response_token(value: int) -> str:
-    return "NA" if value == MISSING else str(int(value))
+# CSV token of each response value, indexed by value + 1 (MISSING is -1).
+_RESPONSE_TOKENS = np.array(["NA", "0", "1"])
 
 
 def write_dataset_files(out_dir, sim, student_decls, school_decls) -> None:
@@ -330,9 +330,9 @@ def write_dataset_files(out_dir, sim, student_decls, school_decls) -> None:
                         + [f"item_{j + 1}" for j in range(r)]
                         + [d.name for d in student_decls])
         for h, school in enumerate(data.schools):
+            tokens = _RESPONSE_TOKENS[school.responses + 1].tolist()
             for i, stid in enumerate(school.student_ids):
-                tokens = [_response_token(v) for v in school.responses[i]]
-                writer.writerow([school.school_id, stid] + tokens
+                writer.writerow([school.school_id, stid] + tokens[i]
                                 + list(sim.student_tokens[h][i]))
 
 

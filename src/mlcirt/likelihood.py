@@ -172,12 +172,9 @@ def group_conditional_loglik(school: SchoolGroup, type_index: int,
     """
     if not 0 <= type_index < params.n_types:
         raise IndexError(f"type index {type_index} out of range")
-    logp0, logp1 = response_logprob_tables(params, spec)
-    is_one = (school.responses == 1).astype(float)
-    is_zero = (school.responses == 0).astype(float)
-    cond = is_one @ logp1.T + is_zero @ logp0.T                    # (n_h, k_V)
-    logw = log_class_weight_matrix(school.student_covariates, params)[:, type_index, :]
-    return float(logsumexp_axis(logw + cond, axis=1).sum())
+    stacked = stack_dataset(ResponseDataset((school,)))
+    _, _, _, _, log_mix = stacked_loglik_terms(stacked, params, spec)
+    return float(log_mix[:, type_index].sum())
 
 
 def marginal_loglik(data: ResponseDataset, params: ParameterSet,

@@ -227,7 +227,7 @@ def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
         scale = disc[ref]
         if scale == 0:
             raise ValueError(f"reference item {ref} has zero discrimination; "
-                             "scale of dimension {d} undefined")
+                             f"scale of dimension {d} undefined")
         loc = diff[ref]
         members = bank.items_in_dim(d)
         abil[:, d] = scale * (abil[:, d] - loc)

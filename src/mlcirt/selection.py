@@ -11,7 +11,7 @@ import numpy as np
 from .data import ResponseDataset
 from .em import FitControls, FitResult, PosteriorTables, e_step, multistart_fit
 from .model import ModelSpec, ParameterSet, Parameterization, count_free_parameters
-from .weights import log_class_weight_matrix, school_type_weights
+from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 _EMPTY_TYPE_MASS = 1e-12
 
@@ -152,6 +152,14 @@ def assign_schools(posteriors: PosteriorTables) -> SchoolAssignments:
     return SchoolAssignments(labels, z[np.arange(z.shape[0]), labels])
 
 
+def _class_weight_tensor(data: ResponseDataset, params: ParameterSet):
+    """(n, k_U, k_V) class weights of all students, school starts and sizes."""
+    x = np.concatenate([g.student_covariates for g in data.schools], axis=0)
+    sizes = np.array([g.n_students for g in data.schools])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.exp(log_class_weight_matrix(x, params)), starts, sizes
+
+
 def average_class_weights(data: ResponseDataset, params: ParameterSet,
                           spec: ModelSpec, posteriors: PosteriorTables):
     """Average membership weights at both levels.
@@ -161,14 +169,10 @@ def average_class_weights(data: ResponseDataset, params: ParameterSet,
     students; the type average is the mean type posterior across schools.
     """
     z_hu = posteriors.type_posterior
-    total = np.zeros(spec.n_classes)
-    n = 0
-    for h, school in enumerate(data.schools):
-        logw = log_class_weight_matrix(school.student_covariates, params)
-        mixed = np.einsum("u,nuv->nv", z_hu[h], np.exp(logw))
-        total += mixed.sum(axis=0)
-        n += school.n_students
-    return total / n, z_hu.mean(axis=0)
+    w_mat, starts, sizes = _class_weight_tensor(data, params)
+    mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, sizes, axis=0), w_mat)
+    total = np.add.reduceat(mixed, starts, axis=0).sum(axis=0)
+    return total / sizes.sum(), z_hu.mean(axis=0)
 
 
 def standardize_abilities(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -204,12 +208,11 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     """
     z_hu = posteriors.type_posterior
     k_u = spec.n_types
-    school_mean = np.zeros((data.n_schools, k_u))
-    for h, school in enumerate(data.schools):
-        w_mat = np.exp(log_class_weight_matrix(school.student_covariates, params))
-        # (n_h, k_U, k_V) x (k_V,) mean ability per class over dimensions
-        class_mean = params.abilities.mean(axis=1)
-        school_mean[h] = np.einsum("nuv,v->u", w_mat, class_mean) / school.n_students
+    w_mat, starts, sizes = _class_weight_tensor(data, params)
+    # (n, k_U, k_V) x (k_V,) mean ability per class over dimensions
+    class_mean = params.abilities.mean(axis=1)
+    per_student = np.einsum("nuv,v->nu", w_mat, class_mean)
+    school_mean = np.add.reduceat(per_student, starts, axis=0) / sizes[:, None]
     mass = z_hu.sum(axis=0)
     defined = mass > _EMPTY_TYPE_MASS
     raw = np.full(k_u, np.nan)
@@ -225,12 +228,15 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
 def type_probabilities_by_profile(params: ParameterSet, profiles) -> np.ndarray:
     """School-type membership probabilities per covariate profile.
 
-    ``profiles`` is an iterable of school covariate vectors; the result is
-    a (n_profiles, n_types) matrix whose rows lie on the simplex.
+    ``profiles`` is a sequence of school covariate vectors (a
+    (n_profiles, n_school_covariates) array); the result is a
+    (n_profiles, n_types) matrix whose rows lie on the simplex.
     """
-    rows = [school_type_weights(np.asarray(p, dtype=float), params)
-            for p in profiles]
-    return np.asarray(rows)
+    w = np.asarray(profiles, dtype=float)
+    if w.ndim != 2 or w.shape[1] != params.n_school_covariates:
+        raise ValueError(f"profiles have shape {w.shape}, expected "
+                         f"(n_profiles, {params.n_school_covariates})")
+    return np.exp(log_type_weight_matrix(w, params))
 
 
 def classify(data: ResponseDataset, params: ParameterSet, spec: ModelSpec,

@@ -24,7 +24,7 @@ from .model import (
     validate_params,
     validate_spec,
 )
-from .weights import school_type_weights, student_class_weights
+from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 _MAX_EXHAUSTIVE = 8
 
@@ -157,8 +157,10 @@ def _draw_covariates(generators, rng: np.random.Generator, size: int,
     return matrix, tuple(tuple(row) for row in tokens)
 
 
-def _draw_from_weights(rng: np.random.Generator, weights: np.ndarray) -> int:
-    return int(np.searchsorted(np.cumsum(weights), rng.random(), side="right"))
+def _draw_categories(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of (n, k) log weights, from ``rng.random(n)``."""
+    cum = np.cumsum(np.exp(log_weights), axis=1)
+    return (cum <= rng.random(cum.shape[0])[:, None]).sum(axis=1)
 
 
 def simulate_full(design: SimulationDesign) -> SimulatedData:
@@ -187,21 +189,18 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
         else:
             n_h = int(design.school_size)
         w, w_tokens = _draw_covariates(design.school_covariates, rng, 1, h)
-        w = w[0]
-        u = _draw_from_weights(rng, school_type_weights(w, truth))
+        u = int(_draw_categories(rng, log_type_weight_matrix(w, truth))[0])
         x, x_tokens = _draw_covariates(design.student_covariates, rng, n_h,
                                        student_cycle)
         student_cycle += n_h
-        v = np.zeros(n_h, dtype=int)
-        for i in range(n_h):
-            v[i] = _draw_from_weights(rng, student_class_weights(x[i], u, truth))
+        v = _draw_categories(rng, log_class_weight_matrix(x, truth)[:, u, :])
         responses = (rng.random((n_h, r)) < prob_table[v]).astype(np.int8)
         if design.missing_rate > 0:
             mask = rng.random((n_h, r)) < design.missing_rate
             responses = np.where(mask, np.int8(MISSING), responses)
         schools.append(SchoolGroup(
             school_id=f"sch{h + 1:04d}",
-            covariates=w,
+            covariates=w[0],
             student_ids=tuple(f"sch{h + 1:04d}-stu{i + 1:04d}" for i in range(n_h)),
             student_covariates=x,
             responses=responses,

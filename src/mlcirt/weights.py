@@ -27,20 +27,13 @@ def _check_length(vec: np.ndarray, expected: int, what: str) -> np.ndarray:
     return vec
 
 
-def student_class_logits(x, type_index: int, params: ParameterSet) -> np.ndarray:
-    """Membership logits over classes (reference class 0 has logit 0)."""
+# Per-vector conveniences: one row of the batched matrices below.
+
+def log_student_class_weights(x, type_index: int, params: ParameterSet) -> np.ndarray:
     if not 0 <= type_index < params.n_types:
         raise IndexError(f"school type {type_index} out of range 0..{params.n_types - 1}")
     x = _check_length(x, params.n_student_covariates, "student covariate vector")
-    logits = np.zeros(params.n_classes)
-    if params.n_classes > 1:
-        logits[1:] = params.class_intercepts[type_index] + params.class_slopes @ x
-    return logits
-
-
-def log_student_class_weights(x, type_index: int, params: ParameterSet) -> np.ndarray:
-    logits = student_class_logits(x, type_index, params)
-    return logits - logsumexp_axis(logits, axis=0)
+    return log_class_weight_matrix(x[None, :], params)[0, type_index]
 
 
 def student_class_weights(x, type_index: int, params: ParameterSet) -> np.ndarray:
@@ -51,18 +44,9 @@ def student_class_weights(x, type_index: int, params: ParameterSet) -> np.ndarra
     return np.exp(log_student_class_weights(x, type_index, params))
 
 
-def school_type_logits(w, params: ParameterSet) -> np.ndarray:
-    """Type membership logits for one school (reference type 0 has logit 0)."""
-    w = _check_length(w, params.n_school_covariates, "school covariate vector")
-    logits = np.zeros(params.n_types)
-    if params.n_types > 1:
-        logits[1:] = params.type_intercepts + params.type_slopes @ w
-    return logits
-
-
 def log_school_type_weights(w, params: ParameterSet) -> np.ndarray:
-    logits = school_type_logits(w, params)
-    return logits - logsumexp_axis(logits, axis=0)
+    w = _check_length(w, params.n_school_covariates, "school covariate vector")
+    return log_type_weight_matrix(w[None, :], params)[0]
 
 
 def school_type_weights(w, params: ParameterSet) -> np.ndarray:
@@ -70,7 +54,7 @@ def school_type_weights(w, params: ParameterSet) -> np.ndarray:
     return np.exp(log_school_type_weights(w, params))
 
 
-# Batched versions used by the likelihood and EM machinery.
+# Batched versions used by the likelihood, EM, simulation and summaries.
 
 def log_class_weight_matrix(x_matrix: np.ndarray, params: ParameterSet) -> np.ndarray:
     """Log class weights for a block of students under every school type.

@@ -382,6 +382,18 @@ class TestSweepCommand:
         assert payload["chosen_n_types"] == 2
         assert len(payload["rows"]) == 1
 
+    def test_empty_range_exits_one(self, tmp_path, capsys):
+        out = run_simulate(tmp_path)
+        sweep_out = tmp_path / "sweep_empty"
+        code = main(["sweep", "--students", str(out / "students.csv"),
+                     "--schools", str(out / "schools.csv"),
+                     "--config", str(out / "config.json"),
+                     "--out", str(sweep_out), "--ku", "3..1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'3..1'" in err
+        assert not (sweep_out / "sweep.json").exists()
+
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
@@ -440,6 +452,49 @@ class TestClassifyCommand:
                      "--out", str(tmp_path_local / "clsbad")])
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def classify_with_report(self, fitted, tmp_path, edit):
+        """Run classify on a copy of the fit report changed by ``edit``."""
+        _, out, fit_out = fitted
+        report = json.loads((fit_out / "report.json").read_text())
+        edit(report)
+        bad_report = tmp_path / "bad_report.json"
+        bad_report.write_text(json.dumps(report))
+        return main(["classify", "--report", str(bad_report),
+                     "--students", str(out / "students.csv"),
+                     "--schools", str(out / "schools.csv"),
+                     "--config", str(out / "config.json"),
+                     "--out", str(tmp_path / "clsbad")])
+
+    def test_report_missing_key_exits_one(self, fitted, tmp_path, capsys):
+        code = self.classify_with_report(
+            fitted, tmp_path, lambda r: r["parameters"].pop("class_slopes"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class_slopes" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_report_null_parameter_exits_one(self, fitted, tmp_path, capsys):
+        def null_difficulty(report):
+            report["parameters"]["difficulty"][1] = None
+
+        code = self.classify_with_report(fitted, tmp_path, null_difficulty)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite parameter values" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_report_misshaped_abilities_exits_one(self, fitted, tmp_path,
+                                                  capsys):
+        def widen(report):
+            report["parameters"]["abilities"] = [
+                row + [0.0] for row in report["parameters"]["abilities"]]
+
+        code = self.classify_with_report(fitted, tmp_path, widen)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "abilities has shape (2, 2)" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestModuleEntryPoint:

@@ -150,6 +150,15 @@ class TestApplyIdentifiability:
                     after = item_success_prob(j, out.abilities[v], out, spec)
                     assert abs(after - before) <= 1e-12
 
+    def test_zero_reference_discrimination_names_dimension(self):
+        spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=2, n_types=1)
+        params = random_params(spec, np.random.default_rng(3))
+        disc = params.discrimination.copy()
+        disc[spec.item_bank.reference_items[1]] = 0.0
+        with pytest.raises(ValueError, match="scale of dimension 1 undefined"):
+            apply_identifiability(params.replace(discrimination=disc),
+                                  spec.item_bank)
+
     def test_idempotent(self):
         spec = make_spec(n_items=3, n_classes=2, n_types=1)
         rng = np.random.default_rng(2)

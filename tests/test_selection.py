@@ -17,6 +17,7 @@ from mlcirt import (
     e_step,
     school_support_points,
     standardize_abilities,
+    student_class_weights,
     sweep_school_types,
     type_probabilities_by_profile,
 )
@@ -249,6 +250,24 @@ class TestSummaries:
         np.testing.assert_allclose(avg_class, [(0.2 + 0.6) / 2, (0.8 + 0.4) / 2],
                                    atol=1e-12)
 
+    def test_average_weights_match_per_student_loop(self):
+        """Ragged schools, three types: the batched sums equal the
+        per-student mixture written as a loop."""
+        rng = np.random.default_rng(19)
+        spec = make_spec(n_items=3, n_classes=3, n_types=3, m_v=2, m_u=1)
+        params = random_params(spec, rng)
+        data = random_dataset(spec, rng, n_schools=5, school_size=(1, 6))
+        post = e_step(data, params, spec)
+        total = np.zeros(3)
+        for h, school in enumerate(data.schools):
+            for x in school.student_covariates:
+                total += sum(post.type_posterior[h, u]
+                             * student_class_weights(x, u, params)
+                             for u in range(3))
+        avg_class, _ = average_class_weights(data, params, spec, post)
+        np.testing.assert_allclose(avg_class, total / data.n_students,
+                                   atol=1e-12)
+
     def test_average_weights_on_simplex(self):
         rng = np.random.default_rng(7)
         spec = make_spec(n_items=3, n_classes=3, n_types=2, m_v=1, m_u=1)
@@ -311,7 +330,6 @@ class TestSummaries:
         post = e_step(data, params, spec)
         points = school_support_points(data, params, spec, post)
         # direct double average over schools, students, and classes
-        from mlcirt import student_class_weights
         per_school = []
         for school in data.schools:
             values = []
@@ -380,3 +398,11 @@ class TestSummaries:
         params = random_params(spec, rng, scale=2.0)
         table = type_probabilities_by_profile(params, rng.normal(size=(6, 2)))
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_profile_width_mismatch_rejected(self):
+        spec = make_spec(n_items=2, n_classes=1, n_types=2, m_v=0, m_u=2)
+        params = random_params(spec, np.random.default_rng(18))
+        with pytest.raises(ValueError, match="profiles have shape"):
+            type_probabilities_by_profile(params, [np.zeros(3)])
+        with pytest.raises(ValueError, match="profiles have shape"):
+            type_probabilities_by_profile(params, np.zeros(2))

@@ -134,6 +134,17 @@ class TestGenerateDataset:
         # average posterior-free weight of the drawn class should beat chance
         assert hits / total > 0.5
 
+    def test_batched_draws_equal_scalar_draws(self):
+        """One draw over n rows consumes the stream of n scalar draws."""
+        from mlcirt.simulate import _draw_categories
+
+        weights = np.random.default_rng(3).dirichlet(np.ones(4), size=50)
+        batched = _draw_categories(np.random.default_rng(8), np.log(weights))
+        rng = np.random.default_rng(8)
+        scalar = [np.searchsorted(np.cumsum(w), rng.random(), side="right")
+                  for w in weights]
+        np.testing.assert_array_equal(batched, scalar)
+
     def test_tokens_match_expanded_columns(self):
         sim = simulate_full(simple_design(seed=7))
         for h, school in enumerate(sim.dataset.schools):

@@ -90,6 +90,8 @@ class TestSchoolTypeWeights:
         params = random_params(spec, np.random.default_rng(1))
         with pytest.raises(ValueError):
             school_type_weights(np.zeros(2), params)
+        with pytest.raises(ValueError):
+            school_type_weights(np.zeros((1, 1)), params)
 
 
 class TestSimplexProperties:
@@ -140,6 +142,9 @@ class TestSimplexProperties:
 class TestBatchedMatrices:
 
     def test_matrix_matches_scalar_paths(self):
+        """Batched rows match the softmax of the logits written out from the
+        definition, and the per-vector wrappers up to rounding (the matrix
+        product kernel depends on the row count)."""
         rng = np.random.default_rng(13)
         spec = make_spec(n_items=2, n_classes=3, n_types=2, m_v=2, m_u=1)
         params = random_params(spec, rng)
@@ -147,12 +152,22 @@ class TestBatchedMatrices:
         logw = log_class_weight_matrix(x, params)
         for i in range(6):
             for u in range(2):
+                logits = np.concatenate([[0.0], params.class_intercepts[u]
+                                         + params.class_slopes @ x[i]])
+                expected = np.exp(logits) / np.exp(logits).sum()
+                np.testing.assert_allclose(np.exp(logw[i, u]), expected,
+                                           atol=1e-14)
                 np.testing.assert_allclose(
                     np.exp(logw[i, u]), student_class_weights(x[i], u, params),
-                    atol=1e-14)
+                    atol=1e-15)
         w = rng.normal(size=(4, 1))
         logt = log_type_weight_matrix(w, params)
         for h in range(4):
+            logits = np.concatenate([[0.0], params.type_intercepts
+                                     + params.type_slopes @ w[h]])
+            np.testing.assert_allclose(np.exp(logt[h]),
+                                       np.exp(logits) / np.exp(logits).sum(),
+                                       atol=1e-14)
             np.testing.assert_allclose(np.exp(logt[h]),
                                        school_type_weights(w[h], params),
-                                       atol=1e-14)
+                                       atol=1e-15)
