@@ -71,8 +71,14 @@ def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
     if data.n_schools < 1:
         return ["dataset has no schools"]
     r = spec.item_bank.n_items
+    # One pass over all responses, counted per school from a running total.
+    # SchoolGroup stores int8, so {0, 1, MISSING} is the range [-1, 1].
+    flat = np.concatenate([g.responses.ravel() for g in data.schools])
+    running = np.concatenate([[0], np.cumsum((flat < MISSING) | (flat > 1))])
+    offsets = np.cumsum([0] + [g.responses.size for g in data.schools])
+    n_bad = np.diff(running[offsets])
     seen_ids: set[str] = set()
-    for g in data.schools:
+    for g, bad in zip(data.schools, n_bad):
         if g.school_id in seen_ids:
             problems.append(f"duplicate school id {g.school_id!r}")
         seen_ids.add(g.school_id)
@@ -90,8 +96,7 @@ def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
         if len(g.student_ids) != g.n_students:
             problems.append(f"school {g.school_id!r}: {len(g.student_ids)} ids for "
                             f"{g.n_students} students")
-        bad = ~np.isin(g.responses, (0, 1, MISSING))
-        if np.any(bad):
+        if bad:
             problems.append(f"school {g.school_id!r}: responses outside {{0, 1, NA}}")
         if g.covariates.size and not np.all(np.isfinite(g.covariates)):
             problems.append(f"school {g.school_id!r}: non-finite school covariates")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._numeric import logsumexp_axis
+from ._numeric import logsumexp_last
 from .data import ResponseDataset, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
@@ -133,8 +133,12 @@ def _e_step_stacked(stacked: StackedData, params: ParameterSet, spec: ModelSpec)
                                        "current parameters")
     z_hu = np.exp(evidence - school_ll[:, None])                    # (H, k_U)
     cond_post = np.exp(joint - log_mix[:, :, None])                 # (n, k_U, k_V)
-    z_joint = cond_post * z_hu[stacked.school_index][:, :, None]
-    z_class = z_joint.sum(axis=1)                                   # (n, k_V)
+    z_joint = cond_post * np.repeat(z_hu, stacked.sizes, axis=0)[:, :, None]
+    # Sum over types slice by slice: same order as numpy's sum over a
+    # short axis, at a fraction of the cost (see ``logsumexp_last``).
+    z_class = z_joint[:, 0, :].copy()                               # (n, k_V)
+    for u in range(1, z_joint.shape[1]):
+        z_class += z_joint[:, u, :]
     if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(z_joint))):
         raise NonFiniteLikelihoodError("posterior tables are not finite")
     return loglik, z_hu, z_joint, z_class
@@ -308,7 +312,7 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 def _mnlogit_value(design, weights, total_w, coef) -> float:
     logits = design @ coef.T                                 # (N, K-1)
     full = np.concatenate([np.zeros((design.shape[0], 1)), logits], axis=1)
-    lse = logsumexp_axis(full, axis=1)
+    lse = logsumexp_last(full)
     return float((weights[:, 1:] * logits).sum() - total_w @ lse)
 
 
@@ -325,12 +329,14 @@ def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
     coef = np.array(coef0, dtype=float)
     if n_cat == 1 or n_feat == 0 or coef.size == 0:
         return coef
-    total_w = weights.sum(axis=1)
+    total_w = weights[:, 0].copy()
+    for k in range(1, n_cat):
+        total_w += weights[:, k]
     f0 = _mnlogit_value(design, weights, total_w, coef)
     for _ in range(max_iter):
         logits = design @ coef.T
         full = np.concatenate([np.zeros((n_cases, 1)), logits], axis=1)
-        lse = logsumexp_axis(full, axis=1)
+        lse = logsumexp_last(full)
         prob = np.exp(full - lse[:, None])                   # (N, K)
         resid = weights[:, 1:] - total_w[:, None] * prob[:, 1:]
         grad = resid.T @ design                              # (K-1, p)
@@ -396,10 +402,12 @@ def _class_block_cases(stacked: StackedData, z_joint: np.ndarray, n_types: int):
     k_v = z_joint.shape[2]
     if stacked.x_patterns is not None:
         n_pat = stacked.x_patterns.shape[0]
-        onehot = np.zeros((stacked.n_students, n_pat))
-        onehot[np.arange(stacked.n_students), stacked.x_pattern_index] = 1.0
-        agg = onehot.T @ z_joint.reshape(stacked.n_students, -1)
-        agg = agg.reshape(n_pat, n_types, k_v).transpose(1, 0, 2)
+        agg = np.empty((n_types, n_pat, k_v))
+        for u in range(n_types):
+            for v in range(k_v):
+                agg[u, :, v] = np.bincount(stacked.x_pattern_index,
+                                           weights=z_joint[:, u, v],
+                                           minlength=n_pat)
         weights = agg.reshape(n_types * n_pat, k_v)
         design = _class_design_rows(stacked.x_patterns, n_types)
     else:
@@ -541,24 +549,29 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
 # EM loop and multistart
 # ---------------------------------------------------------------------------
 
-def _validate_fit_inputs(data, spec, init):
-    problems = validate_spec(spec)
-    problems += validate_dataset(data, spec)
-    problems += validate_params(init, spec)
+def _raise_if_invalid(problems: list[str]) -> None:
     if problems:
         raise ValueError("invalid fit inputs:\n" + "\n".join(problems))
 
 
 def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
-        init: ParameterSet) -> FitResult:
+        init: ParameterSet, *, _stacked: StackedData | None = None) -> FitResult:
     """Run EM from one starting point until convergence or the iteration cap.
 
     Convergence holds when either the log-likelihood change or the largest
     parameter change drops below its tolerance.  Hitting the cap yields a
     result with ``converged=False`` rather than an error.
+
+    ``_stacked`` is ``multistart_fit``'s stack of ``data``, validated once
+    for all its starts; only ``init`` is checked then.
     """
-    _validate_fit_inputs(data, spec, init)
-    stacked = stack_dataset(data)
+    if _stacked is None:
+        _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
+                          + validate_params(init, spec))
+        stacked = stack_dataset(data)
+    else:
+        _raise_if_invalid(validate_params(init, spec))
+        stacked = _stacked
     params = init
     trace: list[float] = []
     converged = False
@@ -596,6 +609,8 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     the earliest start.  Failed starts are collected, and only if every
     start fails is a ``MultistartError`` raised.
     """
+    _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec))
+    stacked = stack_dataset(data)
     best: FitResult | None = None
     failures: list[str] = []
     for start in range(controls.n_starts):
@@ -605,7 +620,7 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
             init = initialize(data, spec, "random",
                               seed=_child_seed(controls.seed, start))
         try:
-            result = fit(data, spec, controls, init)
+            result = fit(data, spec, controls, init, _stacked=stacked)
         except (NonFiniteLikelihoodError, MStepError, FloatingPointError,
                 np.linalg.LinAlgError) as exc:
             failures.append(f"start {start}: {exc}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import logsumexp_axis
+from ._numeric import logsumexp_last
 from .data import MISSING, ResponseDataset, SchoolGroup
 from .model import ModelSpec, ParameterSet, Parameterization
 from .weights import log_class_weight_matrix, log_type_weight_matrix
@@ -75,7 +75,6 @@ class StackedData:
     w: np.ndarray             # (H, m_U)
     starts: np.ndarray        # (H,) first student row of each school
     sizes: np.ndarray         # (H,)
-    school_index: np.ndarray  # (n,)
     # Distinct student covariate rows, when few enough to be worth it:
     # weights and membership regressions then work per pattern instead of
     # per student (identical objective by linearity).
@@ -97,14 +96,13 @@ def stack_dataset(data: ResponseDataset) -> StackedData:
     w = np.stack([g.covariates for g in data.schools], axis=0)
     sizes = np.array([g.n_students for g in data.schools], dtype=int)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-    school_index = np.repeat(np.arange(len(sizes)), sizes)
     patterns, index = np.unique(x, axis=0, return_inverse=True)
     if patterns.shape[0] > min(_MAX_COVARIATE_PATTERNS, max(x.shape[0] // 4, 1)):
         patterns, index = None, None
     return StackedData(
         is_one=(responses == 1).astype(float),
         is_zero=(responses == 0).astype(float),
-        x=x, w=w, starts=starts, sizes=sizes, school_index=school_index,
+        x=x, w=w, starts=starts, sizes=sizes,
         x_patterns=patterns,
         x_pattern_index=index.reshape(-1) if index is not None else None,
     )
@@ -134,11 +132,11 @@ def stacked_loglik_terms(stacked: StackedData, params: ParameterSet,
     else:
         logw = log_class_weight_matrix(stacked.x, params)          # (n, k_U, k_V)
     joint = logw + cond[:, None, :]
-    log_mix = logsumexp_axis(joint, axis=2)                             # (n, k_U)
+    log_mix = logsumexp_last(joint)                                # (n, k_U)
     log_rho = np.add.reduceat(log_mix, stacked.starts, axis=0)     # (H, k_U)
     log_pi = log_type_weight_matrix(stacked.w, params)             # (H, k_U)
     evidence = log_pi + log_rho
-    school_ll = logsumexp_axis(evidence, axis=1)                        # (H,)
+    school_ll = logsumexp_last(evidence)                           # (H,)
     return float(school_ll.sum()), evidence, school_ll, joint, log_mix
 
 

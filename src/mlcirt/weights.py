@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._numeric import logsumexp_axis
+from ._numeric import logsumexp_last
 from .model import ParameterSet
 
 
@@ -66,7 +66,7 @@ def log_class_weight_matrix(x_matrix: np.ndarray, params: ParameterSet) -> np.nd
     if params.n_classes > 1:
         slope_part = x_matrix @ params.class_slopes.T  # (n, k_V - 1)
         logits[:, :, 1:] = params.class_intercepts[None, :, :] + slope_part[:, None, :]
-    return logits - logsumexp_axis(logits, axis=2, keepdims=True)
+    return logits - logsumexp_last(logits, keepdims=True)
 
 
 def log_type_weight_matrix(w_matrix: np.ndarray, params: ParameterSet) -> np.ndarray:
@@ -75,4 +75,4 @@ def log_type_weight_matrix(w_matrix: np.ndarray, params: ParameterSet) -> np.nda
     logits = np.zeros((n, params.n_types))
     if params.n_types > 1:
         logits[:, 1:] = params.type_intercepts[None, :] + w_matrix @ params.type_slopes.T
-    return logits - logsumexp_axis(logits, axis=1, keepdims=True)
+    return logits - logsumexp_last(logits, keepdims=True)

@@ -137,6 +137,7 @@ def instrumented_runs(desk_datasets):
     return traces
 
 
+@pytest.mark.slow
 def test_criterion_3_em_monotonicity(instrumented_runs):
     with criterion(3, "EM log-likelihood trace is monotone (>= -1e-8) over "
                       f"{len(instrumented_runs)} seeded desk-scale fits"):
@@ -145,6 +146,7 @@ def test_criterion_3_em_monotonicity(instrumented_runs):
         assert worst >= -1e-8, f"worst loglik decrease {worst:.3e}"
 
 
+@pytest.mark.slow
 def test_criterion_4_posterior_normalization(instrumented_runs):
     with criterion(4, "posterior tables normalized within 1e-10 after every "
                       "E-step of criterion 3's runs"):
@@ -226,6 +228,7 @@ def test_criterion_5_m_step_optimality():
 # Criterion 6: parameter recovery at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_parameter_recovery(desk_datasets, desk_fits):
     with criterion(6, "desk-scale recovery: RMSE(difficulty) <= 0.15, "
                       "RMSE(discrimination) <= 0.20, RMSE(abilities) <= 0.15, "
@@ -263,6 +266,7 @@ def test_criterion_6_parameter_recovery(desk_datasets, desk_fits):
 # Criterion 7: model-selection behavior
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_model_selection(desk_datasets, monkeypatch):
     with criterion(7, "BIC sweep selects 2 school types in >= 90% of seeds "
                       "and the stopping rule is exact on canned sequences"):
@@ -320,6 +324,7 @@ def test_criterion_7_model_selection(desk_datasets, monkeypatch):
 # Criterion 8: nesting checks
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_nesting(desk_datasets, desk_fits):
     with criterion(8, "1PL loglik <= 2PL loglik everywhere; single-level fits "
                       "match a direct generic maximizer within 1e-6"):

@@ -54,3 +54,32 @@ def test_counts():
     assert data.n_schools == 4
     assert data.n_students == 20
     assert data.n_items == 3
+
+
+def test_problems_name_each_school_in_order():
+    """The one-pass response check flags exactly the schools that hold a
+    bad value, interleaved with the other checks in school order."""
+    spec = make_spec(n_items=2, n_classes=1, n_types=1, m_v=0, m_u=1)
+
+    def school(sid, responses, w=0.0):
+        responses = np.array(responses, dtype=np.int8).reshape(-1, 2)
+        n = responses.shape[0]
+        return SchoolGroup(sid, np.array([w]), tuple(f"{sid}-{i}" for i in range(n)),
+                           np.zeros((n, 0)), responses)
+
+    data = ResponseDataset((
+        school("a", [[0, 1], [-1, 1]]),
+        school("b", [[0, -2]]),
+        school("c", np.zeros((0, 2))),
+        school("d", [[1, 1], [1, 3]], w=np.inf),
+        school("e", [[-1, -1]]),
+        school("b", [[2, 0]]),
+    ))
+    assert validate_dataset(data, spec) == [
+        "school 'b': responses outside {0, 1, NA}",
+        "school 'c' has no students",
+        "school 'd': responses outside {0, 1, NA}",
+        "school 'd': non-finite school covariates",
+        "duplicate school id 'b'",
+        "school 'b': responses outside {0, 1, NA}",
+    ]

@@ -1,6 +1,7 @@
 """EM estimator: E-step posteriors, M-step blocks, initialization, fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from mlcirt import (
     MultistartError,
     Parameterization,
     PosteriorTables,
+    ResponseDataset,
+    SchoolGroup,
     e_step,
     fit,
     initialize,
@@ -18,6 +21,7 @@ from mlcirt import (
     multistart_fit,
     permute_parameters,
 )
+from mlcirt.likelihood import stack_dataset
 from mlcirt.model import max_abs_change
 
 import reference
@@ -231,6 +235,53 @@ class TestMStep:
             lambda v: reference.type_block_objective_vec(data, post, spec, v),
             np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
         assert np.max(np.abs(grad)) < 1e-4
+
+
+def _pattern_dataset(n_schools, school_size, n_patterns, rng):
+    """One-item schools whose student covariate cycles through n_patterns."""
+    schools = []
+    for h in range(n_schools):
+        first = h * school_size
+        x = (np.arange(first, first + school_size) % n_patterns) / n_patterns
+        schools.append(SchoolGroup(
+            school_id=f"s{h}", covariates=np.zeros(0),
+            student_ids=tuple(f"s{h}-i{i}" for i in range(school_size)),
+            student_covariates=x[:, None],
+            responses=rng.integers(0, 2, size=(school_size, 1)).astype(np.int8)))
+    return ResponseDataset(tuple(schools))
+
+
+class TestClassBlockCases:
+
+    def test_pattern_aggregate_equals_per_student_sum(self):
+        rng = np.random.default_rng(31)
+        stacked = stack_dataset(_pattern_dataset(30, 20, 37, rng))
+        assert stacked.x_patterns is not None
+        z_joint = rng.dirichlet(np.ones(6), size=stacked.n_students).reshape(-1, 2, 3)
+        design, weights = mlcirt.em._class_block_cases(stacked, z_joint, 2)
+
+        n_pat = stacked.x_patterns.shape[0]
+        expected = np.zeros((2, n_pat, 3))
+        for i, p in enumerate(stacked.x_pattern_index):
+            expected[:, p, :] += z_joint[i]
+        np.testing.assert_array_equal(weights, expected.reshape(2 * n_pat, 3))
+        np.testing.assert_array_equal(
+            design, mlcirt.em._class_design_rows(stacked.x_patterns, 2))
+
+    def test_pattern_aggregate_allocates_no_student_by_pattern_array(self):
+        rng = np.random.default_rng(32)
+        stacked = stack_dataset(_pattern_dataset(500, 40, 200, rng))
+        n, n_pat = stacked.n_students, stacked.x_patterns.shape[0]
+        assert (n, n_pat) == (20_000, 200)
+        z_joint = rng.dirichlet(np.ones(6), size=n).reshape(n, 2, 3)
+        tracemalloc.start()
+        try:
+            mlcirt.em._class_block_cases(stacked, z_joint, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An (n, P) float64 one-hot alone would take 8 * n * P = 32 MB.
+        assert peak < 2_000_000, f"peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
