@@ -138,7 +138,8 @@ def cmd_sweep(args) -> int:
         "chosen_n_types": result.chosen_n_types,
         "rows": rows,
     })
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2) + "\n")
+    (out / "sweep.json").write_text(json.dumps(payload, indent=2) + "\n",
+                                  encoding="utf-8")
     for row in result.rows:
         if row.error is not None:
             print(f"n_types={row.n_types}: FAILED ({row.error})")
@@ -184,7 +185,7 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
     if not path.exists():
         raise mio.DataFormatError(f"missing design file: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise mio.DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
@@ -237,7 +238,8 @@ def cmd_simulate(args) -> int:
         "controls": {"seed": design.seed},
         "bic_n": "students",
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n",
+                                   encoding="utf-8")
 
     truth = mio.round12({
         "seed": design.seed,
@@ -254,7 +256,8 @@ def cmd_simulate(args) -> int:
                         for school in sim.labels.classes],
         },
     })
-    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n")
+    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n",
+                                  encoding="utf-8")
     n_students = sim.dataset.n_students
     print(f"simulated {design.n_schools} schools / {n_students} students "
           f"into {out}")

@@ -65,20 +65,38 @@ class ResponseDataset:
         return self.schools[0].responses.shape[1]
 
 
+def _flagged_per_school(arrays, flag) -> np.ndarray:
+    """Number of entries of each array that ``flag`` marks, from one pass
+    over their concatenation."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    owner = np.searchsorted(ends, np.flatnonzero(flag(flat)), side="right")
+    return np.bincount(owner, minlength=len(arrays))
+
+
+def _not_finite(a: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(a)
+
+
+def _outside_codes(a: np.ndarray) -> np.ndarray:
+    # SchoolGroup stores int8, so {0, 1, MISSING} is the range [-1, 1].
+    return (a < MISSING) | (a > 1)
+
+
 def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
     """Check dataset invariants against a spec; returns violations."""
     problems: list[str] = []
     if data.n_schools < 1:
         return ["dataset has no schools"]
     r = spec.item_bank.n_items
-    # One pass over all responses, counted per school from a running total.
-    # SchoolGroup stores int8, so {0, 1, MISSING} is the range [-1, 1].
-    flat = np.concatenate([g.responses.ravel() for g in data.schools])
-    running = np.concatenate([[0], np.cumsum((flat < MISSING) | (flat > 1))])
-    offsets = np.cumsum([0] + [g.responses.size for g in data.schools])
-    n_bad = np.diff(running[offsets])
+    # The value checks run once over the concatenated arrays of all schools.
+    bad_responses = _flagged_per_school([g.responses for g in data.schools],
+                                        _outside_codes)
+    bad_w = _flagged_per_school([g.covariates for g in data.schools], _not_finite)
+    bad_x = _flagged_per_school([g.student_covariates for g in data.schools],
+                                _not_finite)
     seen_ids: set[str] = set()
-    for g, bad in zip(data.schools, n_bad):
+    for h, g in enumerate(data.schools):
         if g.school_id in seen_ids:
             problems.append(f"duplicate school id {g.school_id!r}")
         seen_ids.add(g.school_id)
@@ -96,10 +114,10 @@ def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
         if len(g.student_ids) != g.n_students:
             problems.append(f"school {g.school_id!r}: {len(g.student_ids)} ids for "
                             f"{g.n_students} students")
-        if bad:
+        if bad_responses[h]:
             problems.append(f"school {g.school_id!r}: responses outside {{0, 1, NA}}")
-        if g.covariates.size and not np.all(np.isfinite(g.covariates)):
+        if bad_w[h]:
             problems.append(f"school {g.school_id!r}: non-finite school covariates")
-        if g.student_covariates.size and not np.all(np.isfinite(g.student_covariates)):
+        if bad_x[h]:
             problems.append(f"school {g.school_id!r}: non-finite student covariates")
     return problems

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +125,7 @@ def parse_config(path) -> ModelConfig:
     """Read and validate a model configuration file (JSON)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if "dim_of" not in raw or not raw["dim_of"]:
@@ -169,141 +171,230 @@ def parse_config(path) -> ModelConfig:
 # Dataset loading
 # ---------------------------------------------------------------------------
 
-def _expand_tokens(decls, tokens, path, line, first_col, errors) -> np.ndarray:
-    values: list[float] = []
-    for offset, (decl, token) in enumerate(zip(decls, tokens)):
-        col = first_col + offset
-        if decl.kind == "numeric":
+# Rows converted at once.  The reader holds the tokens of one block at a
+# time, so its memory beyond the converted arrays does not grow with the file.
+# Small blocks also let the row lists die before the garbage collector moves
+# them to older generations: loading 200k rows spent about 0.6 s in
+# collections with 16384-row blocks and 0.1 s with 1024-row blocks.
+_BLOCK_ROWS = 1024
+
+# Code of each valid response token; any other token maps to _BAD_RESPONSE.
+_RESPONSE_CODES = {"0": 0, "1": 1, "NA": MISSING}
+_BAD_RESPONSE = -2
+
+
+def _read_blocks(path: Path, expected: list[str], problems: list):
+    """Yield ``(lines, columns)`` for each block of rows of a CSV file.
+
+    Only rows with the expected number of fields are kept: ``columns`` holds
+    one tuple of tokens per column and ``lines`` their row numbers (the
+    header is row 1; blank rows are counted and skipped).  Rows with another
+    field count are appended to ``problems`` as ``(line, column, message)``.
+    The caller drops its reference to a block before asking for the next.
+    """
+    width = len(expected)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return
+        if header != expected:
+            raise DataFormatError(f"{path}:1: header must be "
+                                  f"{','.join(expected)}, got {','.join(header)}")
+        first = 2
+        while rows := list(islice(reader, _BLOCK_ROWS)):
+            lines = np.arange(first, first + len(rows))
+            first += len(rows)
+            lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+            ok = lengths == width
+            for i in np.flatnonzero(~ok & (lengths > 0)):
+                problems.append((int(lines[i]), 0, f"{path}:{lines[i]}: expected "
+                                                   f"{width} fields, got {lengths[i]}"))
+            columns = list(zip(*compress(rows, ok))) or [()] * width
+            del rows
+            yield lines[ok], columns
+            del columns
+
+
+def _mark_repeats(seen: dict, keys, start: int, n: int) -> np.ndarray:
+    """True for each of the ``n`` keys already in ``seen`` or earlier in
+    ``keys``; the first occurrences are added to ``seen``.
+
+    ``start`` must exceed every value stored in ``seen`` so far: each key is
+    offered ``start + k``, and only a repeat gets an older value back.
+    """
+    first = np.fromiter(map(seen.setdefault, keys, count(start)), np.int64, n)
+    return first != np.arange(start, start + n)
+
+
+def _token_table(decl: CovariateDecl, tokens) -> tuple[dict, np.ndarray]:
+    """``(lookup, table)`` for one covariate column.
+
+    ``table[lookup[token]]`` is the token's expanded row: the indicator row
+    of a categorical level, or ``float(token)`` for a numeric column.
+    Invalid tokens are missing from ``lookup``; index -1 is a NaN row.
+    """
+    rows: list[list[float]] = []
+    lookup: dict[str, int] = {}
+    if decl.kind == "numeric":
+        for token in dict.fromkeys(tokens):     # each distinct token once
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
-                errors.append(f"{path}:{line}: column {col} ({decl.name}): "
-                              f"non-numeric value {token!r}")
-                values.append(np.nan)
-        else:
-            if token not in decl.levels:
-                errors.append(f"{path}:{line}: column {col} ({decl.name}): "
-                              f"level {token!r} not declared")
-                values.extend([np.nan] * decl.n_columns)
-            else:
-                for lvl in decl.levels:
-                    if lvl != decl.reference:
-                        values.append(1.0 if token == lvl else 0.0)
-    return np.asarray(values, dtype=float)
+                continue
+            lookup[token] = len(rows)
+            rows.append([value])
+    else:
+        kept = [lvl for lvl in decl.levels if lvl != decl.reference]
+        for level in dict.fromkeys(decl.levels):
+            lookup[level] = len(rows)
+            rows.append([1.0 if level == lvl else 0.0 for lvl in kept])
+    rows.append([np.nan] * decl.n_columns)
+    return lookup, np.array(rows, dtype=float).reshape(len(rows), decl.n_columns)
 
 
-def _read_rows(path: Path):
-    with open(path, newline="") as handle:
-        yield from enumerate(csv.reader(handle), start=1)
+def _convert_covariates(decls, columns, first_col: int, lines: np.ndarray,
+                        keep: np.ndarray, path: Path, problems: list) -> np.ndarray:
+    """(rows, expanded columns) covariate values of one block.
+
+    Invalid tokens become NaN and, in the ``keep`` rows, are appended to
+    ``problems``.
+    """
+    parts = [np.zeros((len(lines), 0))]
+    for offset, (decl, tokens) in enumerate(zip(decls, columns)):
+        lookup, table = _token_table(decl, tokens)
+        index = np.fromiter(map(lookup.get, tokens, repeat(-1)), np.intp, len(tokens))
+        parts.append(table[index])
+        col = first_col + offset
+        for i in np.flatnonzero((index < 0) & keep):
+            what = (f"non-numeric value {tokens[i]!r}" if decl.kind == "numeric"
+                    else f"level {tokens[i]!r} not declared")
+            problems.append((int(lines[i]), col, f"{path}:{lines[i]}: column {col} "
+                                                 f"({decl.name}): {what}"))
+    return np.concatenate(parts, axis=1)
+
+
+def _convert_responses(columns, lines: np.ndarray, keep: np.ndarray,
+                       path: Path, problems: list) -> np.ndarray:
+    """(rows, items) int8 response codes of one block.
+
+    Invalid tokens become MISSING and, in the ``keep`` rows, are appended to
+    ``problems``.
+    """
+    tokens = chain.from_iterable(columns)
+    codes = np.fromiter(map(_RESPONSE_CODES.get, tokens, repeat(_BAD_RESPONSE)),
+                        np.int8, len(columns) * len(lines)).reshape(len(columns), -1)
+    bad = codes == _BAD_RESPONSE
+    for j, i in zip(*np.nonzero(bad & keep)):
+        problems.append((int(lines[i]), 3 + j, f"{path}:{lines[i]}: column {3 + j} "
+                                               f"(item_{j + 1}): response "
+                                               f"{columns[j][i]!r} is not 0, 1, or NA"))
+    codes[bad] = MISSING
+    return codes.T
+
+
+def _in_file_order(problems: list) -> list[str]:
+    return [message for _, _, message in sorted(problems, key=itemgetter(0, 1))]
 
 
 def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDataset:
     """Parse and validate the two dataset files into a ``ResponseDataset``.
 
     Every format violation is reported with file, line, and column; schools
-    appear in the order of the schools file.
+    appear in the order of the schools file, and each school's students in
+    the order of the students file.  Both files are read in blocks of
+    ``_BLOCK_ROWS`` rows, each converted with array operations.
     """
     students_path = Path(students_path)
     schools_path = Path(schools_path)
     for p in (students_path, schools_path):
         if not p.exists():
             raise DataFormatError(f"missing input file: {p}")
-    errors: list[str] = []
 
-    school_cov: dict[str, np.ndarray] = {}
-    school_order: list[str] = []
+    school_problems: list = []
+    school_ids: list[str] = []
+    m_u = sum(d.n_columns for d in config.school_covariates)
+    w_blocks = [np.zeros((0, m_u))]
+    seen: dict = {}
+    n_rows = 0
     expected = ["school_id"] + [d.name for d in config.school_covariates]
-    for line, row in _read_rows(schools_path):
-        if line == 1:
-            if row != expected:
-                raise DataFormatError(f"{schools_path}:1: header must be "
-                                      f"{','.join(expected)}, got {','.join(row)}")
-            continue
-        if not row:
-            continue
-        if len(row) != len(expected):
-            errors.append(f"{schools_path}:{line}: expected {len(expected)} "
-                          f"fields, got {len(row)}")
-            continue
-        sid = row[0]
-        if sid in school_cov:
-            errors.append(f"{schools_path}:{line}: column 1 (school_id): "
-                          f"duplicate school id {sid!r}")
-            continue
-        school_cov[sid] = _expand_tokens(config.school_covariates, row[1:],
-                                         schools_path, line, 2, errors)
-        school_order.append(sid)
+    for lines, columns in _read_blocks(schools_path, expected, school_problems):
+        ids = columns[0]
+        repeated = _mark_repeats(seen, ids, n_rows, len(ids))
+        n_rows += len(ids)
+        for i in np.flatnonzero(repeated):
+            school_problems.append((int(lines[i]), 1, f"{schools_path}:{lines[i]}: "
+                                    "column 1 (school_id): duplicate school id "
+                                    f"{ids[i]!r}"))
+        keep = ~repeated
+        school_ids.extend(compress(ids, keep))
+        w_blocks.append(_convert_covariates(config.school_covariates, columns[1:], 2,
+                                            lines, keep, schools_path,
+                                            school_problems)[keep])
+        del columns
 
     r = config.n_items
+    m_v = sum(d.n_columns for d in config.student_covariates)
     item_names = [f"item_{j + 1}" for j in range(r)]
     expected = (["school_id", "student_id"] + item_names
                 + [d.name for d in config.student_covariates])
-    students: dict[str, list] = {sid: [] for sid in school_order}
-    seen: set[tuple[str, str]] = set()
-    for line, row in _read_rows(students_path):
-        if line == 1:
-            if row != expected:
-                raise DataFormatError(f"{students_path}:1: header must be "
-                                      f"{','.join(expected)}, got {','.join(row)}")
-            continue
-        if not row:
-            continue
-        if len(row) != len(expected):
-            errors.append(f"{students_path}:{line}: expected {len(expected)} "
-                          f"fields, got {len(row)}")
-            continue
-        sid, stid = row[0], row[1]
-        if sid not in students:
-            errors.append(f"{students_path}:{line}: column 1 (school_id): "
-                          f"unknown school id {sid!r}")
-            continue
-        if (sid, stid) in seen:
-            errors.append(f"{students_path}:{line}: column 2 (student_id): "
-                          f"duplicate student {stid!r} in school {sid!r}")
-            continue
-        seen.add((sid, stid))
-        responses = np.empty(r, dtype=np.int8)
-        for j in range(r):
-            token = row[2 + j]
-            if token == "0":
-                responses[j] = 0
-            elif token == "1":
-                responses[j] = 1
-            elif token == "NA":
-                responses[j] = MISSING
-            else:
-                errors.append(f"{students_path}:{line}: column {3 + j} "
-                              f"(item_{j + 1}): response {token!r} is not "
-                              "0, 1, or NA")
-                responses[j] = MISSING
-        x = _expand_tokens(config.student_covariates, row[2 + r:],
-                           students_path, line, 3 + r, errors)
-        students[sid].append((stid, x, responses))
+    problems: list = []
+    school_pos = dict(zip(school_ids, count()))
+    seen = {}
+    n_known = 0
+    sidx_blocks = [np.zeros(0, dtype=np.intp)]
+    response_blocks = [np.zeros((0, r), dtype=np.int8)]
+    x_blocks = [np.zeros((0, m_v))]
+    student_ids: list[str] = []
+    for lines, columns in _read_blocks(students_path, expected, problems):
+        sids, stids = columns[0], columns[1]
+        sidx = np.fromiter(map(school_pos.get, sids, repeat(-1)), np.intp, len(sids))
+        known = sidx >= 0
+        n = int(known.sum())
+        repeated = np.zeros(len(sids), dtype=bool)
+        repeated[known] = _mark_repeats(seen, compress(zip(sids, stids), known),
+                                        n_known, n)
+        n_known += n
+        for i in np.flatnonzero(~known):
+            problems.append((int(lines[i]), 1, f"{students_path}:{lines[i]}: column 1 "
+                             f"(school_id): unknown school id {sids[i]!r}"))
+        for i in np.flatnonzero(repeated):
+            problems.append((int(lines[i]), 2, f"{students_path}:{lines[i]}: column 2 "
+                             f"(student_id): duplicate student {stids[i]!r} in "
+                             f"school {sids[i]!r}"))
+        keep = known & ~repeated
+        sidx_blocks.append(sidx[keep])
+        student_ids.extend(compress(stids, keep))
+        response_blocks.append(_convert_responses(columns[2:2 + r], lines, keep,
+                                                  students_path, problems)[keep])
+        x_blocks.append(_convert_covariates(config.student_covariates, columns[2 + r:],
+                                            3 + r, lines, keep, students_path,
+                                            problems)[keep])
+        del columns
 
-    for sid in school_order:
-        if not students[sid]:
-            errors.append(f"{schools_path}: school {sid!r} has no students in "
-                          f"{students_path}")
-
+    sidx = np.concatenate(sidx_blocks)
+    counts = np.bincount(sidx, minlength=len(school_ids))
+    errors = _in_file_order(school_problems) + _in_file_order(problems)
+    errors += [f"{schools_path}: school {sid!r} has no students in {students_path}"
+               for sid in compress(school_ids, counts == 0)]
     if errors:
         shown = errors[:_MAX_REPORTED_ERRORS]
         if len(errors) > _MAX_REPORTED_ERRORS:
             shown.append(f"... and {len(errors) - _MAX_REPORTED_ERRORS} more")
         raise DataFormatError("\n".join(shown))
 
-    m_v = sum(d.n_columns for d in config.student_covariates)
-    schools = []
-    for sid in school_order:
-        recs = students[sid]
-        schools.append(SchoolGroup(
-            school_id=sid,
-            covariates=school_cov[sid],
-            student_ids=tuple(rec[0] for rec in recs),
-            student_covariates=(np.stack([rec[1] for rec in recs])
-                                if recs else np.zeros((0, m_v))),
-            responses=np.stack([rec[2] for rec in recs]),
-        ))
-    return ResponseDataset(tuple(schools))
+    # Group the students by school, keeping file order within each school.
+    order = np.argsort(sidx, kind="stable")
+    ids = np.array(student_ids, dtype=object)[order]
+    responses = np.concatenate(response_blocks)[order]
+    x = np.concatenate(x_blocks)[order]
+    w = np.concatenate(w_blocks)
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    return ResponseDataset(tuple(
+        SchoolGroup(school_id=sid, covariates=w[h], student_ids=tuple(ids[a:b]),
+                    student_covariates=x[a:b], responses=responses[a:b])
+        for h, (sid, a, b) in enumerate(zip(school_ids, starts, ends))))
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +410,14 @@ def write_dataset_files(out_dir, sim, student_decls, school_decls) -> None:
     out_dir = Path(out_dir)
     data = sim.dataset
     r = data.n_items
-    with open(out_dir / "schools.csv", "w", newline="\n") as handle:
+    with open(out_dir / "schools.csv", "w", newline="\n",
+              encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["school_id"] + [d.name for d in school_decls])
         for h, school in enumerate(data.schools):
             writer.writerow([school.school_id] + list(sim.school_tokens[h]))
-    with open(out_dir / "students.csv", "w", newline="\n") as handle:
+    with open(out_dir / "students.csv", "w", newline="\n",
+              encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["school_id", "student_id"]
                         + [f"item_{j + 1}" for j in range(r)]
@@ -466,29 +559,32 @@ def build_report(spec: ModelSpec, config: ModelConfig, result: FitResult,
 
 
 def write_report(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n",
+                          encoding="utf-8")
 
 
 def read_report(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_assignments(out_dir, data: ResponseDataset, classification) -> None:
     """Write the per-student and per-school MAP assignment files."""
     out_dir = Path(out_dir)
     students = classification.student_assignments
-    with open(out_dir / "students_assign.csv", "w", newline="\n") as handle:
+    with open(out_dir / "students_assign.csv", "w", newline="\n",
+              encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["school_id", "student_id", "class", "posterior"])
-        for h, school in enumerate(data.schools):
-            for i, stid in enumerate(school.student_ids):
-                writer.writerow([school.school_id, stid,
-                                 int(students.labels[h][i]) + 1,
-                                 f"{students.posteriors[h][i]:.12g}"])
+        for school, labels, posteriors in zip(data.schools, students.labels,
+                                              students.posteriors):
+            writer.writerows(zip(repeat(school.school_id), school.student_ids,
+                                 (labels + 1).tolist(),
+                                 map(format, posteriors.tolist(), repeat(".12g"))))
     schools = classification.school_assignments
-    with open(out_dir / "schools_assign.csv", "w", newline="\n") as handle:
+    with open(out_dir / "schools_assign.csv", "w", newline="\n",
+              encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["school_id", "type", "posterior"])
-        for h, school in enumerate(data.schools):
-            writer.writerow([school.school_id, int(schools.labels[h]) + 1,
-                             f"{schools.posteriors[h]:.12g}"])
+        writer.writerows(zip([g.school_id for g in data.schools],
+                             (schools.labels + 1).tolist(),
+                             map(format, schools.posteriors.tolist(), repeat(".12g"))))

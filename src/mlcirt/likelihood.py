@@ -96,16 +96,31 @@ def stack_dataset(data: ResponseDataset) -> StackedData:
     w = np.stack([g.covariates for g in data.schools], axis=0)
     sizes = np.array([g.n_students for g in data.schools], dtype=int)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-    patterns, index = np.unique(x, axis=0, return_inverse=True)
+    patterns, index = unique_rows(x)
     if patterns.shape[0] > min(_MAX_COVARIATE_PATTERNS, max(x.shape[0] // 4, 1)):
         patterns, index = None, None
     return StackedData(
         is_one=(responses == 1).astype(float),
         is_zero=(responses == 0).astype(float),
         x=x, w=w, starts=starts, sizes=sizes,
-        x_patterns=patterns,
-        x_pattern_index=index.reshape(-1) if index is not None else None,
+        x_patterns=patterns, x_pattern_index=index,
     )
+
+
+def unique_rows(x: np.ndarray):
+    """Distinct rows of a 2-D array in lexicographic order, and the index of
+    each row's pattern: ``np.unique(x, axis=0, return_inverse=True)`` by one
+    stable lexsort."""
+    n = x.shape[0]
+    if x.shape[1] == 0:
+        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    order = np.lexsort(x.T[::-1])          # the first column is the primary key
+    ordered = x[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def conditional_loglik_matrix(stacked: StackedData, params: ParameterSet,

@@ -5,12 +5,16 @@ deliberately avoiding the package's own log-space machinery, so agreement
 between the two paths is meaningful evidence of correctness.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
 
 from mlcirt import Parameterization
+from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
+from mlcirt.io import DataFormatError
 
 
 def sigmoid(z):
@@ -280,3 +284,144 @@ def fit_single_level_direct(data, spec, base_params, extra_starts, rng):
                           options={"gtol": 1e-9, "maxiter": 3000})
         best = max(best, -result.fun)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Dataset loading, row by row
+# ---------------------------------------------------------------------------
+
+_MAX_PER_ROW_ERRORS = 50
+
+
+def _expand_tokens(decls, tokens, path, line, first_col, errors) -> np.ndarray:
+    values: list[float] = []
+    for offset, (decl, token) in enumerate(zip(decls, tokens)):
+        col = first_col + offset
+        if decl.kind == "numeric":
+            try:
+                values.append(float(token))
+            except ValueError:
+                errors.append(f"{path}:{line}: column {col} ({decl.name}): "
+                              f"non-numeric value {token!r}")
+                values.append(np.nan)
+        else:
+            if token not in decl.levels:
+                errors.append(f"{path}:{line}: column {col} ({decl.name}): "
+                              f"level {token!r} not declared")
+                values.extend([np.nan] * decl.n_columns)
+            else:
+                for lvl in decl.levels:
+                    if lvl != decl.reference:
+                        values.append(1.0 if token == lvl else 0.0)
+    return np.asarray(values, dtype=float)
+
+
+def _read_rows(path: Path):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        yield from enumerate(csv.reader(handle), start=1)
+
+
+def load_dataset_per_row(students_path, schools_path, config) -> ResponseDataset:
+    """The package's original loader, one token at a time: the oracle for
+    ``mlcirt.io.load_dataset`` (same dataset, or the same error text)."""
+    students_path = Path(students_path)
+    schools_path = Path(schools_path)
+    for p in (students_path, schools_path):
+        if not p.exists():
+            raise DataFormatError(f"missing input file: {p}")
+    errors: list[str] = []
+
+    school_cov: dict[str, np.ndarray] = {}
+    school_order: list[str] = []
+    expected = ["school_id"] + [d.name for d in config.school_covariates]
+    for line, row in _read_rows(schools_path):
+        if line == 1:
+            if row != expected:
+                raise DataFormatError(f"{schools_path}:1: header must be "
+                                      f"{','.join(expected)}, got {','.join(row)}")
+            continue
+        if not row:
+            continue
+        if len(row) != len(expected):
+            errors.append(f"{schools_path}:{line}: expected {len(expected)} "
+                          f"fields, got {len(row)}")
+            continue
+        sid = row[0]
+        if sid in school_cov:
+            errors.append(f"{schools_path}:{line}: column 1 (school_id): "
+                          f"duplicate school id {sid!r}")
+            continue
+        school_cov[sid] = _expand_tokens(config.school_covariates, row[1:],
+                                         schools_path, line, 2, errors)
+        school_order.append(sid)
+
+    r = config.n_items
+    item_names = [f"item_{j + 1}" for j in range(r)]
+    expected = (["school_id", "student_id"] + item_names
+                + [d.name for d in config.student_covariates])
+    students: dict[str, list] = {sid: [] for sid in school_order}
+    seen: set[tuple[str, str]] = set()
+    for line, row in _read_rows(students_path):
+        if line == 1:
+            if row != expected:
+                raise DataFormatError(f"{students_path}:1: header must be "
+                                      f"{','.join(expected)}, got {','.join(row)}")
+            continue
+        if not row:
+            continue
+        if len(row) != len(expected):
+            errors.append(f"{students_path}:{line}: expected {len(expected)} "
+                          f"fields, got {len(row)}")
+            continue
+        sid, stid = row[0], row[1]
+        if sid not in students:
+            errors.append(f"{students_path}:{line}: column 1 (school_id): "
+                          f"unknown school id {sid!r}")
+            continue
+        if (sid, stid) in seen:
+            errors.append(f"{students_path}:{line}: column 2 (student_id): "
+                          f"duplicate student {stid!r} in school {sid!r}")
+            continue
+        seen.add((sid, stid))
+        responses = np.empty(r, dtype=np.int8)
+        for j in range(r):
+            token = row[2 + j]
+            if token == "0":
+                responses[j] = 0
+            elif token == "1":
+                responses[j] = 1
+            elif token == "NA":
+                responses[j] = MISSING
+            else:
+                errors.append(f"{students_path}:{line}: column {3 + j} "
+                              f"(item_{j + 1}): response {token!r} is not "
+                              "0, 1, or NA")
+                responses[j] = MISSING
+        x = _expand_tokens(config.student_covariates, row[2 + r:],
+                           students_path, line, 3 + r, errors)
+        students[sid].append((stid, x, responses))
+
+    for sid in school_order:
+        if not students[sid]:
+            errors.append(f"{schools_path}: school {sid!r} has no students in "
+                          f"{students_path}")
+
+    if errors:
+        shown = errors[:_MAX_PER_ROW_ERRORS]
+        if len(errors) > _MAX_PER_ROW_ERRORS:
+            shown.append(f"... and {len(errors) - _MAX_PER_ROW_ERRORS} more")
+        raise DataFormatError("\n".join(shown))
+
+    m_v = sum(d.n_columns for d in config.student_covariates)
+    schools = []
+    for sid in school_order:
+        recs = students[sid]
+        schools.append(SchoolGroup(
+            school_id=sid,
+            covariates=school_cov[sid],
+            student_ids=tuple(rec[0] for rec in recs),
+            student_covariates=(np.stack([rec[1] for rec in recs])
+                                if recs else np.zeros((0, m_v))),
+            responses=np.stack([rec[2] for rec in recs]),
+        ))
+    return ResponseDataset(tuple(schools))

@@ -83,3 +83,30 @@ def test_problems_name_each_school_in_order():
         "duplicate school id 'b'",
         "school 'b': responses outside {0, 1, NA}",
     ]
+
+
+def test_non_finite_covariates_name_their_own_school():
+    """The per-school counts from the concatenated arrays land on the
+    school that holds the value, next to empty and clean neighbours."""
+    spec = make_spec(n_items=1, n_classes=1, n_types=1, m_v=2, m_u=1)
+
+    def school(sid, x, w=0.0):
+        x = np.array(x, dtype=float).reshape(-1, 2)
+        n = x.shape[0]
+        return SchoolGroup(sid, np.array([w]), tuple(f"{sid}-{i}" for i in range(n)),
+                           x, np.zeros((n, 1), dtype=np.int8))
+
+    data = ResponseDataset((
+        school("a", [[0.0, 1.0], [2.0, 3.0]]),
+        school("b", [[0.0, 1.0], [np.nan, 3.0]]),
+        school("c", np.zeros((0, 2)), w=-np.inf),
+        school("d", [[0.0, np.inf]]),
+        school("e", [[1.0, 1.0]], w=np.nan),
+    ))
+    assert validate_dataset(data, spec) == [
+        "school 'b': non-finite student covariates",
+        "school 'c' has no students",
+        "school 'c': non-finite school covariates",
+        "school 'd': non-finite student covariates",
+        "school 'e': non-finite school covariates",
+    ]

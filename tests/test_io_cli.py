@@ -1,11 +1,18 @@
 """File formats and the command-line interface."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mlcirt import count_free_parameters
+import mlcirt
+from mlcirt import ResponseDataset, SchoolGroup, count_free_parameters
 from mlcirt.cli import main, parse_design
 from mlcirt.io import (
     DataFormatError,
@@ -13,8 +20,10 @@ from mlcirt.io import (
     parse_config,
     read_report,
     round12,
+    write_assignments,
     write_report,
 )
+from mlcirt.selection import SchoolAssignments, StudentAssignments
 
 
 BASE_CONFIG = {
@@ -131,6 +140,50 @@ class TestLoadDataset:
         config = parse_config(config_path)
         with pytest.raises(DataFormatError, match="header"):
             load_dataset(students, schools, config)
+
+
+class TestWriteAssignments:
+
+    def test_bytes_equal_per_row_formula(self, tmp_path):
+        """One ``writerows`` per school writes what the per-row formula
+        wrote: quoted ids, labels + 1, posteriors to 12 digits."""
+        ids = ["plain", "a,b", 'q"t', "Città", " pad ", "line\nbreak", ""]
+        posteriors = [1.0, 0.5, 1e-300, 0.123456789012345, 2 / 3, 1 - 1e-13, 0.7]
+        schools = [SchoolGroup(sid, np.zeros(0), tuple(ids[h:] + ids[:h]),
+                               np.zeros((len(ids), 0)),
+                               np.zeros((len(ids), 1), dtype=np.int8))
+                   for h, sid in enumerate(['s"1', "s,2", "s3"])]
+        data = ResponseDataset(tuple(schools))
+        student_labels = tuple(np.arange(len(ids)) % 3 + h for h in range(3))
+        student_posteriors = tuple(np.roll(posteriors, h) for h in range(3))
+        classification = SimpleNamespace(
+            student_assignments=StudentAssignments(student_labels, student_posteriors),
+            school_assignments=SchoolAssignments(np.array([2, 0, 1]),
+                                                 np.array([1.0, 0.5, 1e-300])))
+        write_assignments(tmp_path, data, classification)
+
+        def per_row(path, header, rows):
+            with open(path, "w", newline="\n", encoding="utf-8") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow(row)
+
+        per_row(tmp_path / "students_old.csv",
+                ["school_id", "student_id", "class", "posterior"],
+                ([g.school_id, stid, int(student_labels[h][i]) + 1,
+                  f"{student_posteriors[h][i]:.12g}"]
+                 for h, g in enumerate(schools)
+                 for i, stid in enumerate(g.student_ids)))
+        per_row(tmp_path / "schools_old.csv", ["school_id", "type", "posterior"],
+                ([g.school_id, int(label) + 1, f"{post:.12g}"]
+                 for g, label, post in zip(schools, [2, 0, 1],
+                                           np.array([1.0, 0.5, 1e-300]))))
+        assert ((tmp_path / "students_assign.csv").read_bytes()
+                == (tmp_path / "students_old.csv").read_bytes())
+        assert ((tmp_path / "schools_assign.csv").read_bytes()
+                == (tmp_path / "schools_old.csv").read_bytes())
+        assert b"1e-300" in (tmp_path / "schools_assign.csv").read_bytes()
 
 
 class TestRound12:
@@ -511,3 +564,36 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "sim" / "students.csv").exists()
+
+
+class TestFileEncoding:
+
+    def test_fit_under_ascii_locale_matches_utf8_locale(self, tmp_path):
+        """Files are UTF-8 whatever the locale: a non-ASCII school id fits
+        under ``LC_ALL=C`` with UTF-8 mode off and gives the same bytes."""
+        (tmp_path / "students.csv").write_bytes(
+            STUDENTS_CSV.replace("sch2", "Scuola-Città").encode("utf-8"))
+        (tmp_path / "schools.csv").write_bytes(
+            SCHOOLS_CSV.replace("sch2", "Scuola-Città").encode("utf-8"))
+        (tmp_path / "config.json").write_bytes(json.dumps(BASE_CONFIG).encode("utf-8"))
+        src = str(Path(mlcirt.__file__).resolve().parents[1])
+        base = {key: value for key, value in os.environ.items()
+                if not key.startswith("LC_") and key not in ("LANG", "PYTHONUTF8")}
+        base["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                          ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mlcirt", "fit",
+                 "--students", str(tmp_path / "students.csv"),
+                 "--schools", str(tmp_path / "schools.csv"),
+                 "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / name), "--starts", "1"],
+                env={**base, **env}, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        for file in ("students_assign.csv", "schools_assign.csv", "report.json"):
+            assert ((tmp_path / "ascii" / file).read_bytes()
+                    == (tmp_path / "utf8" / file).read_bytes())
+        assert "Scuola-Città".encode("utf-8") in (
+            tmp_path / "ascii" / "schools_assign.csv").read_bytes()
+

@@ -15,6 +15,7 @@ from mlcirt import (
     permute_parameters,
     student_conditional_loglik,
 )
+from mlcirt.likelihood import stack_dataset, unique_rows
 
 import reference
 from helpers import make_spec, random_dataset, random_instance, random_params, \
@@ -216,3 +217,39 @@ class TestBruteForce:
         data = random_dataset(spec, rng, n_schools=3, school_size=3)
         with pytest.raises(EnumerationCapError):
             brute_force_loglik(data, params, spec, max_terms=10)
+
+
+class TestStackDataset:
+
+    @pytest.mark.parametrize("m_v", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    def test_patterns_equal_numpy_unique(self, m_v, n):
+        """Same patterns in the same order and the same inverse as
+        ``np.unique(x, axis=0, return_inverse=True)``, with ties in every
+        column and repeated rows."""
+        rng = np.random.default_rng(10 * m_v + n)
+        x = rng.choice([-1.5, 0.0, 0.25, 2.0], size=(n, m_v))
+        if n > 3:
+            x[n // 2:n // 2 + 3] = x[:3]
+        patterns, index = unique_rows(x)
+        want_patterns, want_index = np.unique(x, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(patterns, want_patterns)
+        assert patterns.shape == want_patterns.shape
+        np.testing.assert_array_equal(index, want_index.reshape(-1))
+        assert index.dtype == np.intp
+
+    @pytest.mark.parametrize("m_v", [0, 1, 2, 3])
+    def test_stacked_patterns_equal_numpy_unique(self, m_v):
+        rng = np.random.default_rng(m_v)
+        schools = []
+        for h in range(8):
+            n = 25
+            schools.append(SchoolGroup(
+                f"s{h}", np.zeros(0), tuple(f"{h}-{i}" for i in range(n)),
+                rng.choice([-1.0, 1.0, 3.0], size=(n, m_v)),
+                rng.integers(-1, 2, size=(n, 2))))
+        stacked = stack_dataset(ResponseDataset(tuple(schools)))
+        want_patterns, want_index = np.unique(stacked.x, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(stacked.x_patterns, want_patterns)
+        np.testing.assert_array_equal(stacked.x_pattern_index, want_index.reshape(-1))
+
