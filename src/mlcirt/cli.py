@@ -78,20 +78,27 @@ def _profile_table(data, params, spec):
     if spec.n_school_covariates == 0:
         profiles = np.zeros((1, 0))
     else:
-        w = np.stack([g.covariates for g in data.schools])
-        profiles = np.unique(w, axis=0)
+        profiles = np.unique(data.school_covariates, axis=0)
     return profiles, type_probabilities_by_profile(params, profiles)
+
+
+def _warn_if_overparameterised(n_par: int, n_students: int) -> None:
+    if n_par > n_students:
+        print(f"warning: {n_par} free parameters for {n_students} students",
+              file=sys.stderr)
 
 
 def cmd_fit(args) -> int:
     config, spec, data = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    _warn_if_overparameterised(count_free_parameters(spec), data.n_students)
     result = multistart_fit(data, spec, config.controls)
     # Classify with the parameters exactly as published in the report
     # (12 significant digits), so `classify` on the report reproduces the
     # assignment files byte for byte.
-    stored = mio.params_from_dict(mio.round12(mio.params_to_dict(result.params)))
+    stored = mio.params_from_dict(mio.round12(mio.params_to_dict(result.params)),
+                                  spec)
     result = dataclasses.replace(result, params=stored)
     posteriors = e_step(data, stored, spec)
     classification = classify(data, stored, spec, posteriors)
@@ -141,6 +148,7 @@ def cmd_sweep(args) -> int:
     (out / "sweep.json").write_text(json.dumps(payload, indent=2) + "\n",
                                   encoding="utf-8")
     for row in result.rows:
+        _warn_if_overparameterised(row.n_par, data.n_students)
         if row.error is not None:
             print(f"n_types={row.n_types}: FAILED ({row.error})")
         else:
@@ -179,6 +187,14 @@ def _covariate_decls(gens, prefix: str):
     return tuple(decls)
 
 
+def _decl_entries(decls) -> list[dict]:
+    """Config-file entries of covariate declarations."""
+    return [{"name": d.name, "type": d.kind,
+             **({"levels": list(d.levels), "reference": d.reference}
+                if d.kind == "categorical" else {})}
+            for d in decls]
+
+
 def parse_design(path, seed_override=None) -> SimulationDesign:
     """Read a simulation design file (JSON)."""
     path = Path(path)
@@ -190,7 +206,7 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
         raise mio.DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         spec = mio.spec_from_dict(raw["spec"])
-        truth = mio.params_from_dict(raw["truth"])
+        truth = mio.params_from_dict(raw["truth"], spec)
         size = raw["school_size"]
         design = SimulationDesign(
             spec=spec,
@@ -225,16 +241,8 @@ def cmd_simulate(args) -> int:
         "parameterization": design.spec.parameterization.value,
         "dim_of": [d + 1 for d in design.spec.item_bank.dim_of],
         "reference_items": [j + 1 for j in design.spec.item_bank.reference_items],
-        "student_covariates": [
-            {"name": d.name, "type": d.kind,
-             **({"levels": list(d.levels), "reference": d.reference}
-                if d.kind == "categorical" else {})}
-            for d in student_decls],
-        "school_covariates": [
-            {"name": d.name, "type": d.kind,
-             **({"levels": list(d.levels), "reference": d.reference}
-                if d.kind == "categorical" else {})}
-            for d in school_decls],
+        "student_covariates": _decl_entries(student_decls),
+        "school_covariates": _decl_entries(school_decls),
         "controls": {"seed": design.seed},
         "bic_n": "students",
     }
@@ -252,8 +260,8 @@ def cmd_simulate(args) -> int:
         "parameters": mio.params_to_dict(design.truth),
         "labels": {
             "types": [int(u) + 1 for u in sim.labels.types],
-            "classes": [[int(v) + 1 for v in school]
-                        for school in sim.labels.classes],
+            "classes": [(school + 1).tolist() for school in
+                        np.split(sim.labels.classes, sim.dataset.starts[1:])],
         },
     })
     (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n",
@@ -268,7 +276,7 @@ def cmd_classify(args) -> int:
     report = mio.read_report(args.report)
     try:
         spec = mio.spec_from_dict(report["model"])
-        params = mio.params_from_dict(report["parameters"])
+        params = mio.params_from_dict(report["parameters"], spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise mio.DataFormatError(f"{args.report}: bad report ({exc!r})") from exc
     problems = validate_params(params, spec)

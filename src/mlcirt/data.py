@@ -1,19 +1,30 @@
 """Hierarchical response data: students nested in schools.
 
-Responses are stored per school as an (n_h, r) integer matrix with values
-0, 1, or MISSING (-1).  Covariates are numeric; categorical covariates are
-expanded to indicator columns before a dataset is constructed.
+A ``ResponseDataset`` holds every student of a survey in one block, grouped
+by school: the students of school h are the rows ``starts[h]`` to
+``starts[h] + sizes[h]`` of the student arrays.  Responses are one (n, r)
+int8 matrix with values 0, 1, or MISSING (-1).  Covariates are numeric;
+categorical covariates are expanded to indicator columns before a dataset
+is constructed.  ``SchoolGroup`` is one school's slice of a dataset, for
+code that wants a school at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelSpec
 
 MISSING = -1
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as ``dtype`` (copied only to convert)."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,15 +38,9 @@ class SchoolGroup:
     responses: np.ndarray            # (n_h, r) with values {0, 1, MISSING}
 
     def __post_init__(self):
-        cov = np.array(self.covariates, dtype=float)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariates", cov)
-        sc = np.array(self.student_covariates, dtype=float)
-        sc.setflags(write=False)
-        object.__setattr__(self, "student_covariates", sc)
-        resp = np.array(self.responses, dtype=np.int8)
-        resp.setflags(write=False)
-        object.__setattr__(self, "responses", resp)
+        for name, dtype in (("covariates", float), ("student_covariates", float),
+                            ("responses", np.int8)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
         object.__setattr__(self, "student_ids", tuple(self.student_ids))
 
     @property
@@ -45,79 +50,114 @@ class SchoolGroup:
 
 @dataclass(frozen=True, eq=False)
 class ResponseDataset:
-    """All schools of a survey, in a fixed order."""
+    """All students of a survey, grouped by school in a fixed order.
 
-    schools: tuple[SchoolGroup, ...]
+    - ``school_ids``: (H,) and ``school_covariates``: (H, m_U)
+    - ``sizes``: (H,) students per school; ``starts`` (derived) is the
+      first student row of each school
+    - ``student_ids``: (n,), ``student_covariates``: (n, m_V) and
+      ``responses``: (n, r) int8, school by school
+
+    The arrays are taken without copying and kept as read-only views.
+    """
+
+    school_ids: np.ndarray
+    school_covariates: np.ndarray
+    sizes: np.ndarray
+    student_ids: np.ndarray
+    student_covariates: np.ndarray
+    responses: np.ndarray
+    starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "schools", tuple(self.schools))
+        arrays = []
+        for name, dtype in (("school_ids", object), ("school_covariates", float),
+                            ("sizes", np.intp), ("student_ids", object),
+                            ("student_covariates", float), ("responses", np.int8)):
+            arrays.append(_read_only(getattr(self, name), dtype))
+            object.__setattr__(self, name, arrays[-1])
+        h = len(self.sizes) if self.sizes.ndim == 1 else -1
+        n = int(self.sizes.sum())
+        if ([a.ndim for a in arrays] != [1, 2, 1, 1, 2, 2] or np.any(self.sizes < 0)
+                or [len(a) for a in arrays] != [h, h, h, n, n, n]):
+            raise ValueError(
+                "dataset arrays must be school_ids (H,), school_covariates (H, m_U), "
+                "sizes (H,) >= 0 summing to n, student_ids (n,), student_covariates "
+                f"(n, m_V) and responses (n, r); got {[a.shape for a in arrays]}")
+        object.__setattr__(self, "starts",
+                           _read_only(np.cumsum(self.sizes) - self.sizes, np.intp))
+
+    @classmethod
+    def from_schools(cls, groups) -> "ResponseDataset":
+        """The dataset of a sequence of ``SchoolGroup``s, in their order."""
+        groups = tuple(groups)
+        if not groups:
+            return cls((), np.zeros((0, 0)), (), (), np.zeros((0, 0)), np.zeros((0, 0)))
+        return cls(
+            school_ids=[g.school_id for g in groups],
+            school_covariates=np.stack([g.covariates for g in groups]),
+            sizes=[g.n_students for g in groups],
+            student_ids=[sid for g in groups for sid in g.student_ids],
+            student_covariates=np.concatenate([g.student_covariates for g in groups]),
+            responses=np.concatenate([g.responses for g in groups]),
+        )
+
+    @property
+    def schools(self) -> tuple[SchoolGroup, ...]:
+        """Each school's slice of the arrays, as read-only views."""
+        return tuple(
+            SchoolGroup(sid, w, self.student_ids[a:a + n],
+                        self.student_covariates[a:a + n], self.responses[a:a + n])
+            for sid, w, a, n in zip(self.school_ids, self.school_covariates,
+                                    self.starts.tolist(), self.sizes.tolist()))
 
     @property
     def n_schools(self) -> int:
-        return len(self.schools)
+        return self.school_ids.shape[0]
 
     @property
     def n_students(self) -> int:
-        return sum(g.n_students for g in self.schools)
+        return self.responses.shape[0]
 
     @property
     def n_items(self) -> int:
-        return self.schools[0].responses.shape[1]
-
-
-def _flagged_per_school(arrays, flag) -> np.ndarray:
-    """Number of entries of each array that ``flag`` marks, from one pass
-    over their concatenation."""
-    flat = np.concatenate([a.ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays])
-    owner = np.searchsorted(ends, np.flatnonzero(flag(flat)), side="right")
-    return np.bincount(owner, minlength=len(arrays))
-
-
-def _not_finite(a: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(a)
-
-
-def _outside_codes(a: np.ndarray) -> np.ndarray:
-    # SchoolGroup stores int8, so {0, 1, MISSING} is the range [-1, 1].
-    return (a < MISSING) | (a > 1)
+        return self.responses.shape[1]
 
 
 def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
     """Check dataset invariants against a spec; returns violations."""
-    problems: list[str] = []
     if data.n_schools < 1:
         return ["dataset has no schools"]
-    r = spec.item_bank.n_items
-    # The value checks run once over the concatenated arrays of all schools.
-    bad_responses = _flagged_per_school([g.responses for g in data.schools],
-                                        _outside_codes)
-    bad_w = _flagged_per_school([g.covariates for g in data.schools], _not_finite)
-    bad_x = _flagged_per_school([g.student_covariates for g in data.schools],
-                                _not_finite)
+    problems: list[str] = []
+    for what, have, expected in (
+            ("responses have {} items", data.n_items, spec.item_bank.n_items),
+            ("school covariates have {} columns", data.school_covariates.shape[1],
+             spec.n_school_covariates),
+            ("student covariates have {} columns", data.student_covariates.shape[1],
+             spec.n_student_covariates)):
+        if have != expected:
+            problems.append(f"{what.format(have)}, expected {expected}")
+    # Per school, the number of its students with a flagged value.
+    school_of = np.repeat(np.arange(data.n_schools), data.sizes)
+    y = data.responses
+    # Responses are int8, so {0, 1, MISSING} is the range [-1, 1].
+    bad_responses = np.bincount(school_of, ((y < MISSING) | (y > 1)).any(axis=1),
+                                data.n_schools)
+    bad_x = np.bincount(school_of, ~np.isfinite(data.student_covariates).all(axis=1),
+                        data.n_schools)
+    bad_w = ~np.isfinite(data.school_covariates).all(axis=1)
     seen_ids: set[str] = set()
-    for h, g in enumerate(data.schools):
-        if g.school_id in seen_ids:
-            problems.append(f"duplicate school id {g.school_id!r}")
-        seen_ids.add(g.school_id)
-        if g.n_students < 1:
-            problems.append(f"school {g.school_id!r} has no students")
-        if g.responses.shape[1] != r:
-            problems.append(f"school {g.school_id!r}: responses have "
-                            f"{g.responses.shape[1]} items, expected {r}")
-        if g.covariates.shape != (spec.n_school_covariates,):
-            problems.append(f"school {g.school_id!r}: covariate vector has shape "
-                            f"{g.covariates.shape}, expected ({spec.n_school_covariates},)")
-        if g.student_covariates.shape != (g.n_students, spec.n_student_covariates):
-            problems.append(f"school {g.school_id!r}: student covariates have shape "
-                            f"{g.student_covariates.shape}")
-        if len(g.student_ids) != g.n_students:
-            problems.append(f"school {g.school_id!r}: {len(g.student_ids)} ids for "
-                            f"{g.n_students} students")
-        if bad_responses[h]:
-            problems.append(f"school {g.school_id!r}: responses outside {{0, 1, NA}}")
-        if bad_w[h]:
-            problems.append(f"school {g.school_id!r}: non-finite school covariates")
-        if bad_x[h]:
-            problems.append(f"school {g.school_id!r}: non-finite student covariates")
+    for sid, n_h, bad_y, bad_wh, bad_xh in zip(
+            data.school_ids, data.sizes.tolist(), bad_responses, bad_w, bad_x):
+        if sid in seen_ids:
+            problems.append(f"duplicate school id {sid!r}")
+        seen_ids.add(sid)
+        if n_h < 1:
+            problems.append(f"school {sid!r} has no students")
+        if bad_y:
+            problems.append(f"school {sid!r}: responses outside {{0, 1, NA}}")
+        if bad_wh:
+            problems.append(f"school {sid!r}: non-finite school covariates")
+        if bad_xh:
+            problems.append(f"school {sid!r}: non-finite student covariates")
     return problems

@@ -68,19 +68,17 @@ class MultistartError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PosteriorTables:
-    """E-step posteriors.
+    """E-step posteriors, with students in dataset order.
 
     - ``type_posterior``: (H, k_U), rows sum to 1
-    - ``joint_posterior``: per school an (n_h, k_U, k_V) array; for each
-      student it sums to 1 overall and to the school's type posterior
-      along the class axis
-    - ``class_posterior``: per school an (n_h, k_V) array, the joint
-      summed over types
+    - ``joint_posterior``: (n, k_U, k_V); each student's slice sums to 1
+      overall and, along the class axis, to its school's type posterior
+    - ``class_posterior``: (n, k_V), the joint summed over types
     """
 
     type_posterior: np.ndarray
-    joint_posterior: tuple[np.ndarray, ...]
-    class_posterior: tuple[np.ndarray, ...]
+    joint_posterior: np.ndarray
+    class_posterior: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,8 @@ class FitResult:
 # E-step
 # ---------------------------------------------------------------------------
 
-def _e_step_stacked(stacked: StackedData, params: ParameterSet, spec: ModelSpec):
+def _e_step_stacked(stacked: StackedData, params: ParameterSet,
+                    spec: ModelSpec) -> tuple[float, PosteriorTables]:
     loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
         stacked, params, spec)
     if not np.isfinite(loglik):
@@ -141,23 +140,13 @@ def _e_step_stacked(stacked: StackedData, params: ParameterSet, spec: ModelSpec)
         z_class += z_joint[:, u, :]
     if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(z_joint))):
         raise NonFiniteLikelihoodError("posterior tables are not finite")
-    return loglik, z_hu, z_joint, z_class
-
-
-def _split_by_school(arr: np.ndarray, stacked: StackedData) -> tuple[np.ndarray, ...]:
-    return tuple(np.split(arr, stacked.starts[1:], axis=0))
+    return loglik, PosteriorTables(z_hu, z_joint, z_class)
 
 
 def e_step(data: ResponseDataset, params: ParameterSet,
            spec: ModelSpec) -> PosteriorTables:
     """Posterior tables of the latent indicators given data and parameters."""
-    stacked = stack_dataset(data)
-    _, z_hu, z_joint, z_class = _e_step_stacked(stacked, params, spec)
-    return PosteriorTables(
-        type_posterior=z_hu,
-        joint_posterior=_split_by_school(z_joint, stacked),
-        class_posterior=_split_by_school(z_class, stacked),
-    )
+    return _e_step_stacked(stack_dataset(data), params, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +406,10 @@ def _class_block_cases(stacked: StackedData, z_joint: np.ndarray, n_types: int):
     return design, weights
 
 
-def _m_step_stacked(stacked: StackedData, z_hu, z_joint, z_class,
+def _m_step_stacked(stacked: StackedData, posteriors: PosteriorTables,
                     params: ParameterSet, spec: ModelSpec,
                     controls: FitControls) -> ParameterSet:
+    z_class = posteriors.class_posterior
     answered = stacked.is_one + stacked.is_zero
     succ = z_class.T @ stacked.is_one                        # (k_V, r)
     total = z_class.T @ answered
@@ -427,7 +417,7 @@ def _m_step_stacked(stacked: StackedData, z_hu, z_joint, z_class,
 
     k_u, k_v = spec.n_types, spec.n_classes
     if k_v > 1:
-        design, wts = _class_block_cases(stacked, z_joint, k_u)
+        design, wts = _class_block_cases(stacked, posteriors.joint_posterior, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
         coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
                                           controls.newton_max_iter,
@@ -435,9 +425,10 @@ def _m_step_stacked(stacked: StackedData, z_hu, z_joint, z_class,
         new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
                                         class_slopes=coef[:, k_u:].copy())
     if k_u > 1:
-        design = np.hstack([np.ones((stacked.n_schools, 1)), stacked.w])
+        design = np.hstack([np.ones((stacked.w.shape[0], 1)), stacked.w])
         coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
-        coef = _maximize_weighted_mnlogit(design, z_hu, coef0, controls.newton_tol,
+        coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
+                                          controls.newton_tol,
                                           controls.newton_max_iter,
                                           "type-membership")
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
@@ -452,12 +443,8 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
 
     Never decreases any block objective relative to ``params``.
     """
-    controls = controls or FitControls()
-    stacked = stack_dataset(data)
-    z_joint = np.concatenate(posteriors.joint_posterior, axis=0)
-    z_class = np.concatenate(posteriors.class_posterior, axis=0)
-    return _m_step_stacked(stacked, posteriors.type_posterior, z_joint, z_class,
-                           params, spec, controls)
+    return _m_step_stacked(stack_dataset(data), posteriors, params, spec,
+                           controls or FitControls())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +475,7 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
     if strategy not in ("deterministic", "random"):
         raise ValueError(f"unknown initialization strategy {strategy!r}")
     bank = spec.item_bank
-    responses = np.concatenate([g.responses for g in data.schools], axis=0)
+    responses = data.responses
     n_correct = (responses == 1).sum(axis=0).astype(float)
     n_answered = ((responses == 0) | (responses == 1)).sum(axis=0).astype(float)
     phat = np.where(n_answered > 0, n_correct / np.maximum(n_answered, 1.0), 0.5)
@@ -555,34 +542,26 @@ def _raise_if_invalid(problems: list[str]) -> None:
 
 
 def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
-        init: ParameterSet, *, _stacked: StackedData | None = None) -> FitResult:
+        init: ParameterSet) -> FitResult:
     """Run EM from one starting point until convergence or the iteration cap.
 
     Convergence holds when either the log-likelihood change or the largest
     parameter change drops below its tolerance.  Hitting the cap yields a
     result with ``converged=False`` rather than an error.
-
-    ``_stacked`` is ``multistart_fit``'s stack of ``data``, validated once
-    for all its starts; only ``init`` is checked then.
     """
-    if _stacked is None:
-        _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
-                          + validate_params(init, spec))
-        stacked = stack_dataset(data)
-    else:
-        _raise_if_invalid(validate_params(init, spec))
-        stacked = _stacked
+    _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
+                      + validate_params(init, spec))
+    stacked = stack_dataset(data)
     params = init
     trace: list[float] = []
     converged = False
     for iteration in range(controls.max_iter):
-        loglik, z_hu, z_joint, z_class = _e_step_stacked(stacked, params, spec)
+        loglik, posteriors = _e_step_stacked(stacked, params, spec)
         trace.append(loglik)
         if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
             converged = True
             break
-        new_params = _m_step_stacked(stacked, z_hu, z_joint, z_class,
-                                     params, spec, controls)
+        new_params = _m_step_stacked(stacked, posteriors, params, spec, controls)
         delta = max_abs_change(params, new_params)
         params = new_params
         if delta < controls.tol_param:
@@ -610,7 +589,6 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     start fails is a ``MultistartError`` raised.
     """
     _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec))
-    stacked = stack_dataset(data)
     best: FitResult | None = None
     failures: list[str] = []
     for start in range(controls.n_starts):
@@ -620,7 +598,7 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
             init = initialize(data, spec, "random",
                               seed=_child_seed(controls.seed, start))
         try:
-            result = fit(data, spec, controls, init, _stacked=stacked)
+            result = fit(data, spec, controls, init)
         except (NonFiniteLikelihoodError, MStepError, FloatingPointError,
                 np.linalg.LinAlgError) as exc:
             failures.append(f"start {start}: {exc}")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import MISSING, ResponseDataset, SchoolGroup
+from .data import MISSING, ResponseDataset
 from .em import FitControls, FitResult
 from .model import (
     ItemBank,
@@ -31,6 +31,7 @@ from .model import (
     ParameterSet,
     Parameterization,
     count_free_parameters,
+    parameter_shapes,
 )
 
 _MAX_REPORTED_ERRORS = 50
@@ -385,16 +386,14 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
 
     # Group the students by school, keeping file order within each school.
     order = np.argsort(sidx, kind="stable")
-    ids = np.array(student_ids, dtype=object)[order]
-    responses = np.concatenate(response_blocks)[order]
-    x = np.concatenate(x_blocks)[order]
-    w = np.concatenate(w_blocks)
-    ends = np.cumsum(counts).tolist()
-    starts = [0] + ends[:-1]
-    return ResponseDataset(tuple(
-        SchoolGroup(school_id=sid, covariates=w[h], student_ids=tuple(ids[a:b]),
-                    student_covariates=x[a:b], responses=responses[a:b])
-        for h, (sid, a, b) in enumerate(zip(school_ids, starts, ends))))
+    return ResponseDataset(
+        school_ids=school_ids,
+        school_covariates=np.concatenate(w_blocks),
+        sizes=counts,
+        student_ids=np.array(student_ids, dtype=object)[order],
+        student_covariates=np.concatenate(x_blocks)[order],
+        responses=np.concatenate(response_blocks)[order],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,28 +404,37 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
 _RESPONSE_TOKENS = np.array(["NA", "0", "1"])
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write a header row and ``rows`` as UTF-8 CSV with "\\n" line ends."""
+    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _student_rows(data: ResponseDataset, student_tokens):
+    """The students.csv rows of a dataset, built ``_BLOCK_ROWS`` at a time so
+    that only one block of response tokens exists at once."""
+    school_of = np.repeat(data.school_ids, data.sizes)
+    for a in range(0, data.n_students, _BLOCK_ROWS):
+        b = a + _BLOCK_ROWS
+        responses = _RESPONSE_TOKENS[data.responses[a:b] + 1].tolist()
+        for sid, stid, tokens, cov in zip(school_of[a:b], data.student_ids[a:b],
+                                          responses, student_tokens[a:b]):
+            yield [sid, stid, *tokens, *cov]
+
+
 def write_dataset_files(out_dir, sim, student_decls, school_decls) -> None:
     """Write students.csv and schools.csv for a ``SimulatedData`` bundle."""
     out_dir = Path(out_dir)
     data = sim.dataset
-    r = data.n_items
-    with open(out_dir / "schools.csv", "w", newline="\n",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["school_id"] + [d.name for d in school_decls])
-        for h, school in enumerate(data.schools):
-            writer.writerow([school.school_id] + list(sim.school_tokens[h]))
-    with open(out_dir / "students.csv", "w", newline="\n",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["school_id", "student_id"]
-                        + [f"item_{j + 1}" for j in range(r)]
-                        + [d.name for d in student_decls])
-        for h, school in enumerate(data.schools):
-            tokens = _RESPONSE_TOKENS[school.responses + 1].tolist()
-            for i, stid in enumerate(school.student_ids):
-                writer.writerow([school.school_id, stid] + tokens[i]
-                                + list(sim.student_tokens[h][i]))
+    _write_csv(out_dir / "schools.csv", ["school_id"] + [d.name for d in school_decls],
+               ([sid, *tokens]
+                for sid, tokens in zip(data.school_ids, sim.school_tokens)))
+    items = [f"item_{j + 1}" for j in range(data.n_items)]
+    _write_csv(out_dir / "students.csv",
+               ["school_id", "student_id"] + items + [d.name for d in student_decls],
+               _student_rows(data, sim.student_tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -456,32 +464,31 @@ def round12(obj):
     return obj
 
 
+# Every parameter block but ``lc_success`` (which may be None), in report order.
+_PARAM_BLOCKS = ("difficulty", "discrimination", "abilities", "class_intercepts",
+                 "class_slopes", "type_intercepts", "type_slopes")
+
+
 def params_to_dict(params: ParameterSet) -> dict:
-    return {
-        "difficulty": params.difficulty.tolist(),
-        "discrimination": params.discrimination.tolist(),
-        "abilities": params.abilities.tolist(),
-        "class_intercepts": params.class_intercepts.tolist(),
-        "class_slopes": params.class_slopes.tolist(),
-        "type_intercepts": params.type_intercepts.tolist(),
-        "type_slopes": params.type_slopes.tolist(),
-        "lc_success": (params.lc_success.tolist()
-                       if params.lc_success is not None else None),
-    }
+    lc = params.lc_success
+    return {**{name: getattr(params, name).tolist() for name in _PARAM_BLOCKS},
+            "lc_success": None if lc is None else lc.tolist()}
 
 
-def params_from_dict(raw: dict) -> ParameterSet:
-    return ParameterSet(
-        difficulty=np.asarray(raw["difficulty"], dtype=float),
-        discrimination=np.asarray(raw["discrimination"], dtype=float),
-        abilities=np.asarray(raw["abilities"], dtype=float),
-        class_intercepts=np.asarray(raw["class_intercepts"], dtype=float),
-        class_slopes=np.asarray(raw["class_slopes"], dtype=float),
-        type_intercepts=np.asarray(raw["type_intercepts"], dtype=float),
-        type_slopes=np.asarray(raw["type_slopes"], dtype=float),
-        lc_success=(np.asarray(raw["lc_success"], dtype=float)
-                    if raw.get("lc_success") is not None else None),
-    )
+def params_from_dict(raw: dict, spec: ModelSpec | None = None) -> ParameterSet:
+    """Inverse of ``params_to_dict``.
+
+    JSON writes an empty (0, m) block as ``[]``; given the ``spec``, such a
+    block gets its (0, m) shape back.  Other blocks keep the shape they were
+    written with, for ``validate_params`` to check.
+    """
+    blocks = {name: np.asarray(raw[name], dtype=float) for name in _PARAM_BLOCKS}
+    for name, shape in (parameter_shapes(spec) if spec is not None else {}).items():
+        if blocks[name].size == 0 and 0 in shape:
+            blocks[name] = blocks[name].reshape(shape)
+    lc = raw.get("lc_success")
+    return ParameterSet(**blocks,
+                        lc_success=None if lc is None else np.asarray(lc, dtype=float))
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
@@ -571,20 +578,12 @@ def write_assignments(out_dir, data: ResponseDataset, classification) -> None:
     """Write the per-student and per-school MAP assignment files."""
     out_dir = Path(out_dir)
     students = classification.student_assignments
-    with open(out_dir / "students_assign.csv", "w", newline="\n",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["school_id", "student_id", "class", "posterior"])
-        for school, labels, posteriors in zip(data.schools, students.labels,
-                                              students.posteriors):
-            writer.writerows(zip(repeat(school.school_id), school.student_ids,
-                                 (labels + 1).tolist(),
-                                 map(format, posteriors.tolist(), repeat(".12g"))))
+    _write_csv(out_dir / "students_assign.csv",
+               ["school_id", "student_id", "class", "posterior"],
+               zip(np.repeat(data.school_ids, data.sizes), data.student_ids,
+                   (students.labels + 1).tolist(),
+                   map(format, students.posteriors.tolist(), repeat(".12g"))))
     schools = classification.school_assignments
-    with open(out_dir / "schools_assign.csv", "w", newline="\n",
-              encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["school_id", "type", "posterior"])
-        writer.writerows(zip([g.school_id for g in data.schools],
-                             (schools.labels + 1).tolist(),
-                             map(format, schools.posteriors.tolist(), repeat(".12g"))))
+    _write_csv(out_dir / "schools_assign.csv", ["school_id", "type", "posterior"],
+               zip(data.school_ids, (schools.labels + 1).tolist(),
+                   map(format, schools.posteriors.tolist(), repeat(".12g"))))

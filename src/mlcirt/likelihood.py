@@ -60,8 +60,8 @@ def success_prob_table(params: ParameterSet, spec: ModelSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Stacked representation: all students of all schools in one block, with
-# per-school segment boundaries.  This is what the hot loops operate on.
+# What the hot loops need beyond the dataset's own arrays: float masks of the
+# answers and, when few, the distinct student covariate rows.
 # ---------------------------------------------------------------------------
 
 _MAX_COVARIATE_PATTERNS = 256
@@ -71,8 +71,8 @@ _MAX_COVARIATE_PATTERNS = 256
 class StackedData:
     is_one: np.ndarray        # (n, r) float mask of correct answers
     is_zero: np.ndarray       # (n, r) float mask of wrong answers
-    x: np.ndarray             # (n, m_V)
-    w: np.ndarray             # (H, m_U)
+    x: np.ndarray             # (n, m_V), the dataset's student covariates
+    w: np.ndarray             # (H, m_U), the dataset's school covariates
     starts: np.ndarray        # (H,) first student row of each school
     sizes: np.ndarray         # (H,)
     # Distinct student covariate rows, when few enough to be worth it:
@@ -85,24 +85,18 @@ class StackedData:
     def n_students(self) -> int:
         return self.is_one.shape[0]
 
-    @property
-    def n_schools(self) -> int:
-        return self.starts.shape[0]
-
 
 def stack_dataset(data: ResponseDataset) -> StackedData:
-    responses = np.concatenate([g.responses for g in data.schools], axis=0)
-    x = np.concatenate([g.student_covariates for g in data.schools], axis=0)
-    w = np.stack([g.covariates for g in data.schools], axis=0)
-    sizes = np.array([g.n_students for g in data.schools], dtype=int)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
+    """The answer masks and covariate patterns of ``data``; every other
+    field refers to the dataset's own arrays."""
+    x = data.student_covariates
     patterns, index = unique_rows(x)
     if patterns.shape[0] > min(_MAX_COVARIATE_PATTERNS, max(x.shape[0] // 4, 1)):
         patterns, index = None, None
     return StackedData(
-        is_one=(responses == 1).astype(float),
-        is_zero=(responses == 0).astype(float),
-        x=x, w=w, starts=starts, sizes=sizes,
+        is_one=(data.responses == 1).astype(float),
+        is_zero=(data.responses == 0).astype(float),
+        x=x, w=data.school_covariates, starts=data.starts, sizes=data.sizes,
         x_patterns=patterns, x_pattern_index=index,
     )
 
@@ -185,7 +179,7 @@ def group_conditional_loglik(school: SchoolGroup, type_index: int,
     """
     if not 0 <= type_index < params.n_types:
         raise IndexError(f"type index {type_index} out of range")
-    stacked = stack_dataset(ResponseDataset((school,)))
+    stacked = stack_dataset(ResponseDataset.from_schools((school,)))
     _, _, _, _, log_mix = stacked_loglik_terms(stacked, params, spec)
     return float(log_mix[:, type_index].sum())
 
@@ -215,7 +209,7 @@ def brute_force_loglik(data: ResponseDataset, params: ParameterSet,
     (types x students x classes) must stay below ``max_terms``.
     """
     k_u, k_v = spec.n_types, spec.n_classes
-    terms = sum(k_u * g.n_students * k_v for g in data.schools)
+    terms = k_u * data.n_students * k_v
     if terms > max_terms:
         raise EnumerationCapError(
             f"enumeration needs {terms} terms, above the cap of {max_terms}")

@@ -287,11 +287,10 @@ def validate_spec(spec: ModelSpec) -> list[str]:
     return problems
 
 
-def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
-    """Check parameter shapes and constraints against a spec."""
-    problems: list[str] = []
+def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter block except ``lc_success`` under a spec."""
     bank = spec.item_bank
-    expected = {
+    return {
         "difficulty": (bank.n_items,),
         "discrimination": (bank.n_items,),
         "abilities": (spec.n_classes, bank.n_dims),
@@ -300,7 +299,13 @@ def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
         "type_intercepts": (spec.n_types - 1,),
         "type_slopes": (spec.n_types - 1, spec.n_school_covariates),
     }
-    for name, shape in expected.items():
+
+
+def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
+    """Check parameter shapes and constraints against a spec."""
+    problems: list[str] = []
+    bank = spec.item_bank
+    for name, shape in parameter_shapes(spec).items():
         arr = getattr(params, name)
         if arr.shape != shape:
             problems.append(f"{name} has shape {arr.shape}, expected {shape}")

@@ -102,10 +102,10 @@ def sweep_school_types(data: ResponseDataset, spec: ModelSpec, n_types_values,
 
 @dataclass(frozen=True, eq=False)
 class StudentAssignments:
-    """Per school, the MAP class label and its posterior for each student."""
+    """MAP class label and its posterior of each student, in dataset order."""
 
-    labels: tuple[np.ndarray, ...]
-    posteriors: tuple[np.ndarray, ...]
+    labels: np.ndarray
+    posteriors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,30 +134,20 @@ class ClassificationResult:
     abilities_std: np.ndarray
 
 
+def _map_rows(z: np.ndarray):
+    """Argmax of each row (ties to the lowest index) and its value."""
+    labels = np.argmax(z, axis=1)
+    return labels, z[np.arange(z.shape[0]), labels]
+
+
 def assign_students(posteriors: PosteriorTables) -> StudentAssignments:
     """MAP class per student; ties break to the lowest class index."""
-    labels = []
-    probs = []
-    for z in posteriors.class_posterior:
-        lab = np.argmax(z, axis=1)
-        labels.append(lab)
-        probs.append(z[np.arange(z.shape[0]), lab])
-    return StudentAssignments(tuple(labels), tuple(probs))
+    return StudentAssignments(*_map_rows(posteriors.class_posterior))
 
 
 def assign_schools(posteriors: PosteriorTables) -> SchoolAssignments:
     """MAP type per school; ties break to the lowest type index."""
-    z = posteriors.type_posterior
-    labels = np.argmax(z, axis=1)
-    return SchoolAssignments(labels, z[np.arange(z.shape[0]), labels])
-
-
-def _class_weight_tensor(data: ResponseDataset, params: ParameterSet):
-    """(n, k_U, k_V) class weights of all students, school starts and sizes."""
-    x = np.concatenate([g.student_covariates for g in data.schools], axis=0)
-    sizes = np.array([g.n_students for g in data.schools])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return np.exp(log_class_weight_matrix(x, params)), starts, sizes
+    return SchoolAssignments(*_map_rows(posteriors.type_posterior))
 
 
 def average_class_weights(data: ResponseDataset, params: ParameterSet,
@@ -169,10 +159,10 @@ def average_class_weights(data: ResponseDataset, params: ParameterSet,
     students; the type average is the mean type posterior across schools.
     """
     z_hu = posteriors.type_posterior
-    w_mat, starts, sizes = _class_weight_tensor(data, params)
-    mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, sizes, axis=0), w_mat)
-    total = np.add.reduceat(mixed, starts, axis=0).sum(axis=0)
-    return total / sizes.sum(), z_hu.mean(axis=0)
+    w_mat = np.exp(log_class_weight_matrix(data.student_covariates, params))
+    mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, data.sizes, axis=0), w_mat)
+    total = np.add.reduceat(mixed, data.starts, axis=0).sum(axis=0)
+    return total / data.n_students, z_hu.mean(axis=0)
 
 
 def standardize_abilities(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -208,11 +198,12 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     """
     z_hu = posteriors.type_posterior
     k_u = spec.n_types
-    w_mat, starts, sizes = _class_weight_tensor(data, params)
+    w_mat = np.exp(log_class_weight_matrix(data.student_covariates, params))
     # (n, k_U, k_V) x (k_V,) mean ability per class over dimensions
     class_mean = params.abilities.mean(axis=1)
     per_student = np.einsum("nuv,v->nu", w_mat, class_mean)
-    school_mean = np.add.reduceat(per_student, starts, axis=0) / sizes[:, None]
+    school_mean = (np.add.reduceat(per_student, data.starts, axis=0)
+                   / data.sizes[:, None])
     mass = z_hu.sum(axis=0)
     defined = mass > _EMPTY_TYPE_MASS
     raw = np.full(k_u, np.nan)

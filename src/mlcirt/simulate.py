@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MISSING, ResponseDataset, SchoolGroup
+from .data import MISSING, ResponseDataset
 from .likelihood import marginal_loglik, success_prob_table
 from .model import (
     ItemBank,
@@ -121,40 +121,38 @@ class SimulationDesign:
 class LatentLabels:
     """True latent memberships of a simulated dataset."""
 
-    types: np.ndarray                    # (H,)
-    classes: tuple[np.ndarray, ...]      # per school (n_h,)
+    types: np.ndarray      # (H,)
+    classes: np.ndarray    # (n,) in dataset order
 
 
 @dataclass(frozen=True, eq=False)
 class SimulatedData:
-    """Dataset plus raw covariate tokens (for file output) and true labels."""
+    """Dataset plus true labels and the raw covariate tokens (for file
+    output): one tuple per school and one per student, in dataset order."""
 
     dataset: ResponseDataset
     labels: LatentLabels
     school_tokens: tuple[tuple[str, ...], ...]
-    student_tokens: tuple[tuple[tuple[str, ...], ...], ...]
+    student_tokens: tuple[tuple[str, ...], ...]
 
 
 def _draw_covariates(generators, rng: np.random.Generator, size: int,
                      cycle_start: int):
     """Numeric covariate matrix plus the raw token per (unit, generator)."""
-    columns = []
-    tokens = [[] for _ in range(size)]
+    columns, token_columns = [np.zeros((size, 0))], []
     for gen in generators:
         if isinstance(gen, CategoricalCovariate):
             levels = gen.draw_levels(rng, size)
             columns.append(gen.expand(levels))
-            for t in range(size):
-                tokens[t].append(f"L{levels[t]}")
+            token_columns.append([f"L{level}" for level in levels])
         elif isinstance(gen, CyclicCovariate):
             vals = gen.assign(cycle_start, size)
             columns.append(vals[:, None])
-            for t in range(size):
-                tokens[t].append(f"{vals[t]:.12g}")
+            token_columns.append([f"{val:.12g}" for val in vals])
         else:
             raise TypeError(f"unknown covariate generator {type(gen).__name__}")
-    matrix = np.hstack(columns) if columns else np.zeros((size, 0))
-    return matrix, tuple(tuple(row) for row in tokens)
+    tokens = tuple(zip(*token_columns)) if token_columns else ((),) * size
+    return np.hstack(columns), tokens
 
 
 def _draw_categories(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
@@ -169,16 +167,14 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
     Per-school draw order (one substream per school, seeded with
     (seed, school index)): school size, school covariates, school type,
     then all student covariates, all student classes, the response matrix,
-    and finally the missing-response mask.
+    and finally the missing-response mask.  The schools' draws are joined
+    into the dataset's arrays at the end.
     """
     spec, truth = design.spec, design.truth
     r = spec.item_bank.n_items
     prob_table = success_prob_table(truth, spec)
-    schools = []
     types = np.zeros(design.n_schools, dtype=int)
-    classes = []
-    school_tokens = []
-    student_tokens = []
+    draws, school_tokens, student_tokens, student_ids = [], [], [], []
     student_cycle = 0
     for h in range(design.n_schools):
         rng = np.random.Generator(np.random.PCG64(
@@ -198,20 +194,19 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
         if design.missing_rate > 0:
             mask = rng.random((n_h, r)) < design.missing_rate
             responses = np.where(mask, np.int8(MISSING), responses)
-        schools.append(SchoolGroup(
-            school_id=f"sch{h + 1:04d}",
-            covariates=w[0],
-            student_ids=tuple(f"sch{h + 1:04d}-stu{i + 1:04d}" for i in range(n_h)),
-            student_covariates=x,
-            responses=responses,
-        ))
         types[h] = u
-        classes.append(v)
+        draws.append((w, x, responses, v))
         school_tokens.append(w_tokens[0])
-        student_tokens.append(x_tokens)
+        student_tokens.extend(x_tokens)
+        student_ids.extend(f"sch{h + 1:04d}-stu{i + 1:04d}" for i in range(n_h))
+    w, x, responses, classes = map(np.concatenate, zip(*draws))
+    dataset = ResponseDataset(
+        school_ids=[f"sch{h + 1:04d}" for h in range(design.n_schools)],
+        school_covariates=w, sizes=[len(v) for _, _, _, v in draws],
+        student_ids=student_ids, student_covariates=x, responses=responses)
     return SimulatedData(
-        dataset=ResponseDataset(tuple(schools)),
-        labels=LatentLabels(types=types, classes=tuple(classes)),
+        dataset=dataset,
+        labels=LatentLabels(types=types, classes=classes),
         school_tokens=tuple(school_tokens),
         student_tokens=tuple(student_tokens),
     )
@@ -369,12 +364,6 @@ class RecoveryReport:
     loglik_truth: float
     loglik_fit: float
 
-    @property
-    def loglik_dominates_truth(self) -> bool:
-        """Maximum-likelihood sanity: the fit should never fall more than
-        1e-6 below the truth's likelihood on the same data."""
-        return self.loglik_fit >= self.loglik_truth - 1e-6
-
 
 def _block_error(est: np.ndarray, true: np.ndarray) -> BlockError:
     diff = np.abs(np.asarray(est, dtype=float) - np.asarray(true, dtype=float))
@@ -417,13 +406,8 @@ def recovery_report(truth: ParameterSet, fit_result, labels: LatentLabels,
 
     student_map = assign_students(posteriors)
     school_map = assign_schools(posteriors)
-    hits = 0
-    n = 0
-    for h in range(data.n_schools):
-        expected = class_perm[labels.classes[h]]
-        hits += int((student_map.labels[h] == expected).sum())
-        n += labels.classes[h].size
-    student_acc = hits / n
+    hits = int(np.count_nonzero(student_map.labels == class_perm[labels.classes]))
+    student_acc = hits / labels.classes.size
     school_acc = float((school_map.labels == type_perm[labels.types]).mean())
 
     return RecoveryReport(

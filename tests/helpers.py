@@ -71,7 +71,7 @@ def random_dataset(spec, rng, n_schools=3, school_size=3, missing_rate=0.0):
             student_covariates=rng.normal(size=(n_h, spec.n_student_covariates)),
             responses=responses,
         ))
-    return ResponseDataset(tuple(schools))
+    return ResponseDataset.from_schools(schools)
 
 
 def random_instance(rng, *, max_schools=3, max_students=3, max_items=4,
@@ -99,22 +99,24 @@ def random_instance(rng, *, max_schools=3, max_students=3, max_items=4,
     return spec, params, data
 
 
-def check_posterior_invariants(posteriors, atol=1e-10):
-    """Normalization and consistency of all three posterior tables."""
+def check_posterior_invariants(posteriors, data, atol=1e-10):
+    """Normalization and consistency of all three posterior tables of
+    ``data``."""
     z_hu = posteriors.type_posterior
+    zj = posteriors.joint_posterior
+    assert z_hu.shape[0] == data.n_schools
+    assert zj.shape[0] == posteriors.class_posterior.shape[0] == data.n_students
     np.testing.assert_allclose(z_hu.sum(axis=1), 1.0, atol=atol)
     assert np.all(z_hu >= 0)
-    for h, zj in enumerate(posteriors.joint_posterior):
-        np.testing.assert_allclose(zj.sum(axis=(1, 2)), 1.0, atol=atol)
-        np.testing.assert_allclose(zj.sum(axis=2),
-                                   np.tile(z_hu[h], (zj.shape[0], 1)), atol=atol)
-        np.testing.assert_allclose(zj.sum(axis=1),
-                                   posteriors.class_posterior[h], atol=atol)
+    np.testing.assert_allclose(zj.sum(axis=(1, 2)), 1.0, atol=atol)
+    np.testing.assert_allclose(zj.sum(axis=2), np.repeat(z_hu, data.sizes, axis=0),
+                               atol=atol)
+    np.testing.assert_allclose(zj.sum(axis=1), posteriors.class_posterior, atol=atol)
 
 
 def single_item_dataset(y=1, m_v=0, m_u=0):
     """One school, one student, one item."""
-    return ResponseDataset((SchoolGroup(
+    return ResponseDataset.from_schools((SchoolGroup(
         school_id="s0",
         covariates=np.zeros(m_u),
         student_ids=("s0-i0",),

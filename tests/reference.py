@@ -67,7 +67,7 @@ def single_level_loglik(data, params, spec):
 
 def independence_model_max_loglik(data):
     """Saturated per-item Bernoulli maximum (the k_V = k_U = 1 ceiling)."""
-    responses = np.concatenate([g.responses for g in data.schools], axis=0)
+    responses = data.responses
     total = 0.0
     for j in range(responses.shape[1]):
         col = responses[:, j]
@@ -90,8 +90,8 @@ def block_item_objective(data, posteriors, spec, difficulty, discrimination,
                          abilities, lc_success=None):
     """Posterior-weighted sum of response log-probabilities."""
     total = 0.0
-    for h, school in enumerate(data.schools):
-        z = posteriors.class_posterior[h]
+    for a, school in zip(data.starts, data.schools):
+        z = posteriors.class_posterior[a:a + school.n_students]
         for i in range(school.n_students):
             for v in range(spec.n_classes):
                 for j in range(spec.item_bank.n_items):
@@ -111,8 +111,8 @@ def block_item_objective(data, posteriors, spec, difficulty, discrimination,
 def block_class_objective(data, posteriors, spec, class_intercepts, class_slopes):
     """Joint-posterior-weighted log membership weights of the classes."""
     total = 0.0
-    for h, school in enumerate(data.schools):
-        zj = posteriors.joint_posterior[h]
+    for a, school in zip(data.starts, data.schools):
+        zj = posteriors.joint_posterior[a:a + school.n_students]
         for i in range(school.n_students):
             x = school.student_covariates[i]
             for u in range(spec.n_types):
@@ -188,7 +188,7 @@ def item_block_objective_vec(data, posteriors, spec, params, vec):
 
 def class_block_objective_vec(data, posteriors, spec, vec):
     k_u, k_v = spec.n_types, spec.n_classes
-    m_v = data.schools[0].student_covariates.shape[1]
+    m_v = data.student_covariates.shape[1]
     inter = np.asarray(vec[:k_u * (k_v - 1)]).reshape(k_u, k_v - 1)
     slopes = np.asarray(vec[k_u * (k_v - 1):]).reshape(k_v - 1, m_v)
     return block_class_objective(data, posteriors, spec, inter, slopes)
@@ -196,7 +196,7 @@ def class_block_objective_vec(data, posteriors, spec, vec):
 
 def type_block_objective_vec(data, posteriors, spec, vec):
     k_u = spec.n_types
-    m_u = data.schools[0].covariates.shape[0]
+    m_u = data.school_covariates.shape[1]
     inter = np.asarray(vec[:k_u - 1])
     slopes = np.asarray(vec[k_u - 1:]).reshape(k_u - 1, m_u)
     return block_type_objective(data, posteriors, spec, inter, slopes)
@@ -424,4 +424,4 @@ def load_dataset_per_row(students_path, schools_path, config) -> ResponseDataset
                                 if recs else np.zeros((0, m_v))),
             responses=np.stack([rec[2] for rec in recs]),
         ))
-    return ResponseDataset(tuple(schools))
+    return ResponseDataset.from_schools(schools)

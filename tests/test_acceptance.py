@@ -128,7 +128,7 @@ def instrumented_runs(desk_datasets):
         trace = [marginal_loglik(data, params, spec)]
         for _ in range(60):
             posteriors = e_step(data, params, spec)
-            check_posterior_invariants(posteriors, atol=1e-10)
+            check_posterior_invariants(posteriors, data, atol=1e-10)
             params = m_step(data, posteriors, params, spec)
             trace.append(marginal_loglik(data, params, spec))
             if abs(trace[-1] - trace[-2]) < 1e-7:

@@ -87,7 +87,7 @@ class TestEStep:
         rng = np.random.default_rng(2)
         for _ in range(20):
             spec, params, data = random_instance(rng, missing_rate=0.1)
-            check_posterior_invariants(e_step(data, params, spec))
+            check_posterior_invariants(e_step(data, params, spec), data)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_parameters_raise(self):
@@ -121,8 +121,8 @@ class TestMStep:
         hard[2:, 1] = 1.0
         post = PosteriorTables(
             type_posterior=np.ones((1, 1)),
-            joint_posterior=(hard[:, None, :].copy(),),
-            class_posterior=(hard,),
+            joint_posterior=hard[:, None, :].copy(),
+            class_posterior=hard,
         )
         new = m_step(data, post, params, spec, QUICK)
         for v, rows in ((0, resp[:2]), (1, resp[2:])):
@@ -149,8 +149,7 @@ class TestMStep:
         data = random_dataset(spec, rng, n_schools=3, school_size=4)
         post = e_step(data, params, spec)
         new = m_step(data, post, params, spec, QUICK)
-        z = np.concatenate(post.class_posterior, axis=0)
-        expected = z.mean(axis=0)
+        expected = post.class_posterior.mean(axis=0)
         from mlcirt import student_class_weights
         np.testing.assert_allclose(
             student_class_weights(np.zeros(0), 0, new), expected, atol=1e-8)
@@ -248,7 +247,7 @@ def _pattern_dataset(n_schools, school_size, n_patterns, rng):
             student_ids=tuple(f"s{h}-i{i}" for i in range(school_size)),
             student_covariates=x[:, None],
             responses=rng.integers(0, 2, size=(school_size, 1)).astype(np.int8)))
-    return ResponseDataset(tuple(schools))
+    return ResponseDataset.from_schools(schools)
 
 
 class TestClassBlockCases:
@@ -301,7 +300,7 @@ class TestInitialize:
             student_ids=data.schools[0].student_ids,
             student_covariates=np.zeros((len(patterns), 0)),
             responses=responses)
-        return spec, data.__class__((school,))
+        return spec, ResponseDataset.from_schools((school,))
 
     def test_half_correct_item_has_zero_raw_difficulty(self):
         """An item answered correctly by 50% sits at the reference difficulty."""
@@ -358,8 +357,7 @@ class TestFit:
         assert result.loglik == pytest.approx(ceiling, abs=1e-6)
         # fitted difficulties reproduce the observed item logits relative
         # to the reference item
-        responses = np.concatenate([g.responses for g in data.schools])
-        phat = responses.mean(axis=0)
+        phat = data.responses.mean(axis=0)
         raw = -np.log(phat / (1 - phat))
         np.testing.assert_allclose(result.params.difficulty, raw - raw[0],
                                    atol=1e-6)

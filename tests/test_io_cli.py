@@ -145,7 +145,7 @@ class TestLoadDataset:
 class TestWriteAssignments:
 
     def test_bytes_equal_per_row_formula(self, tmp_path):
-        """One ``writerows`` per school writes what the per-row formula
+        """One ``writerows`` per file writes what the per-row formula
         wrote: quoted ids, labels + 1, posteriors to 12 digits."""
         ids = ["plain", "a,b", 'q"t', "Città", " pad ", "line\nbreak", ""]
         posteriors = [1.0, 0.5, 1e-300, 0.123456789012345, 2 / 3, 1 - 1e-13, 0.7]
@@ -153,11 +153,12 @@ class TestWriteAssignments:
                                np.zeros((len(ids), 0)),
                                np.zeros((len(ids), 1), dtype=np.int8))
                    for h, sid in enumerate(['s"1', "s,2", "s3"])]
-        data = ResponseDataset(tuple(schools))
+        data = ResponseDataset.from_schools(schools)
         student_labels = tuple(np.arange(len(ids)) % 3 + h for h in range(3))
         student_posteriors = tuple(np.roll(posteriors, h) for h in range(3))
         classification = SimpleNamespace(
-            student_assignments=StudentAssignments(student_labels, student_posteriors),
+            student_assignments=StudentAssignments(np.concatenate(student_labels),
+                                                   np.concatenate(student_posteriors)),
             school_assignments=SchoolAssignments(np.array([2, 0, 1]),
                                                  np.array([1.0, 0.5, 1e-300])))
         write_assignments(tmp_path, data, classification)
@@ -548,6 +549,113 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "abilities has shape (2, 2)" in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestSingleSchoolType:
+    """k_U = 1 with school covariates: the (0, m_U) ``type_slopes`` block is
+    written to JSON as ``[]`` and must come back as (0, m_U)."""
+
+    def test_fit_exits_zero_and_classify_reproduces_assignments(self, tmp_path):
+        students, schools, config_path = write_inputs(
+            tmp_path, config=dict(BASE_CONFIG, n_types=1))
+        files = ["--students", str(students), "--schools", str(schools),
+                 "--config", str(config_path)]
+        assert main(["fit", *files, "--out", str(tmp_path / "fit"),
+                     "--starts", "1"]) == 0
+        report = read_report(tmp_path / "fit" / "report.json")
+        assert report["parameters"]["type_slopes"] == []
+        assert main(["classify", "--report", str(tmp_path / "fit" / "report.json"),
+                     *files, "--out", str(tmp_path / "cls")]) == 0
+        for name in ("students_assign.csv", "schools_assign.csv"):
+            assert (tmp_path / "cls" / name).read_bytes() == \
+                (tmp_path / "fit" / name).read_bytes()
+
+    def test_simulate_exits_zero(self, tmp_path):
+        design = dict(DESIGN, spec=dict(DESIGN["spec"], n_types=1),
+                      truth=dict(DESIGN["truth"], class_intercepts=[[0.8]],
+                                 type_intercepts=[], type_slopes=[]))
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps(design))
+        assert main(["simulate", "--design", str(design_path),
+                     "--out", str(tmp_path / "sim")]) == 0
+        truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+        assert truth["labels"]["types"] == [1] * 6
+
+    def test_empty_blocks_take_spec_shape_and_others_keep_theirs(self):
+        from mlcirt.io import params_from_dict, params_to_dict, spec_from_dict
+        from mlcirt.model import validate_params
+
+        spec = spec_from_dict(dict(DESIGN["spec"], n_types=1, n_classes=1,
+                                   n_school_covariates=2))
+        raw = dict(DESIGN["truth"], abilities=[[0.5]], class_intercepts=[[]],
+                   class_slopes=[], type_intercepts=[], type_slopes=[])
+        params = params_from_dict(raw, spec)
+        assert params.class_slopes.shape == (0, 1)
+        assert params.type_slopes.shape == (0, 2)
+        assert validate_params(params, spec) == []
+        assert params_to_dict(params_from_dict(params_to_dict(params), spec)) \
+            == params_to_dict(params)
+        two_types = spec.replace(n_types=2)
+        transposed = dict(raw, class_intercepts=[[], []], type_intercepts=[0.1],
+                          type_slopes=[[0.2], [0.3]])
+        params = params_from_dict(transposed, two_types)
+        assert params.type_slopes.shape == (2, 1)
+        assert validate_params(params, two_types) == [
+            "type_slopes has shape (2, 1), expected (1, 2)"]
+
+
+def desk_inputs(tmp_path):
+    """The desk design (200 schools x 20 students) written by ``simulate``."""
+    from mlcirt.io import params_to_dict, spec_to_dict
+    from mlcirt.simulate import desk_design
+
+    design = desk_design()
+    design_path = tmp_path / "desk.json"
+    design_path.write_text(json.dumps({
+        "n_schools": 200, "school_size": 20, "seed": 1,
+        "spec": spec_to_dict(design.spec), "truth": params_to_dict(design.truth),
+        "student_covariates": [{"type": "categorical", "probs": [0.5, 0.5]}],
+        "school_covariates": [{"type": "categorical", "probs": [0.5, 0.5]}]}))
+    out = tmp_path / "desk"
+    assert main(["simulate", "--design", str(design_path), "--out", str(out)]) == 0
+    return ["--students", str(out / "students.csv"),
+            "--schools", str(out / "schools.csv"),
+            "--config", str(out / "config.json")]
+
+
+class TestOverParameterisedWarning:
+    """More free parameters than students: one stderr line per fit and per
+    sweep row; exit codes and outputs unchanged."""
+
+    def test_fit_on_four_students_warns_once(self, tmp_path, capsys):
+        students, schools, config_path = write_inputs(tmp_path)
+        code = main(["fit", "--students", str(students), "--schools", str(schools),
+                     "--config", str(config_path), "--out", str(tmp_path / "fit"),
+                     "--starts", "1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: 12 free parameters for 4 students"]
+        assert read_report(tmp_path / "fit" / "report.json")["fit"]["n_par"] == 12
+
+    @pytest.mark.filterwarnings("ignore:n_types=1 is below")
+    def test_sweep_warns_for_each_row(self, tmp_path, capsys):
+        students, schools, config_path = write_inputs(tmp_path)
+        main(["sweep", "--students", str(students), "--schools", str(schools),
+              "--config", str(config_path), "--out", str(tmp_path / "sweep"),
+              "--ku", "1..2", "--starts", "1", "--max-iter", "50"])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == ["warning: 8 free parameters for 4 students",
+                            "warning: 12 free parameters for 4 students"]
+
+    @pytest.mark.filterwarnings("ignore:n_types=")
+    def test_desk_dataset_prints_no_warning(self, tmp_path, capsys):
+        files = desk_inputs(tmp_path)
+        main(["fit", *files, "--out", str(tmp_path / "fit"), "--starts", "1",
+              "--max-iter", "3"])
+        main(["sweep", *files, "--out", str(tmp_path / "sweep"), "--ku", "1..2",
+              "--starts", "1", "--max-iter", "3"])
+        assert "warning:" not in capsys.readouterr().err
 
 
 class TestModuleEntryPoint:

@@ -148,9 +148,9 @@ class TestMarginalLoglik:
             class_intercepts=params2.class_intercepts[:1],
             type_intercepts=np.zeros(0), type_slopes=np.zeros((0, 0)))
         ll2 = marginal_loglik(data, params2, spec2)
-        data1 = ResponseDataset(tuple(SchoolGroup(
+        data1 = ResponseDataset.from_schools(SchoolGroup(
             g.school_id, np.zeros(0), g.student_ids, g.student_covariates,
-            g.responses) for g in data.schools))
+            g.responses) for g in data.schools)
         ll1 = marginal_loglik(data1, params1, spec1)
         assert ll2 == pytest.approx(ll1, abs=1e-10)
 
@@ -248,7 +248,7 @@ class TestStackDataset:
                 f"s{h}", np.zeros(0), tuple(f"{h}-{i}" for i in range(n)),
                 rng.choice([-1.0, 1.0, 3.0], size=(n, m_v)),
                 rng.integers(-1, 2, size=(n, 2))))
-        stacked = stack_dataset(ResponseDataset(tuple(schools)))
+        stacked = stack_dataset(ResponseDataset.from_schools(schools))
         want_patterns, want_index = np.unique(stacked.x, axis=0, return_inverse=True)
         np.testing.assert_array_equal(stacked.x_patterns, want_patterns)
         np.testing.assert_array_equal(stacked.x_pattern_index, want_index.reshape(-1))

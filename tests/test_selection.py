@@ -10,6 +10,7 @@ import mlcirt.selection
 from mlcirt import (
     FitControls,
     PosteriorTables,
+    ResponseDataset,
     assign_schools,
     assign_students,
     average_class_weights,
@@ -173,15 +174,14 @@ class TestSweep:
 
 
 def posterior_tables(z_hu, z_class_list):
-    """Build PosteriorTables from a type posterior and class posteriors,
-    using the product joint (adequate for assignment tests)."""
+    """Build PosteriorTables from a type posterior and per-school class
+    posteriors, using the product joint (adequate for assignment tests)."""
     return PosteriorTables(type_posterior=np.asarray(z_hu, dtype=float),
-                           joint_posterior=tuple(
+                           joint_posterior=np.concatenate([
                                np.asarray(z)[:, None, :] * z_hu[h][None, :, None]
-                               for h, z in enumerate(z_class_list)),
-                           class_posterior=tuple(
-                               np.asarray(z, dtype=float)
-                               for z in z_class_list))
+                               for h, z in enumerate(z_class_list)]),
+                           class_posterior=np.concatenate([
+                               np.asarray(z, dtype=float) for z in z_class_list]))
 
 
 class TestAssignments:
@@ -190,20 +190,20 @@ class TestAssignments:
         post = posterior_tables(np.array([[1.0]]),
                                 [np.array([[0.1, 0.7, 0.2]])])
         out = assign_students(post)
-        assert out.labels[0][0] == 1
-        assert out.posteriors[0][0] == pytest.approx(0.7)
+        assert out.labels[0] == 1
+        assert out.posteriors[0] == pytest.approx(0.7)
 
     def test_student_tie_breaks_low(self):
         post = posterior_tables(np.array([[1.0]]),
                                 [np.array([[1 / 3, 1 / 3, 1 / 3]])])
-        assert assign_students(post).labels[0][0] == 0
+        assert assign_students(post).labels[0] == 0
 
     def test_student_degenerate(self):
         post = posterior_tables(np.array([[1.0]]),
                                 [np.array([[1.0, 0.0, 0.0]])])
         out = assign_students(post)
-        assert out.labels[0][0] == 0
-        assert out.posteriors[0][0] == 1.0
+        assert out.labels[0] == 0
+        assert out.posteriors[0] == 1.0
 
     def test_school_argmax_and_ties(self):
         post = posterior_tables(np.array([[0.6, 0.4], [0.5, 0.5], [0.0, 1.0]]),
@@ -217,9 +217,9 @@ class TestAssignments:
         for _ in range(10):
             z = rng.dirichlet(np.ones(4), size=5)
             post = posterior_tables(np.ones((5, 1)), [z])
-            base = assign_students(post).labels[0]
+            base = assign_students(post).labels
             post2 = posterior_tables(np.ones((5, 1)), [np.sqrt(z)])
-            np.testing.assert_array_equal(assign_students(post2).labels[0], base)
+            np.testing.assert_array_equal(assign_students(post2).labels, base)
 
 
 class TestSummaries:
@@ -244,7 +244,7 @@ class TestSummaries:
                               school_size=2)
         x = np.array([[0.0], [1.0]])
         school = dataclasses.replace(data.schools[0], student_covariates=x)
-        data = type(data)((school,))
+        data = ResponseDataset.from_schools((school,))
         post = e_step(data, params, spec)
         avg_class, _ = average_class_weights(data, params, spec, post)
         np.testing.assert_allclose(avg_class, [(0.2 + 0.6) / 2, (0.8 + 0.4) / 2],
@@ -367,9 +367,9 @@ class TestSummaries:
         post = e_step(data, params, spec)
         starved = PosteriorTables(
             type_posterior=np.array([[1.0, 0.0], [1.0, 0.0]]),
-            joint_posterior=tuple(
-                np.concatenate([zj[:, :1, :], 0.0 * zj[:, 1:, :]], axis=1)
-                for zj in post.joint_posterior),
+            joint_posterior=np.concatenate([post.joint_posterior[:, :1, :],
+                                            0.0 * post.joint_posterior[:, 1:, :]],
+                                           axis=1),
             class_posterior=post.class_posterior,
         )
         points = school_support_points(data, params, spec, starved)
