@@ -90,6 +90,7 @@ def _warn_if_overparameterised(n_par: int, n_students: int) -> None:
 
 def cmd_fit(args) -> int:
     config, spec, data = _load_inputs(args)
+    n_bic = resolve_bic_n(data, config.bic_n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _warn_if_overparameterised(count_free_parameters(spec), data.n_students)
@@ -103,7 +104,6 @@ def cmd_fit(args) -> int:
     posteriors = e_step(data, stored, spec)
     classification = classify(data, stored, spec, posteriors)
     profiles, probs = _profile_table(data, stored, spec)
-    n_bic = resolve_bic_n(data, config.bic_n)
     report = mio.build_report(spec, config, result, classification, n_bic,
                               profiles, probs)
     mio.write_report(out / "report.json", report)
@@ -121,15 +121,19 @@ def _parse_ku_range(value: str):
         ks = list(range(int(lo), int(hi) + 1))
         if not ks:
             raise mio.DataFormatError(f"--ku range {value!r} is empty")
-        return ks
-    return [int(value)]
+    else:
+        ks = [int(value)]
+    if ks[0] < 1:
+        raise mio.DataFormatError(f"--ku {value!r}: the number of school "
+                                  "types must be >= 1")
+    return ks
 
 
 def cmd_sweep(args) -> int:
+    ks = _parse_ku_range(args.ku)
     config, spec, data = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ks = _parse_ku_range(args.ku)
     result = sweep_school_types(data, spec, ks, config.controls,
                                 bic_n=config.bic_n)
     rows = [{

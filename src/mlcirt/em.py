@@ -5,18 +5,19 @@ student classes in log space.  The M-step maximizes the expected complete
 log-likelihood block by block:
 
 (a) item/ability block: a posterior-weighted logistic regression over
-    (class, item) cells, alternating one damped Newton pass on the item
-    parameters with one on the class abilities (the response logit is
-    bilinear in discrimination and ability, so each pass is a standard
-    concave subproblem); the "lc" variant has the closed-form weighted
-    proportion solution;
+    (class, item) cells.  The response logit is bilinear in the item
+    parameters and the class abilities, so the block is not concave;
+    each step is a Fisher-scoring step on all of its unknowns at once,
+    whose information matrix is positive semi-definite everywhere.  The
+    "lc" variant has the closed-form weighted proportion solution;
 (b) class-membership block: a weighted multinomial logistic regression
     with the joint (type, class) posteriors as case weights;
 (c) type-membership block: the same solver with the school-type
     posteriors as case weights.
 
-Every Newton step is safeguarded by step halving on the block objective,
-which keeps the EM iteration monotone in the marginal log-likelihood.
+Every block runs its steps through one loop, ``_damped_newton``, which
+halves a step until the block objective does not fall; this keeps the EM
+iteration monotone in the marginal log-likelihood.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .data import ResponseDataset, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
     StackedData,
-    response_logprob_tables,
     stack_dataset,
     stacked_loglik_terms,
 )
@@ -83,7 +83,13 @@ class PosteriorTables:
 
 @dataclass(frozen=True)
 class FitControls:
-    """Stopping rules and iteration caps for the EM loop."""
+    """Stopping rules and iteration caps for the EM loop.
+
+    ``newton_max_iter`` and ``newton_tol`` bound the Newton steps of every
+    M-step block (item/ability, class membership, type membership): a
+    block stops after that many steps, or once a step moves no unknown by
+    ``newton_tol`` or more.
+    """
 
     max_iter: int = 5000
     tol_loglik: float = 1e-8
@@ -150,88 +156,47 @@ def e_step(data: ResponseDataset, params: ParameterSet,
 
 
 # ---------------------------------------------------------------------------
+# The safeguarded Newton loop shared by every M-step block
+# ---------------------------------------------------------------------------
+
+def _damped_newton(value, newton_step, x, tol, max_iter, block: str):
+    """Maximize ``value`` from ``x`` by damped Newton steps.
+
+    ``newton_step(x)`` returns the full step at ``x``.  A step is halved
+    until the objective is finite and no lower than before (up to
+    rounding), at most ``_MAX_HALVINGS`` times.  If no halving qualifies,
+    the loop stops at the current point, or raises ``MStepError`` when the
+    last candidate's objective is not finite.  Otherwise it stops once
+    the accepted step is below ``tol`` or after ``max_iter`` steps.
+    """
+    f0 = value(x)
+    for _ in range(max_iter):
+        step = newton_step(x)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            f1 = value(x + t * step)
+            if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
+                break
+            t *= 0.5
+        else:
+            if not np.isfinite(f1):
+                raise MStepError(block, "non-finite objective after step halving")
+            break
+        delta = float(np.max(np.abs(t * step)))
+        x = x + t * step
+        f0 = f1
+        if delta < tol:
+            break
+    return x
+
+
+# ---------------------------------------------------------------------------
 # M-step block (a): item parameters and class abilities
 # ---------------------------------------------------------------------------
 
 def _bernoulli_logit_value(succ, total, z):
     """sum of succ*log(sigmoid(z)) + (total-succ)*log(sigmoid(-z)), stable."""
     return succ * (-np.logaddexp(0.0, -z)) + (total - succ) * (-np.logaddexp(0.0, z))
-
-
-def _item_block_value(succ, total, params: ParameterSet, spec: ModelSpec) -> float:
-    """Expected complete log-likelihood of the item/ability block."""
-    logp0, logp1 = response_logprob_tables(params, spec)
-    return float((succ * logp1 + (total - succ) * logp0).sum())
-
-
-def _halving_mask_update(f0, f1, active):
-    """Items/cells whose damped step still decreases their objective."""
-    slack = 1e-12 * (1.0 + np.abs(f0))
-    return active & (~np.isfinite(f1) | (f1 < f0 - slack))
-
-
-def _item_pass(succ, total, x_tab, slope, inter, free, two_pl: bool):
-    """One damped Newton pass on the per-item slope/intercept (slope fixed
-    to 1 under the Rasch variant).  Works on the (slope, intercept) scale
-    where the logit z = slope * ability + intercept is linear."""
-    z = slope[None, :] * x_tab + inter[None, :]
-    p = expit(z)
-    resid = succ - total * p
-    wgt = total * p * (1.0 - p)
-    g_c = resid.sum(axis=0)
-    h_cc = wgt.sum(axis=0)
-    d_slope = np.zeros_like(slope)
-    d_inter = np.zeros_like(inter)
-    if two_pl:
-        g_a = (resid * x_tab).sum(axis=0)
-        h_aa = (wgt * x_tab ** 2).sum(axis=0)
-        h_ac = (wgt * x_tab).sum(axis=0)
-        det = h_aa * h_cc - h_ac ** 2
-        ok = free & (det > 1e-300)
-        d_slope[ok] = (h_cc[ok] * g_a[ok] - h_ac[ok] * g_c[ok]) / det[ok]
-        d_inter[ok] = (h_aa[ok] * g_c[ok] - h_ac[ok] * g_a[ok]) / det[ok]
-    else:
-        ok = free & (h_cc > 1e-300)
-        d_inter[ok] = g_c[ok] / h_cc[ok]
-
-    f0 = _bernoulli_logit_value(succ, total, z).sum(axis=0)
-    t = np.where(ok, 1.0, 0.0)
-    for _ in range(_MAX_HALVINGS + 1):
-        z1 = (slope + t * d_slope)[None, :] * x_tab + (inter + t * d_inter)[None, :]
-        f1 = _bernoulli_logit_value(succ, total, z1).sum(axis=0)
-        need = _halving_mask_update(f0, f1, t > 0)
-        if not need.any():
-            break
-        t[need] *= 0.5
-    else:
-        t[need] = 0.0
-    return slope + t * d_slope, inter + t * d_inter
-
-
-def _ability_pass(succ, total, slope, inter, abilities, dim_onehot, dim_idx):
-    """One damped Newton pass on every (class, dimension) ability cell."""
-    x_tab = abilities[:, dim_idx]
-    z = slope[None, :] * x_tab + inter[None, :]
-    p = expit(z)
-    resid = succ - total * p
-    wgt = total * p * (1.0 - p)
-    grad = (resid * slope[None, :]) @ dim_onehot            # (k_V, s)
-    hess = (wgt * slope[None, :] ** 2) @ dim_onehot
-    step = np.where(hess > 1e-300, grad / np.where(hess > 0, hess, 1.0), 0.0)
-
-    f0 = _bernoulli_logit_value(succ, total, z) @ dim_onehot
-    t = np.where(step != 0.0, 1.0, 0.0)
-    for _ in range(_MAX_HALVINGS + 1):
-        abil1 = abilities + t * step
-        z1 = slope[None, :] * abil1[:, dim_idx] + inter[None, :]
-        f1 = _bernoulli_logit_value(succ, total, z1) @ dim_onehot
-        need = _halving_mask_update(f0, f1, t > 0)
-        if not need.any():
-            break
-        t[need] *= 0.5
-    else:
-        t[need] = 0.0
-    return abilities + t * step
 
 
 def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
@@ -244,52 +209,59 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 
     bank = spec.item_bank
     dim_idx = bank.dim_index
-    dim_onehot = np.zeros((bank.n_items, bank.n_dims))
-    dim_onehot[np.arange(bank.n_items), dim_idx] = 1.0
-    free = ~bank.is_reference
+    is_free = ~bank.is_reference
+    free = np.flatnonzero(is_free)
     two_pl = spec.parameterization is Parameterization.TWO_PL
+    slope_items = free if two_pl else free[:0]
+    n_free, n_slope = free.size, slope_items.size
+    k_v, n_dims = params.abilities.shape
+    # Unknowns, packed: free slopes (2PL only), free intercepts, abilities.
+    # Cell (v, j) has the logit slope_j * ability[v, d(j)] + inter_j.
+    inter_cols = n_slope + np.arange(n_free)
+    ability_cols = (n_slope + n_free + np.arange(k_v)[:, None] * n_dims
+                    + dim_idx[None, :])                          # (k_V, r)
+    slope0 = params.discrimination
+    inter0 = -slope0 * params.difficulty
 
-    slope = params.discrimination.copy()
-    inter = -slope * params.difficulty
-    abilities = params.abilities.copy()
-    f_prev = float(_bernoulli_logit_value(
-        succ, total, slope[None, :] * abilities[:, dim_idx] + inter[None, :]).sum())
-    for _ in range(controls.newton_max_iter):
-        x_tab = abilities[:, dim_idx]
-        new_slope, new_inter = _item_pass(succ, total, x_tab, slope, inter,
-                                          free, two_pl)
+    def unpack(x):
+        slope = slope0.copy()
+        slope[slope_items] = x[:n_slope]
+        inter = inter0.copy()
+        inter[free] = x[inter_cols]
+        return slope, inter, x[n_slope + n_free:].reshape(k_v, n_dims)
+
+    def value(x):
+        slope, inter, abilities = unpack(x)
         # A discrimination collapsing to 0 leaves the difficulty -c/a
-        # unidentified; keep the previous iterate for such items.
-        collapsed = free & (np.abs(new_slope) < 1e-8)
-        new_slope[collapsed] = slope[collapsed]
-        new_inter[collapsed] = inter[collapsed]
-        delta = max(np.max(np.abs(new_slope - slope)),
-                    np.max(np.abs(new_inter - inter)))
-        slope, inter = new_slope, new_inter
+        # unidentified; scoring such points -inf makes step halving
+        # reject them.
+        if np.any(np.abs(slope[free]) < 1e-8):
+            return -np.inf
+        z = slope * abilities[:, dim_idx] + inter
+        return float(_bernoulli_logit_value(succ, total, z).sum())
 
-        new_abilities = _ability_pass(succ, total, slope, inter, abilities,
-                                      dim_onehot, dim_idx)
-        if new_abilities.size:
-            delta = max(delta, np.max(np.abs(new_abilities - abilities)))
-        abilities = new_abilities
-        if delta < controls.newton_tol:
-            break
-        # Alternation converges linearly; stop once the objective stalls
-        # (parameters can still creep along a flat ridge).
-        f_now = float(_bernoulli_logit_value(
-            succ, total, slope[None, :] * abilities[:, dim_idx] + inter[None, :]).sum())
-        if f_now - f_prev < 1e-11 * (1.0 + abs(f_prev)):
-            break
-        f_prev = f_now
+    def newton_step(x):
+        """Fisher scoring: the information J'diag(total p (1-p))J is
+        positive semi-definite; the minimum-norm solution handles its
+        singular directions (e.g. two classes at the same ability)."""
+        slope, inter, abilities = unpack(x)
+        x_tab = abilities[:, dim_idx]
+        p = expit(slope * x_tab + inter)
+        jac = np.zeros((k_v, bank.n_items, x.size))
+        jac[:, slope_items, np.arange(n_slope)] = x_tab[:, slope_items]
+        jac[:, free, inter_cols] = 1.0
+        jac[np.arange(k_v)[:, None], np.arange(bank.n_items), ability_cols] = slope
+        jac = jac.reshape(-1, x.size)
+        grad = jac.T @ (succ - total * p).reshape(-1)
+        info = jac.T @ ((total * p * (1.0 - p)).reshape(-1, 1) * jac)
+        return np.linalg.lstsq(info, grad, rcond=None)[0]
 
-    safe_slope = np.where(slope == 0.0, 1.0, slope)
-    difficulty = np.where(free, -inter / safe_slope, 0.0)
-    value = _item_block_value(succ, total,
-                              params.replace(difficulty=difficulty,
-                                             discrimination=slope,
-                                             abilities=abilities), spec)
-    if not np.isfinite(value):
-        raise MStepError("item-ability", "non-finite objective after step halving")
+    x0 = np.concatenate([slope0[slope_items], inter0[free],
+                         params.abilities.reshape(-1)])
+    x = _damped_newton(value, newton_step, x0, controls.newton_tol,
+                       controls.newton_max_iter, "item-ability")
+    slope, inter, abilities = unpack(x)
+    difficulty = np.where(is_free, -inter / slope, 0.0)
     return params.replace(difficulty=difficulty, discrimination=slope,
                           abilities=abilities)
 
@@ -321,8 +293,8 @@ def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
     total_w = weights[:, 0].copy()
     for k in range(1, n_cat):
         total_w += weights[:, k]
-    f0 = _mnlogit_value(design, weights, total_w, coef)
-    for _ in range(max_iter):
+
+    def newton_step(coef):
         logits = design @ coef.T
         full = np.concatenate([np.zeros((n_cases, 1)), logits], axis=1)
         lse = logsumexp_last(full)
@@ -337,38 +309,20 @@ def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
         for a in range(n_cat - 1):
             da = design * wp[:, [a]]
             for b in range(n_cat - 1):
-                block = -(da * prob[:, [1 + b]]).T @ design
+                part = -(da * prob[:, [1 + b]]).T @ design
                 if a == b:
-                    block += da.T @ design
+                    part += da.T @ design
                 curv_mat[a * n_feat:(a + 1) * n_feat,
-                         b * n_feat:(b + 1) * n_feat] = block
+                         b * n_feat:(b + 1) * n_feat] = part
         g = grad.reshape(-1)
         try:
             step = np.linalg.solve(curv_mat, g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(curv_mat, g, rcond=None)[0]
-        step = step.reshape(n_cat - 1, n_feat)
+        return step.reshape(n_cat - 1, n_feat)
 
-        t = 1.0
-        f1 = -np.inf
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = coef + t * step
-            f1 = _mnlogit_value(design, weights, total_w, cand)
-            if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if not np.isfinite(f1):
-                raise MStepError(block, "non-finite objective after step halving")
-            break
-        delta = float(np.max(np.abs(t * step)))
-        coef = coef + t * step
-        f0 = f1
-        if delta < tol:
-            break
-    return coef
+    return _damped_newton(lambda c: _mnlogit_value(design, weights, total_w, c),
+                          newton_step, coef, tol, max_iter, block)
 
 
 def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:

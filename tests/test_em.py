@@ -30,6 +30,8 @@ from helpers import check_posterior_invariants, make_spec, random_dataset, \
 
 
 QUICK = FitControls(max_iter=400, tol_loglik=1e-9, tol_param=1e-8, n_starts=1)
+# A small Newton budget: each block must still reach its maximum.
+SHORT_NEWTON = QUICK.replace(newton_max_iter=10)
 
 
 def params_with(spec, seed=0, **blocks):
@@ -179,61 +181,108 @@ class TestMStep:
             assert new_obj >= old_obj - 1e-9
 
     def test_blocks_match_generic_maximizer(self):
-        """Each block's solution ties scipy's optimizer on the same block."""
+        """Each block's solution ties scipy's optimizer on the same block,
+        at the default Newton budget and at a small one."""
         rng = np.random.default_rng(7)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=3, school_size=3)
         post = e_step(data, params, spec)
-        new = m_step(data, post, params, spec, QUICK)
+        for controls in (QUICK, SHORT_NEWTON):
+            new = m_step(data, post, params, spec, controls)
 
-        obj = lambda v: reference.item_block_objective_vec(data, post, spec,
-                                                           params, v)
-        x_new = reference.pack_item_block(spec, new)
-        ours = obj(x_new)
-        _, best = reference.maximize(
-            obj, [reference.pack_item_block(spec, params), x_new])
-        assert ours == pytest.approx(best, abs=1e-6)
+            obj = lambda v: reference.item_block_objective_vec(data, post, spec,
+                                                               params, v)
+            x_new = reference.pack_item_block(spec, new)
+            ours = obj(x_new)
+            _, best = reference.maximize(
+                obj, [reference.pack_item_block(spec, params), x_new])
+            assert ours == pytest.approx(best, abs=1e-6)
 
-        obj = lambda v: reference.class_block_objective_vec(data, post, spec, v)
-        x_new = np.concatenate([new.class_intercepts.reshape(-1),
-                                new.class_slopes.reshape(-1)])
-        x_old = np.concatenate([params.class_intercepts.reshape(-1),
-                                params.class_slopes.reshape(-1)])
-        ours = obj(x_new)
-        _, best = reference.maximize(obj, [x_old, x_new])
-        assert ours == pytest.approx(best, abs=1e-6)
+            obj = lambda v: reference.class_block_objective_vec(data, post, spec, v)
+            x_new = np.concatenate([new.class_intercepts.reshape(-1),
+                                    new.class_slopes.reshape(-1)])
+            x_old = np.concatenate([params.class_intercepts.reshape(-1),
+                                    params.class_slopes.reshape(-1)])
+            ours = obj(x_new)
+            _, best = reference.maximize(obj, [x_old, x_new])
+            assert ours == pytest.approx(best, abs=1e-6)
 
-        obj = lambda v: reference.type_block_objective_vec(data, post, spec, v)
-        x_new = np.concatenate([new.type_intercepts,
-                                new.type_slopes.reshape(-1)])
-        ours = obj(x_new)
-        _, best = reference.maximize(obj, [np.concatenate(
-            [params.type_intercepts, params.type_slopes.reshape(-1)]), x_new])
-        assert ours == pytest.approx(best, abs=1e-6)
+            obj = lambda v: reference.type_block_objective_vec(data, post, spec, v)
+            x_new = np.concatenate([new.type_intercepts,
+                                    new.type_slopes.reshape(-1)])
+            ours = obj(x_new)
+            _, best = reference.maximize(obj, [np.concatenate(
+                [params.type_intercepts, params.type_slopes.reshape(-1)]), x_new])
+            assert ours == pytest.approx(best, abs=1e-6)
 
     def test_gradient_vanishes_at_block_solutions(self):
-        """Central finite differences at the returned solutions are < 1e-4."""
+        """Central finite differences at the returned solutions are < 1e-4,
+        at the default Newton budget and at a small one."""
         rng = np.random.default_rng(8)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=2, school_size=3)
         post = e_step(data, params, spec)
-        new = m_step(data, post, params, spec, QUICK)
-        grad = reference.finite_difference_gradient(
-            lambda v: reference.item_block_objective_vec(data, post, spec,
-                                                         params, v),
-            reference.pack_item_block(spec, new))
-        assert np.max(np.abs(grad)) < 1e-4
-        grad = reference.finite_difference_gradient(
-            lambda v: reference.class_block_objective_vec(data, post, spec, v),
-            np.concatenate([new.class_intercepts.reshape(-1),
-                            new.class_slopes.reshape(-1)]))
-        assert np.max(np.abs(grad)) < 1e-4
-        grad = reference.finite_difference_gradient(
-            lambda v: reference.type_block_objective_vec(data, post, spec, v),
-            np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
-        assert np.max(np.abs(grad)) < 1e-4
+        for controls in (QUICK, SHORT_NEWTON):
+            new = m_step(data, post, params, spec, controls)
+            grad = reference.finite_difference_gradient(
+                lambda v: reference.item_block_objective_vec(data, post, spec,
+                                                             params, v),
+                reference.pack_item_block(spec, new))
+            assert np.max(np.abs(grad)) < 1e-4
+            grad = reference.finite_difference_gradient(
+                lambda v: reference.class_block_objective_vec(data, post, spec, v),
+                np.concatenate([new.class_intercepts.reshape(-1),
+                                new.class_slopes.reshape(-1)]))
+            assert np.max(np.abs(grad)) < 1e-4
+            grad = reference.finite_difference_gradient(
+                lambda v: reference.type_block_objective_vec(data, post, spec, v),
+                np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
+            assert np.max(np.abs(grad)) < 1e-4
+
+
+class TestDampedNewton:
+    """The step-halving loop that every M-step block runs through."""
+
+    def test_returns_start_when_no_step_ascends(self):
+        """At the top of a concave quadratic every halving of the step
+        lowers the objective, so the loop stops where it started."""
+        center = np.array([0.5, -1.0])
+        values, steps = [], []
+
+        def value(x):
+            values.append(x)
+            return -float(((x - center) ** 2).sum())
+
+        def newton_step(x):
+            steps.append(x)
+            return np.array([1e6, -1e6])
+
+        out = mlcirt.em._damped_newton(value, newton_step, center.copy(),
+                                       1e-9, 50, "item-ability")
+        np.testing.assert_array_equal(out, center)
+        assert len(steps) == 1
+        assert len(values) == 1 + mlcirt.em._MAX_HALVINGS + 1
+
+    @pytest.mark.parametrize("block", ["item-ability", "class-membership",
+                                       "type-membership"])
+    def test_non_finite_candidates_raise_with_block_name(self, block):
+        """Every candidate is -inf or NaN: MStepError names the block."""
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            if len(calls) == 1:
+                return -3.0
+            return -np.inf if len(calls) % 2 else np.nan
+
+        with pytest.raises(mlcirt.em.MStepError) as err:
+            mlcirt.em._damped_newton(value, lambda x: np.ones_like(x),
+                                     np.zeros(3), 1e-9, 50, block)
+        assert err.value.block == block
+        assert str(err.value).startswith(f"[{block}] non-finite objective")
+        assert len(calls) == 1 + mlcirt.em._MAX_HALVINGS + 1
 
 
 def _pattern_dataset(n_schools, school_size, n_patterns, rng):

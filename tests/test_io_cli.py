@@ -658,6 +658,39 @@ class TestOverParameterisedWarning:
         assert "warning:" not in capsys.readouterr().err
 
 
+class TestInputErrorsBeforeFitting:
+    """A bad --bic-n or --ku value exits 1 before any start is fitted."""
+
+    @pytest.fixture
+    def no_fitting(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("multistart_fit was called")
+        monkeypatch.setattr("mlcirt.cli.multistart_fit", fail)
+        monkeypatch.setattr("mlcirt.selection.multistart_fit", fail)
+
+    def test_fit_rejects_zero_bic_n(self, tmp_path, capsys, no_fitting):
+        students, schools, config_path = write_inputs(tmp_path)
+        code = main(["fit", "--students", str(students), "--schools", str(schools),
+                     "--config", str(config_path), "--out", str(tmp_path / "fit"),
+                     "--starts", "1", "--bic-n", "0"])
+        assert code == 1
+        assert ("error: explicit BIC sample size must be >= 1"
+                in capsys.readouterr().err.splitlines())
+        assert not (tmp_path / "fit" / "report.json").exists()
+
+    @pytest.mark.parametrize("ku", ["0..1", "0"])
+    def test_sweep_rejects_zero_school_types(self, tmp_path, capsys, no_fitting,
+                                             ku):
+        students, schools, config_path = write_inputs(tmp_path)
+        code = main(["sweep", "--students", str(students), "--schools", str(schools),
+                     "--config", str(config_path), "--out", str(tmp_path / "sweep"),
+                     "--ku", ku, "--starts", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(ku) in err
+        assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
 class TestModuleEntryPoint:
 
     def test_python_dash_m(self, tmp_path):
