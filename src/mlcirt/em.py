@@ -18,6 +18,12 @@ log-likelihood block by block:
 Every block runs its steps through one loop, ``_damped_newton``, which
 halves a step until the block objective does not fall; this keeps the EM
 iteration monotone in the marginal log-likelihood.
+
+``fit`` accelerates the EM map with safeguarded SQUAREM (Varadhan and
+Roland 2008): every two EM steps it tries an extrapolation along them and
+keeps it only if the log-likelihood does not fall below the first step's,
+falling back to the plain EM point otherwise.  ``max_iter``, ``n_iter``
+and the trace count M-steps, as they would for plain EM.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from ._numeric import logsumexp_last
 from .data import ResponseDataset, validate_dataset
@@ -48,6 +54,11 @@ from .model import (
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
+# The parameter blocks SQUAREM extrapolates, in packing order; under the
+# "lc" parameterization ``lc_success`` follows on the logit scale.
+_PACKED_BLOCKS = ("difficulty", "discrimination", "abilities",
+                  "class_intercepts", "class_slopes", "type_intercepts",
+                  "type_slopes")
 
 
 class MStepError(RuntimeError):
@@ -85,6 +96,11 @@ class PosteriorTables:
 class FitControls:
     """Stopping rules and iteration caps for the EM loop.
 
+    ``max_iter`` caps the M-steps of one fit.  A fit has converged once
+    two consecutive log-likelihoods of its trace differ by less than
+    ``tol_loglik``, or once an M-step changes no parameter by ``tol_param``
+    or more.
+
     ``newton_max_iter`` and ``newton_tol`` bound the Newton steps of every
     M-step block (item/ability, class membership, type membership): a
     block stops after that many steps, or once a step moves no unknown by
@@ -115,7 +131,13 @@ class FitControls:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of one EM run (or the best of a multistart)."""
+    """Outcome of one EM run (or the best of a multistart).
+
+    ``n_iter`` is the number of M-steps.  ``trace`` holds the starting
+    log-likelihood and then one entry per M-step, taken at the point the
+    loop moved to, so ``n_iter == len(trace) - 1`` and ``loglik`` is
+    ``trace[-1]``.
+    """
 
     params: ParameterSet
     loglik: float
@@ -271,10 +293,17 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 # ---------------------------------------------------------------------------
 
 def _mnlogit_value(design, weights, total_w, coef) -> float:
-    logits = design @ coef.T                                 # (N, K-1)
-    full = np.concatenate([np.zeros((design.shape[0], 1)), logits], axis=1)
-    lse = logsumexp_last(full)
-    return float((weights[:, 1:] * logits).sum() - total_w @ lse)
+    """The block objective at ``coef``; -inf where it is not finite.
+
+    A category with no mass drives its coefficients towards -inf, and a
+    trial step there can overflow; the -inf makes step halving reject it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = design @ coef.T                             # (N, K-1)
+        full = np.concatenate([np.zeros((design.shape[0], 1)), logits], axis=1)
+        lse = logsumexp_last(full)
+        value = float((weights[:, 1:] * logits).sum() - total_w @ lse)
+    return value if np.isfinite(value) else -np.inf
 
 
 def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
@@ -495,35 +524,123 @@ def _raise_if_invalid(problems: list[str]) -> None:
         raise ValueError("invalid fit inputs:\n" + "\n".join(problems))
 
 
+def _pack(params: ParameterSet) -> np.ndarray:
+    """All parameters as one vector, ``lc_success`` on the logit scale."""
+    parts = [getattr(params, name).reshape(-1) for name in _PACKED_BLOCKS]
+    if params.lc_success is not None:
+        parts.append(logit(params.lc_success).reshape(-1))
+    return np.concatenate(parts)
+
+
+def _unpack(x: np.ndarray, like: ParameterSet) -> ParameterSet:
+    """The inverse of ``_pack``, shaped like ``like``."""
+    names = _PACKED_BLOCKS + (() if like.lc_success is None else ("lc_success",))
+    blocks, start = {}, 0
+    for name in names:
+        block = getattr(like, name)
+        blocks[name] = x[start:start + block.size].reshape(block.shape)
+        start += block.size
+    if like.lc_success is not None:
+        blocks["lc_success"] = np.clip(expit(blocks["lc_success"]),
+                                       _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
+    return like.replace(**blocks)
+
+
+def _squarem_point(x0: np.ndarray, x1: np.ndarray,
+                   x2: np.ndarray) -> np.ndarray | None:
+    """The S3 extrapolation of two EM steps x0 -> x1 -> x2.
+
+    With r = x1 - x0, v = x2 - 2 x1 + x0 and the step length
+    alpha = min(-|r|/|v|, -1), the point is x0 - 2 alpha r + alpha^2 v
+    (Varadhan and Roland 2008, Scand. J. Stat. 35).  Returns None when
+    alpha = -1, where the point is x2 itself, or when the point is not
+    finite.  Entries with r = v = 0 come back bitwise unchanged.
+    """
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    norm_v = np.linalg.norm(v)
+    if norm_v == 0.0:
+        return None
+    alpha = min(-np.linalg.norm(r) / norm_v, -1.0)
+    if alpha == -1.0:
+        return None
+    x = x0 - 2.0 * alpha * r + alpha * alpha * v
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _end_cycle(stacked: StackedData, spec: ModelSpec, theta0: ParameterSet,
+               theta1: ParameterSet, theta2: ParameterSet, loglik1: float):
+    """Where a SQUAREM cycle lands, with its log-likelihood and posteriors.
+
+    The extrapolated point is kept when its log-likelihood is finite and
+    no lower than at ``theta1``; otherwise, or when its E-step fails, the
+    cycle lands on ``theta2``, the plain EM point.
+    """
+    # Extrapolated points can be extreme, so overflow there is expected:
+    # the point is judged by its log-likelihood alone.
+    with np.errstate(all="ignore"):
+        x = _squarem_point(_pack(theta0), _pack(theta1), _pack(theta2))
+        if x is not None:
+            candidate = _unpack(x, theta2)
+            try:
+                loglik, posteriors = _e_step_stacked(stacked, candidate, spec)
+            except NonFiniteLikelihoodError:
+                pass
+            else:
+                if loglik >= loglik1:
+                    return candidate, loglik, posteriors
+                del posteriors
+    return (theta2,) + _e_step_stacked(stacked, theta2, spec)
+
+
 def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
         init: ParameterSet) -> FitResult:
     """Run EM from one starting point until convergence or the iteration cap.
 
-    Convergence holds when either the log-likelihood change or the largest
-    parameter change drops below its tolerance.  Hitting the cap yields a
-    result with ``converged=False`` rather than an error.
+    The loop is safeguarded SQUAREM: each cycle takes two EM steps
+    theta0 -> theta1 -> theta2 and tries the extrapolation of
+    ``_squarem_point`` along them, keeping it only if its log-likelihood
+    is no lower than at theta1 and falling back to theta2 otherwise, so
+    the trace is as monotone as plain EM's.  An accepted cycle costs two
+    E-steps and two M-steps, as plain EM does.
+
+    ``n_iter`` counts M-steps, at most ``controls.max_iter``.  ``trace``
+    holds the starting log-likelihood and then one entry per M-step, at
+    the point the loop moved to (an extrapolated point after the second
+    step of an accepted cycle), so ``n_iter == len(trace) - 1``.
+    Convergence holds when two consecutive trace entries differ by less
+    than ``tol_loglik``, or when an M-step changes no parameter by
+    ``tol_param`` or more.  Hitting the cap yields a result with
+    ``converged=False`` rather than an error.
     """
     _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
                       + validate_params(init, spec))
     stacked = stack_dataset(data)
     params = init
-    trace: list[float] = []
-    converged = False
-    for iteration in range(controls.max_iter):
-        loglik, posteriors = _e_step_stacked(stacked, params, spec)
-        trace.append(loglik)
-        if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
-            converged = True
-            break
+    loglik, posteriors = _e_step_stacked(stacked, params, spec)
+    trace = [loglik]
+    cycle_start = None      # theta0 while the second step of a cycle is due
+    while True:
         new_params = _m_step_stacked(stacked, posteriors, params, spec, controls)
-        delta = max_abs_change(params, new_params)
-        params = new_params
-        if delta < controls.tol_param:
-            converged = True
+        # Released before the next E-step: a fit never holds two sets of
+        # posterior tables at once.
+        posteriors = None
+        converged = max_abs_change(params, new_params) < controls.tol_param
+        if converged or len(trace) == controls.max_iter:
+            params = new_params
             trace.append(stacked_loglik_terms(stacked, params, spec)[0])
             break
-    else:
-        trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+        if cycle_start is None:
+            cycle_start, params = params, new_params
+            loglik, posteriors = _e_step_stacked(stacked, params, spec)
+        else:
+            params, loglik, posteriors = _end_cycle(
+                stacked, spec, cycle_start, params, new_params, trace[-1])
+            cycle_start = None
+        trace.append(loglik)
+        if abs(trace[-1] - trace[-2]) < controls.tol_loglik:
+            converged = True
+            break
 
     params = apply_identifiability(params, spec.item_bank)
     return FitResult(params=params, loglik=trace[-1], trace=tuple(trace),

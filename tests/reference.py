@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from mlcirt import Parameterization
+from mlcirt import Parameterization, em
 from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
+from mlcirt.likelihood import stack_dataset, stacked_loglik_terms
+from mlcirt.model import apply_identifiability, max_abs_change
 
 
 def sigmoid(z):
@@ -425,3 +427,41 @@ def load_dataset_per_row(students_path, schools_path, config) -> ResponseDataset
             responses=np.stack([rec[2] for rec in recs]),
         ))
     return ResponseDataset.from_schools(schools)
+
+
+# ---------------------------------------------------------------------------
+# Plain EM: the unaccelerated loop, kept as the oracle of ``em.fit``
+# ---------------------------------------------------------------------------
+
+def plain_em_fit(data, spec, controls, init):
+    """One plain EM step per iteration until convergence or the cap.
+
+    The loop ``em.fit`` ran before SQUAREM, with the same stopping rules
+    and the same E-step and M-step; ``n_iter`` and ``trace`` count as in
+    ``em.fit``.
+    """
+    em._raise_if_invalid(em.validate_spec(spec) + em.validate_dataset(data, spec)
+                         + em.validate_params(init, spec))
+    stacked = stack_dataset(data)
+    params = init
+    trace: list[float] = []
+    converged = False
+    for iteration in range(controls.max_iter):
+        loglik, posteriors = em._e_step_stacked(stacked, params, spec)
+        trace.append(loglik)
+        if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
+            converged = True
+            break
+        new_params = em._m_step_stacked(stacked, posteriors, params, spec, controls)
+        delta = max_abs_change(params, new_params)
+        params = new_params
+        if delta < controls.tol_param:
+            converged = True
+            trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+            break
+    else:
+        trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+
+    params = apply_identifiability(params, spec.item_bank)
+    return em.FitResult(params=params, loglik=trace[-1], trace=tuple(trace),
+                        n_iter=len(trace) - 1, converged=converged, start_index=0)

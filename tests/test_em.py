@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,19 @@ class TestFit:
             data, spec.replace(parameterization=Parameterization.ONE_PL),
             controls)
         assert one.loglik <= two.loglik + 1e-6
+
+    def test_empty_type_categories_fit_without_warnings(self):
+        """More school types than 4 schools can fill: the empty types'
+        coefficients run away, and trial steps that overflow score -inf
+        instead of leaking numpy warnings."""
+        for n_types in (4, 5, 6):
+            spec = make_spec(n_items=3, n_classes=2, n_types=n_types)
+            data = random_dataset(spec, np.random.default_rng(0), n_schools=4,
+                                  school_size=5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = multistart_fit(data, spec, FitControls(n_starts=3))
+            assert np.isfinite(result.loglik)
 
     def test_invalid_inputs_rejected(self):
         rng = np.random.default_rng(16)
