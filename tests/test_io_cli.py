@@ -691,6 +691,29 @@ class TestInputErrorsBeforeFitting:
         assert not (tmp_path / "sweep" / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("command, entry", [
+    ("fit", {"dim_of": 5}),
+    ("fit", {"controls": [1, 2]}),
+    ("fit", {"student_covariates": ["x"]}),
+    ("fit", {"student_covariates": {"name": "x"}}),
+    ("fit", {"n_classes": None}),
+    ("simulate", {"student_covariates": ["x"]}),
+])
+def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
+                                                              command, entry):
+    if command == "fit":
+        path = write_inputs(tmp_path, config=dict(BASE_CONFIG, **entry))[2]
+        argv = ["fit", "--students", str(tmp_path / "students.csv"),
+                "--schools", str(tmp_path / "schools.csv"), "--config", str(path)]
+    else:
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(dict(DESIGN, **entry)))
+        argv = ["simulate", "--design", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
 class TestModuleEntryPoint:
 
     def test_python_dash_m(self, tmp_path):

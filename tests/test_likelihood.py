@@ -238,18 +238,26 @@ class TestStackDataset:
         np.testing.assert_array_equal(index, want_index.reshape(-1))
         assert index.dtype == np.intp
 
-    @pytest.mark.parametrize("m_v", [0, 1, 2, 3])
-    def test_stacked_patterns_equal_numpy_unique(self, m_v):
+    @pytest.mark.parametrize("m_v, distinct", [
+        *(pytest.param(m_v, False, id=str(m_v)) for m_v in range(4)),
+        pytest.param(2, True, id="2-distinct")])
+    def test_stacked_patterns_equal_numpy_unique(self, m_v, distinct):
+        """Repeated rows, or every row distinct (P = n)."""
         rng = np.random.default_rng(m_v)
         schools = []
         for h in range(8):
             n = 25
+            x = (rng.normal(size=(n, m_v)) if distinct
+                 else rng.choice([-1.0, 1.0, 3.0], size=(n, m_v)))
             schools.append(SchoolGroup(
                 f"s{h}", np.zeros(0), tuple(f"{h}-{i}" for i in range(n)),
-                rng.choice([-1.0, 1.0, 3.0], size=(n, m_v)),
-                rng.integers(-1, 2, size=(n, 2))))
-        stacked = stack_dataset(ResponseDataset.from_schools(schools))
-        want_patterns, want_index = np.unique(stacked.x, axis=0, return_inverse=True)
+                x, rng.integers(-1, 2, size=(n, 2))))
+        data = ResponseDataset.from_schools(schools)
+        stacked = stack_dataset(data)
+        want_patterns, want_index = np.unique(data.student_covariates, axis=0,
+                                              return_inverse=True)
+        if distinct:
+            assert want_patterns.shape == (200, m_v)
         np.testing.assert_array_equal(stacked.x_patterns, want_patterns)
         np.testing.assert_array_equal(stacked.x_pattern_index, want_index.reshape(-1))
 
