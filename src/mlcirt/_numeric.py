@@ -1,4 +1,13 @@
-"""Small numeric helpers shared by the likelihood and EM internals."""
+"""Small numeric helpers shared by the model, likelihood and EM internals.
+
+This module is the package's one home for the logistic function of the
+response model, P(right answer) = expit(z) for the response logit z:
+``expit``, its inverse ``logit`` and its log form ``log_expit``.  Like
+the rest of the package they need numpy alone.  At the extremes (|z|
+past about 709, p at 0 or 1) they return 0, 1 or +-inf without a
+floating-point warning.  ``logsumexp_last`` is the mixture reduction
+over the class and type axes.
+"""
 
 from __future__ import annotations
 
@@ -37,3 +46,23 @@ def logsumexp_last(arr: np.ndarray, keepdims: bool = False) -> np.ndarray:
     np.log(total, out=total)
     total += shift
     return total[..., None] if keepdims else total
+
+
+def expit(z):
+    """The logistic function 1 / (1 + exp(-z)); 0 and 1 at -inf and +inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def logit(p):
+    """The inverse of ``expit``, log(p / (1 - p)); -inf and +inf at 0 and 1."""
+    p = np.asarray(p, dtype=float)     # so that p = 1 divides the numpy way
+    with np.errstate(divide="ignore"):
+        return np.log(p / (1.0 - p))
+
+
+def log_expit(z):
+    """log(expit(z)), computed as -log(1 + exp(-z)) so that it stays finite
+    (about z) where expit(z) underflows to 0; log_expit(-z) is
+    log(1 - expit(z))."""
+    return -np.logaddexp(0.0, -z)

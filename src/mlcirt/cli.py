@@ -1,7 +1,8 @@
 """Command-line interface: fit, sweep, simulate, classify.
 
-Exit codes: 0 success, 1 input/validation error, 2 the estimator did not
-converge (reports are still written).
+Exit codes: 0 success, 1 input/validation error (including a file that
+cannot be read or written), 2 the estimator did not converge (reports
+are still written).
 """
 
 from __future__ import annotations
@@ -207,10 +208,7 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
     path = Path(path)
     if not path.exists():
         raise mio.DataFormatError(f"missing design file: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise mio.DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    raw = mio.read_json(path)
     try:
         spec = mio.spec_from_dict(raw["spec"])
         truth = mio.params_from_dict(raw["truth"], spec)
@@ -376,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (mio.DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (mio.DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MultistartError as exc:

@@ -32,9 +32,8 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
-from ._numeric import logsumexp_last
+from ._numeric import expit, log_expit, logit, logsumexp_last
 from .data import ResponseDataset, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
@@ -43,6 +42,7 @@ from .likelihood import (
     stacked_loglik_terms,
 )
 from .model import (
+    PARAM_BLOCKS,
     ModelSpec,
     ParameterSet,
     Parameterization,
@@ -54,11 +54,6 @@ from .model import (
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
-# The parameter blocks SQUAREM extrapolates, in packing order; under the
-# "lc" parameterization ``lc_success`` follows on the logit scale.
-_PACKED_BLOCKS = ("difficulty", "discrimination", "abilities",
-                  "class_intercepts", "class_slopes", "type_intercepts",
-                  "type_slopes")
 
 
 class MStepError(RuntimeError):
@@ -218,7 +213,7 @@ def _damped_newton(value, newton_step, x, tol, max_iter, block: str):
 
 def _bernoulli_logit_value(succ, total, z):
     """sum of succ*log(sigmoid(z)) + (total-succ)*log(sigmoid(-z)), stable."""
-    return succ * (-np.logaddexp(0.0, -z)) + (total - succ) * (-np.logaddexp(0.0, z))
+    return succ * log_expit(z) + (total - succ) * log_expit(-z)
 
 
 def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
@@ -519,8 +514,9 @@ def _raise_if_invalid(problems: list[str]) -> None:
 
 
 def _pack(params: ParameterSet) -> np.ndarray:
-    """All parameters as one vector, ``lc_success`` on the logit scale."""
-    parts = [getattr(params, name).reshape(-1) for name in _PACKED_BLOCKS]
+    """All parameters as one vector in ``PARAM_BLOCKS`` order, followed
+    under the "lc" parameterization by ``lc_success`` on the logit scale."""
+    parts = [getattr(params, name).reshape(-1) for name in PARAM_BLOCKS]
     if params.lc_success is not None:
         parts.append(logit(params.lc_success).reshape(-1))
     return np.concatenate(parts)
@@ -528,7 +524,7 @@ def _pack(params: ParameterSet) -> np.ndarray:
 
 def _unpack(x: np.ndarray, like: ParameterSet) -> ParameterSet:
     """The inverse of ``_pack``, shaped like ``like``."""
-    names = _PACKED_BLOCKS + (() if like.lc_success is None else ("lc_success",))
+    names = PARAM_BLOCKS + (() if like.lc_success is None else ("lc_success",))
     blocks, start = {}, 0
     for name in names:
         block = getattr(like, name)
@@ -642,6 +638,8 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
 
 
 def _child_seed(base_seed: int, start_index: int) -> int:
+    """A seed derived from (base_seed, start_index): the seed of a random
+    start in ``multistart_fit`` and of a row in ``selection.sweep_school_types``."""
     return int(np.random.SeedSequence((base_seed, start_index)).generate_state(1)[0])
 
 

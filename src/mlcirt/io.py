@@ -26,6 +26,7 @@ import numpy as np
 from .data import MISSING, ResponseDataset
 from .em import FitControls, FitResult
 from .model import (
+    PARAM_BLOCKS,
     ItemBank,
     ModelSpec,
     ParameterSet,
@@ -96,7 +97,8 @@ class ModelConfig:
         )
 
 
-def _parse_covariate_decls(entries, where: str) -> tuple[CovariateDecl, ...]:
+def _parse_covariate_decls(entries, where: str,
+                           path: Path) -> tuple[CovariateDecl, ...]:
     if not isinstance(entries or [], list) or not all(
             isinstance(e, dict) for e in entries or []):
         raise TypeError(f"{where} must be a list of JSON objects")
@@ -104,34 +106,42 @@ def _parse_covariate_decls(entries, where: str) -> tuple[CovariateDecl, ...]:
     for idx, entry in enumerate(entries or []):
         name = entry.get("name")
         kind = entry.get("type", "numeric")
+        at = f"{path}: {where}[{idx}]"
         if not name:
-            raise DataFormatError(f"{where}[{idx}]: covariate needs a name")
+            raise DataFormatError(f"{at}: covariate needs a name")
         if kind == "numeric":
             decls.append(CovariateDecl(name=name, kind="numeric"))
         elif kind == "categorical":
             levels = tuple(str(v) for v in entry.get("levels", ()))
             if len(levels) < 2:
-                raise DataFormatError(f"{where}[{idx}] ({name}): categorical "
+                raise DataFormatError(f"{at} ({name}): categorical "
                                       "covariates need at least two levels")
             reference = str(entry.get("reference", levels[0]))
             if reference not in levels:
-                raise DataFormatError(f"{where}[{idx}] ({name}): reference level "
+                raise DataFormatError(f"{at} ({name}): reference level "
                                       f"{reference!r} not among levels")
             decls.append(CovariateDecl(name=name, kind="categorical",
                                        levels=levels, reference=reference))
         else:
-            raise DataFormatError(f"{where}[{idx}] ({name}): unknown covariate "
+            raise DataFormatError(f"{at} ({name}): unknown covariate "
                                   f"type {kind!r}")
     return tuple(decls)
+
+
+def read_json(path):
+    """The JSON value of a file; a file that is not UTF-8 JSON raises a
+    ``DataFormatError`` that names it."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8-sig"))
+    except ValueError as exc:       # not UTF-8, or not JSON
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def parse_config(path) -> ModelConfig:
     """Read and validate a model configuration file (JSON)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    raw = read_json(path)
     try:
         return _config_from_json(raw, path)
     except DataFormatError:
@@ -171,9 +181,9 @@ def _config_from_json(raw, path: Path) -> ModelConfig:
         dim_of=dim_of,
         reference_items=reference,
         student_covariates=_parse_covariate_decls(
-            raw.get("student_covariates"), "student_covariates"),
+            raw.get("student_covariates"), "student_covariates", path),
         school_covariates=_parse_covariate_decls(
-            raw.get("school_covariates"), "school_covariates"),
+            raw.get("school_covariates"), "school_covariates", path),
         controls=controls,
         bic_n=bic_n,
     )
@@ -207,25 +217,30 @@ def _read_blocks(path: Path, expected: list[str], problems: list):
     width = len(expected)
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return
-        if header != expected:
-            raise DataFormatError(f"{path}:1: header must be "
-                                  f"{','.join(expected)}, got {','.join(header)}")
-        first = 2
-        while rows := list(islice(reader, _BLOCK_ROWS)):
-            lines = np.arange(first, first + len(rows))
-            first += len(rows)
-            lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-            ok = lengths == width
-            for i in np.flatnonzero(~ok & (lengths > 0)):
-                problems.append((int(lines[i]), 0, f"{path}:{lines[i]}: expected "
-                                                   f"{width} fields, got {lengths[i]}"))
-            columns = list(zip(*compress(rows, ok))) or [()] * width
-            del rows
-            yield lines[ok], columns
-            del columns
+        try:
+            header = next(reader, None)
+            if header is None:
+                return
+            if header != expected:
+                raise DataFormatError(f"{path}:1: header must be "
+                                      f"{','.join(expected)}, "
+                                      f"got {','.join(header)}")
+            first = 2
+            while rows := list(islice(reader, _BLOCK_ROWS)):
+                lines = np.arange(first, first + len(rows))
+                first += len(rows)
+                lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+                ok = lengths == width
+                for i in np.flatnonzero(~ok & (lengths > 0)):
+                    problems.append((int(lines[i]), 0,
+                                     f"{path}:{lines[i]}: expected {width} "
+                                     f"fields, got {lengths[i]}"))
+                columns = list(zip(*compress(rows, ok))) or [()] * width
+                del rows
+                yield lines[ok], columns
+                del columns
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _mark_repeats(seen: dict, keys, start: int, n: int) -> np.ndarray:
@@ -475,14 +490,9 @@ def round12(obj):
     return obj
 
 
-# Every parameter block but ``lc_success`` (which may be None), in report order.
-_PARAM_BLOCKS = ("difficulty", "discrimination", "abilities", "class_intercepts",
-                 "class_slopes", "type_intercepts", "type_slopes")
-
-
 def params_to_dict(params: ParameterSet) -> dict:
     lc = params.lc_success
-    return {**{name: getattr(params, name).tolist() for name in _PARAM_BLOCKS},
+    return {**{name: getattr(params, name).tolist() for name in PARAM_BLOCKS},
             "lc_success": None if lc is None else lc.tolist()}
 
 
@@ -493,7 +503,7 @@ def params_from_dict(raw: dict, spec: ModelSpec | None = None) -> ParameterSet:
     block gets its (0, m) shape back.  Other blocks keep the shape they were
     written with, for ``validate_params`` to check.
     """
-    blocks = {name: np.asarray(raw[name], dtype=float) for name in _PARAM_BLOCKS}
+    blocks = {name: np.asarray(raw[name], dtype=float) for name in PARAM_BLOCKS}
     for name, shape in (parameter_shapes(spec) if spec is not None else {}).items():
         if blocks[name].size == 0 and 0 in shape:
             blocks[name] = blocks[name].reshape(shape)
@@ -582,7 +592,7 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    return read_json(path)
 
 
 def write_assignments(out_dir, data: ResponseDataset, classification) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import logsumexp_last
+from ._numeric import log_expit, logsumexp_last
 from .data import MISSING, ResponseDataset, SchoolGroup
 from .model import ModelSpec, ParameterSet, Parameterization
 from .weights import log_class_weight_matrix, log_type_weight_matrix
@@ -48,9 +48,7 @@ def response_logprob_tables(params: ParameterSet, spec: ModelSpec):
         p = params.lc_success
         return np.log1p(-p), np.log(p)
     z = success_logit_table(params, spec)
-    logp1 = -np.logaddexp(0.0, -z)
-    logp0 = -np.logaddexp(0.0, z)
-    return logp0, logp1
+    return log_expit(-z), log_expit(z)
 
 
 def success_prob_table(params: ParameterSet, spec: ModelSpec) -> np.ndarray:

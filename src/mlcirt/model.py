@@ -23,6 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import expit
+
+
+# Every parameter block of a ``ParameterSet`` but ``lc_success``, which only
+# the "lc" parameterization has, in field order (also the order of reports
+# and of the packed parameter vector).
+PARAM_BLOCKS = ("difficulty", "discrimination", "abilities", "class_intercepts",
+                "class_slopes", "type_intercepts", "type_slopes")
+
 
 class Parameterization(enum.Enum):
     """Item response parameterization."""
@@ -134,9 +143,7 @@ class ParameterSet:
     lc_success: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("difficulty", "discrimination", "abilities",
-                     "class_intercepts", "class_slopes",
-                     "type_intercepts", "type_slopes", "lc_success"):
+        for name in PARAM_BLOCKS + ("lc_success",):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -203,11 +210,7 @@ def item_success_prob(item, class_ability, params: ParameterSet,
     z = gam * (xi - beta)
     if not np.isfinite(z):
         raise ValueError("non-finite parameter values in success logit")
-    # exp(-|z|) never overflows; the two branches keep full precision.
-    if z >= 0:
-        return float(1.0 / (1.0 + np.exp(-z)))
-    e = float(np.exp(z))
-    return e / (1.0 + e)
+    return float(expit(z))
 
 
 def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
@@ -328,9 +331,7 @@ def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
             if params.discrimination.shape == (bank.n_items,) and \
                     not np.all(params.discrimination == 1.0):
                 problems.append("1pl parameterization requires all discriminations = 1")
-    all_arrays = [params.difficulty, params.discrimination, params.abilities,
-                  params.class_intercepts, params.class_slopes,
-                  params.type_intercepts, params.type_slopes]
+    all_arrays = [getattr(params, name) for name in PARAM_BLOCKS]
     if params.lc_success is not None:
         all_arrays.append(params.lc_success)
     if any(not np.all(np.isfinite(a)) for a in all_arrays if a.size):
@@ -341,9 +342,7 @@ def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
 def max_abs_change(old: ParameterSet, new: ParameterSet) -> float:
     """Largest absolute entry-wise change between two parameter sets."""
     delta = 0.0
-    for name in ("difficulty", "discrimination", "abilities",
-                 "class_intercepts", "class_slopes",
-                 "type_intercepts", "type_slopes", "lc_success"):
+    for name in PARAM_BLOCKS + ("lc_success",):
         a, b = getattr(old, name), getattr(new, name)
         if a is None or b is None:
             continue

@@ -9,7 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ResponseDataset
-from .em import FitControls, FitResult, PosteriorTables, e_step, multistart_fit
+from .em import (
+    FitControls,
+    FitResult,
+    PosteriorTables,
+    _child_seed,
+    e_step,
+    multistart_fit,
+)
 from .model import ModelSpec, ParameterSet, Parameterization, count_free_parameters
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
@@ -76,8 +83,7 @@ def sweep_school_types(data: ResponseDataset, spec: ModelSpec, n_types_values,
                           "the school-level mixture may be too coarse",
                           stacklevel=2)
         row_spec = spec.replace(n_types=k)
-        row_controls = controls.replace(
-            seed=int(np.random.SeedSequence((controls.seed, k)).generate_state(1)[0]))
+        row_controls = controls.replace(seed=_child_seed(controls.seed, k))
         n_par = count_free_parameters(row_spec)
         try:
             result = multistart_fit(data, row_spec, row_controls)

@@ -714,6 +714,76 @@ def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
 
 
+def classify_argv(fitted, out, **paths):
+    """``classify`` on the fitted report and data, with ``paths`` (flag
+    name without dashes -> path) in place of the given ones."""
+    _, sim, fit_out = fitted
+    files = {"report": fit_out / "report.json", "students": sim / "students.csv",
+             "schools": sim / "schools.csv", "config": sim / "config.json", **paths}
+    return ["classify", *(f"--{flag}={path}" for flag, path in files.items()),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("flag", ["config", "students", "schools", "report",
+                                  "design"])
+def test_directory_as_input_file_is_a_one_line_input_error(fitted, tmp_path,
+                                                           capsys, flag):
+    if flag == "design":
+        argv = ["simulate", "--design", str(tmp_path), "--out", str(tmp_path / "out")]
+    else:
+        argv = classify_argv(fitted, tmp_path / "out", **{flag: tmp_path})
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(tmp_path) in err[0]
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("config", b"\xff{}"),
+    ("students", b"\xffschool_id"),
+    ("schools", b"\xffschool_id"),
+    ("report", b"not JSON"),
+    ("config", json.dumps(dict(BASE_CONFIG, student_covariates=[{"type": "numeric"}]))
+     .encode()),
+], ids=["config-not-utf8", "students-not-utf8", "schools-not-utf8",
+        "report-not-json", "covariate-without-name"])
+def test_input_error_names_its_file(fitted, tmp_path, capsys, flag, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main(classify_argv(fitted, tmp_path / "out", **{flag: path})) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
+def test_cli_pipeline_runs_without_scipy(tmp_path):
+    """numpy is the only run-time dependency: with scipy unimportable,
+    simulate -> fit -> classify all exit 0."""
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(DESIGN))
+    sim = tmp_path / "sim"
+    files = ["--students", str(sim / "students.csv"), "--schools",
+             str(sim / "schools.csv"), "--config", str(sim / "config.json")]
+    commands = [
+        ["simulate", "--design", str(design), "--out", str(sim)],
+        ["fit", *files, "--out", str(tmp_path / "fit"), "--starts", "2"],
+        ["classify", "--report", str(tmp_path / "fit" / "report.json"), *files,
+         "--out", str(tmp_path / "cls")],
+    ]
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from mlcirt.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    code = main(argv)\n"
+              "    if code:\n"
+              "        sys.exit(code)\n")
+    src = str(Path(mlcirt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cls" / "students_assign.csv").exists()
+
+
 class TestModuleEntryPoint:
 
     def test_python_dash_m(self, tmp_path):

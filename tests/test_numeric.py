@@ -1,19 +1,25 @@
-"""Slice-by-slice reductions over the class and type axes.
+"""The numeric helpers: slice-by-slice reductions and the logistic function.
 
 ``logsumexp_last`` and the E-step reduce over axes of length k_U or k_V
 with one in-place ufunc call per slice.  These tests pin them bit for bit
 to the numpy reductions they replace, wherever numpy sums in sequence
 (axes shorter than 8), and to scipy within rounding beyond that.
+
+``expit``, ``logit`` and ``log_expit`` are checked against
+``scipy.special`` as the oracle, out to the ends of the float range.
 """
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import logsumexp
 
-from mlcirt._numeric import logsumexp_last
+from mlcirt._numeric import expit, log_expit, logit, logsumexp_last
 from mlcirt.em import e_step
 from mlcirt.likelihood import stack_dataset, stacked_loglik_terms
 
@@ -111,3 +117,27 @@ def test_e_step_equals_gather_and_axis_sum_bitwise(k_u, k_v):
     np.testing.assert_array_equal(bits(z_hu), bits(old_hu))
     np.testing.assert_array_equal(bits(z_joint), bits(old_joint))
     np.testing.assert_array_equal(bits(z_class), bits(old_class))
+
+
+# The extremes: a tiny logit, exp overflowing near 709.8, expit
+# underflowing past -745, and the infinities; then a dense grid.
+EXTREME_Z = np.array([0.0, 1e-300, 709.0, 745.0, 800.0, np.inf])
+LOGISTIC_Z = np.concatenate([EXTREME_Z, -EXTREME_Z, np.linspace(-50.0, 50.0, 4001),
+                             np.random.default_rng(0).normal(0.0, 200.0, 4000)])
+# scipy switches logit to a log1p form on (0.3, 0.65); 0.5 is exact in both.
+LOGIT_P = np.array([0.0, 1e-300, 1e-8, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0 - 1e-8, 1.0])
+
+
+@pytest.mark.parametrize("ours, oracle, grid", [
+    (expit, scipy.special.expit, LOGISTIC_Z),
+    (log_expit, scipy.special.log_expit, LOGISTIC_Z),
+    (logit, scipy.special.logit, LOGIT_P),
+], ids=["expit", "log_expit", "logit"])
+def test_logistic_matches_scipy_within_ulps_without_warnings(ours, oracle, grid):
+    expected = oracle(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ours(grid)
+        scalars = [ours(float(v)) for v in grid[:20]]
+    np.testing.assert_array_max_ulp(got, expected, maxulp=4)
+    np.testing.assert_array_equal(scalars, got[:20])
