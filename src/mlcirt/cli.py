@@ -2,15 +2,16 @@
 
 Exit codes: 0 success, 1 input/validation error (including a file that
 cannot be read or written), 2 the estimator did not converge (reports
-are still written).
+are still written).  A Python warning raised during a command is printed
+as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,21 +138,14 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = sweep_school_types(data, spec, ks, config.controls,
                                 bic_n=config.bic_n)
-    rows = [{
-        "n_types": row.n_types,
-        "loglik": row.loglik,
-        "n_par": row.n_par,
-        "bic": row.bic,
-        "converged": row.converged,
-        "error": row.error,
-    } for row in result.rows]
-    payload = mio.round12({
+    rows = [{name: getattr(row, name) for name in
+             ("n_types", "loglik", "n_par", "bic", "converged", "error")}
+            for row in result.rows]
+    mio.write_report(out / "sweep.json", mio.round12({
         "bic_n": result.bic_n,
         "chosen_n_types": result.chosen_n_types,
         "rows": rows,
-    })
-    (out / "sweep.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                  encoding="utf-8")
+    }))
     for row in result.rows:
         _warn_if_overparameterised(row.n_par, data.n_students)
         if row.error is not None:
@@ -238,7 +232,7 @@ def cmd_simulate(args) -> int:
     sim = simulate_full(design)
     student_decls = _covariate_decls(design.student_covariates, "x")
     school_decls = _covariate_decls(design.school_covariates, "w")
-    mio.write_dataset_files(out, sim, student_decls, school_decls)
+    mio.write_dataset_files(out, sim.dataset, student_decls, school_decls)
 
     config = {
         "n_classes": design.spec.n_classes,
@@ -251,8 +245,7 @@ def cmd_simulate(args) -> int:
         "controls": {"seed": design.seed},
         "bic_n": "students",
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n",
-                                   encoding="utf-8")
+    mio.write_report(out / "config.json", config)
 
     truth = mio.round12({
         "seed": design.seed,
@@ -263,14 +256,13 @@ def cmd_simulate(args) -> int:
         "missing_rate": design.missing_rate,
         "spec": mio.spec_to_dict(design.spec),
         "parameters": mio.params_to_dict(design.truth),
-        "labels": {
-            "types": [int(u) + 1 for u in sim.labels.types],
-            "classes": [(school + 1).tolist() for school in
-                        np.split(sim.labels.classes, sim.dataset.starts[1:])],
-        },
     })
-    (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n",
-                                  encoding="utf-8")
+    truth["labels"] = {
+        "types": (sim.labels.types + 1).tolist(),
+        "classes": [(school + 1).tolist() for school in
+                    np.split(sim.labels.classes, sim.dataset.starts[1:])],
+    }
+    mio.write_report(out / "truth.json", truth)
     n_students = sim.dataset.n_students
     print(f"simulated {design.n_schools} schools / {n_students} students "
           f"into {out}")
@@ -373,7 +365,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return args.func(args)
     except (mio.DataFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

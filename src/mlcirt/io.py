@@ -6,7 +6,9 @@ followed by one column per declared student covariate; the schools file
 has ``school_id`` followed by the school covariates.  Categorical
 covariates are declared in the model config with their levels and a
 reference level, and are expanded here to indicator columns, so the math
-core only ever sees numeric vectors.
+core only ever sees numeric vectors.  ``write_dataset_files`` is the
+inverse: it writes a dataset's numeric arrays back as tokens through the
+same declarations.
 
 Reports are JSON with every float rounded to 12 significant digits, which
 makes write -> read -> write byte-identical.
@@ -34,6 +36,7 @@ from .model import (
     count_free_parameters,
     parameter_shapes,
 )
+from .selection import bic as bic_value
 
 _MAX_REPORTED_ERRORS = 50
 
@@ -438,29 +441,43 @@ def _write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _student_rows(data: ResponseDataset, student_tokens):
-    """The students.csv rows of a dataset, built ``_BLOCK_ROWS`` at a time so
-    that only one block of response tokens exists at once."""
-    school_of = np.repeat(data.school_ids, data.sizes)
-    for a in range(0, data.n_students, _BLOCK_ROWS):
+def _dataset_rows(ids, responses: np.ndarray, covariates: np.ndarray, decls):
+    """CSV rows: the ``ids`` columns, the tokens of the (rows, items)
+    ``responses``, and one token per declared covariate, built
+    ``_BLOCK_ROWS`` rows at a time.  Covariate tokens invert
+    ``_token_table``: a numeric value is written as ``format(v, ".12g")``
+    and an indicator row as its level, the reference level if all zero."""
+    bounds = np.cumsum([0] + [d.n_columns for d in decls])
+    for a in range(0, len(covariates), _BLOCK_ROWS):
         b = a + _BLOCK_ROWS
-        responses = _RESPONSE_TOKENS[data.responses[a:b] + 1].tolist()
-        for sid, stid, tokens, cov in zip(school_of[a:b], data.student_ids[a:b],
-                                          responses, student_tokens[a:b]):
-            yield [sid, stid, *tokens, *cov]
+        cells = [column[a:b] for column in ids]
+        cells += _RESPONSE_TOKENS[responses[a:b].T + 1].tolist()
+        for decl, lo, hi in zip(decls, bounds, bounds[1:]):
+            block = covariates[a:b, lo:hi]
+            if decl.kind == "numeric":
+                cells.append(list(map(format, block[:, 0].tolist(), repeat(".12g"))))
+            else:
+                kept = [lvl for lvl in decl.levels if lvl != decl.reference]
+                code = (block @ np.arange(1.0, len(kept) + 1)).astype(np.intp)
+                cells.append(np.array([decl.reference, *kept], object)[code].tolist())
+        yield from zip(*cells)
 
 
-def write_dataset_files(out_dir, sim, student_decls, school_decls) -> None:
-    """Write students.csv and schools.csv for a ``SimulatedData`` bundle."""
+def write_dataset_files(out_dir, data: ResponseDataset, student_decls,
+                        school_decls) -> None:
+    """Write students.csv and schools.csv of a dataset, each covariate column
+    through its declaration, so that ``load_dataset`` reads the dataset back
+    (bit for bit if no numeric covariate has more than 12 significant digits).
+    """
     out_dir = Path(out_dir)
-    data = sim.dataset
     _write_csv(out_dir / "schools.csv", ["school_id"] + [d.name for d in school_decls],
-               ([sid, *tokens]
-                for sid, tokens in zip(data.school_ids, sim.school_tokens)))
+               _dataset_rows([data.school_ids], np.zeros((data.n_schools, 0), np.int8),
+                             data.school_covariates, school_decls))
     items = [f"item_{j + 1}" for j in range(data.n_items)]
     _write_csv(out_dir / "students.csv",
                ["school_id", "student_id"] + items + [d.name for d in student_decls],
-               _student_rows(data, sim.student_tokens))
+               _dataset_rows([np.repeat(data.school_ids, data.sizes), data.student_ids],
+                             data.responses, data.student_covariates, student_decls))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +566,6 @@ def build_report(spec: ModelSpec, config: ModelConfig, result: FitResult,
     school_cols = [c for d in config.school_covariates
                    for c in d.expanded_columns()]
     n_par = count_free_parameters(spec)
-    from .selection import bic as bic_value
-
     model = spec_to_dict(spec)
     model["student_covariate_columns"] = student_cols
     model["school_covariate_columns"] = school_cols

@@ -5,6 +5,9 @@ covariates and a latent type; per student, draw covariates, a latent class
 given the type, and item responses given the class.  Each school uses an
 independent substream seeded by (seed, school index), so datasets are
 reproducible bit for bit regardless of how generation is parallelized.
+A simulated dataset holds numbers only: categorical covariates are drawn
+as levels and kept as indicator columns, and ``io.write_dataset_files``
+turns the columns back into CSV tokens through covariate declarations.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .model import (
     validate_params,
     validate_spec,
 )
+from .selection import assign_schools, assign_students
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 _MAX_EXHAUSTIVE = 8
@@ -127,32 +131,24 @@ class LatentLabels:
 
 @dataclass(frozen=True, eq=False)
 class SimulatedData:
-    """Dataset plus true labels and the raw covariate tokens (for file
-    output): one tuple per school and one per student, in dataset order."""
+    """A simulated dataset and its true latent labels."""
 
     dataset: ResponseDataset
     labels: LatentLabels
-    school_tokens: tuple[tuple[str, ...], ...]
-    student_tokens: tuple[tuple[str, ...], ...]
 
 
 def _draw_covariates(generators, rng: np.random.Generator, size: int,
-                     cycle_start: int):
-    """Numeric covariate matrix plus the raw token per (unit, generator)."""
-    columns, token_columns = [np.zeros((size, 0))], []
+                     cycle_start: int) -> np.ndarray:
+    """(size, columns) covariate matrix of ``size`` units."""
+    columns = [np.zeros((size, 0))]
     for gen in generators:
         if isinstance(gen, CategoricalCovariate):
-            levels = gen.draw_levels(rng, size)
-            columns.append(gen.expand(levels))
-            token_columns.append([f"L{level}" for level in levels])
+            columns.append(gen.expand(gen.draw_levels(rng, size)))
         elif isinstance(gen, CyclicCovariate):
-            vals = gen.assign(cycle_start, size)
-            columns.append(vals[:, None])
-            token_columns.append([f"{val:.12g}" for val in vals])
+            columns.append(gen.assign(cycle_start, size)[:, None])
         else:
             raise TypeError(f"unknown covariate generator {type(gen).__name__}")
-    tokens = tuple(zip(*token_columns)) if token_columns else ((),) * size
-    return np.hstack(columns), tokens
+    return np.hstack(columns)
 
 
 def _draw_categories(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
@@ -162,7 +158,7 @@ def _draw_categories(rng: np.random.Generator, log_weights: np.ndarray) -> np.nd
 
 
 def simulate_full(design: SimulationDesign) -> SimulatedData:
-    """Draw a dataset, keeping raw covariate tokens and the latent labels.
+    """Draw a dataset and its latent labels.
 
     Per-school draw order (one substream per school, seeded with
     (seed, school index)): school size, school covariates, school type,
@@ -174,7 +170,7 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
     r = spec.item_bank.n_items
     prob_table = success_prob_table(truth, spec)
     types = np.zeros(design.n_schools, dtype=int)
-    draws, school_tokens, student_tokens, student_ids = [], [], [], []
+    draws, student_ids = [], []
     student_cycle = 0
     for h in range(design.n_schools):
         rng = np.random.Generator(np.random.PCG64(
@@ -184,10 +180,9 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
             n_h = int(rng.integers(lo, hi + 1))
         else:
             n_h = int(design.school_size)
-        w, w_tokens = _draw_covariates(design.school_covariates, rng, 1, h)
+        w = _draw_covariates(design.school_covariates, rng, 1, h)
         u = int(_draw_categories(rng, log_type_weight_matrix(w, truth))[0])
-        x, x_tokens = _draw_covariates(design.student_covariates, rng, n_h,
-                                       student_cycle)
+        x = _draw_covariates(design.student_covariates, rng, n_h, student_cycle)
         student_cycle += n_h
         v = _draw_categories(rng, log_class_weight_matrix(x, truth)[:, u, :])
         responses = (rng.random((n_h, r)) < prob_table[v]).astype(np.int8)
@@ -196,20 +191,14 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
             responses = np.where(mask, np.int8(MISSING), responses)
         types[h] = u
         draws.append((w, x, responses, v))
-        school_tokens.append(w_tokens[0])
-        student_tokens.extend(x_tokens)
         student_ids.extend(f"sch{h + 1:04d}-stu{i + 1:04d}" for i in range(n_h))
     w, x, responses, classes = map(np.concatenate, zip(*draws))
     dataset = ResponseDataset(
         school_ids=[f"sch{h + 1:04d}" for h in range(design.n_schools)],
         school_covariates=w, sizes=[len(v) for _, _, _, v in draws],
         student_ids=student_ids, student_covariates=x, responses=responses)
-    return SimulatedData(
-        dataset=dataset,
-        labels=LatentLabels(types=types, classes=classes),
-        school_tokens=tuple(school_tokens),
-        student_tokens=tuple(student_tokens),
-    )
+    return SimulatedData(dataset=dataset,
+                         labels=LatentLabels(types=types, classes=classes))
 
 
 def generate_dataset(design: SimulationDesign):
@@ -378,8 +367,6 @@ def recovery_report(truth: ParameterSet, fit_result, labels: LatentLabels,
                     posteriors, data: ResponseDataset,
                     spec: ModelSpec) -> RecoveryReport:
     """Score a fit against the generating truth after label alignment."""
-    from .selection import assign_schools, assign_students
-
     class_perm, type_perm = align_labels(truth, fit_result.params, spec)
     aligned = permute_parameters(fit_result.params, spec, class_perm, type_perm)
 

@@ -648,6 +648,22 @@ class TestOverParameterisedWarning:
         assert warnings == ["warning: 8 free parameters for 4 students",
                             "warning: 12 free parameters for 4 students"]
 
+    def test_types_below_classes_is_one_line_per_row_every_call(self, tmp_path,
+                                                                 capsys):
+        """The library's UserWarning reaches stderr as one ``warning:`` line
+        per low row, on every in-process call, with no Python source line."""
+        students, schools, config_path = write_inputs(tmp_path)
+        argv = ["sweep", "--students", str(students), "--schools", str(schools),
+                "--config", str(config_path), "--out", str(tmp_path / "sweep"),
+                "--ku", "1..2", "--kv", "3", "--starts", "1", "--max-iter", "5"]
+        for _ in range(2):
+            main(argv)
+            err = capsys.readouterr().err
+            assert "UserWarning" not in err and "sweep_school_types(" not in err
+            assert [line for line in err.splitlines() if "is below" in line] == [
+                f"warning: n_types={k} is below n_classes=3; the school-level "
+                "mixture may be too coarse" for k in (1, 2)]
+
     @pytest.mark.filterwarnings("ignore:n_types=")
     def test_desk_dataset_prints_no_warning(self, tmp_path, capsys):
         files = desk_inputs(tmp_path)

@@ -1,6 +1,7 @@
 """The block-wise CSV loader against the row-by-row oracle, and its memory."""
 
 import csv
+import dataclasses
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mlcirt import io as mio
+from mlcirt.data import MISSING, ResponseDataset
 from mlcirt.em import FitControls
 from mlcirt.io import CovariateDecl, DataFormatError, ModelConfig, load_dataset
 from mlcirt.model import Parameterization
@@ -224,3 +226,93 @@ def test_peak_memory_below_row_by_row_loader(tmp_path):
     peak_rows, want = traced_peak(load_dataset_per_row)
     assert_same_dataset(got, want)
     assert peak_blocks < peak_rows, (peak_blocks, peak_rows)
+
+
+ROUND_TRIP_IDS = IDS + ["l\nm", "x\r\ny"]
+LEVEL_POOL = ("M", "F", "x,y", 'q"t', "0", "")
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300]
+
+
+@st.composite
+def datasets_with_decls(draw):
+    """(dataset, student decls, school decls): 0-3 covariates per file,
+    numeric or categorical with 2-4 levels and the reference anywhere,
+    ragged schools, NA responses, and ids that need CSV quoting."""
+    def decls(prefix):
+        out = []
+        for k in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                out.append(CovariateDecl(f"{prefix}{k}", "numeric"))
+                continue
+            levels = tuple(draw(st.lists(st.sampled_from(LEVEL_POOL), min_size=2,
+                                         max_size=4, unique=True)))
+            out.append(CovariateDecl(f"{prefix}{k}", "categorical", levels,
+                                     draw(st.sampled_from(levels))))
+        return tuple(out)
+
+    # Values that survive 12 significant digits, as every written value must.
+    numeric = st.one_of(st.sampled_from(SPECIAL_VALUES),
+                        st.floats().map(lambda v: float(format(v, ".12g"))))
+
+    def values(decls, n):
+        columns = [np.zeros((n, 0))]
+        for decl in decls:
+            if decl.kind == "numeric":
+                columns.append(np.array(draw(st.lists(numeric, min_size=n,
+                                                      max_size=n)))[:, None])
+            else:
+                kept = [lvl for lvl in decl.levels if lvl != decl.reference]
+                drawn = draw(st.lists(st.sampled_from(decl.levels), min_size=n,
+                                      max_size=n))
+                columns.append(np.array([[float(lvl == k) for k in kept]
+                                         for lvl in drawn]).reshape(n, len(kept)))
+        return np.hstack(columns)
+
+    student_decls, school_decls = decls("x"), decls("w")
+    school_ids = draw(st.lists(st.sampled_from(ROUND_TRIP_IDS), min_size=1,
+                               max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=len(school_ids),
+                          max_size=len(school_ids)))
+    student_ids = [draw(st.sampled_from(ROUND_TRIP_IDS)) + str(k)
+                   for size in sizes for k in range(size)]
+    n, r = sum(sizes), draw(st.integers(1, 3))
+    responses = np.array(draw(st.lists(st.sampled_from([0, 1, MISSING]),
+                                       min_size=n * r, max_size=n * r)))
+    data = ResponseDataset(school_ids=school_ids,
+                           school_covariates=values(school_decls, len(sizes)),
+                           sizes=sizes, student_ids=student_ids,
+                           student_covariates=values(student_decls, n),
+                           responses=responses.reshape(n, r))
+    return data, student_decls, school_decls
+
+
+def written_files(out_dir: Path, data, student_decls, school_decls) -> dict:
+    out_dir.mkdir()
+    mio.write_dataset_files(out_dir, data, student_decls, school_decls)
+    return {name: (out_dir / name).read_bytes() for name in ("students.csv",
+                                                             "schools.csv")}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=datasets_with_decls(), block_rows=st.sampled_from([1, 2, 1024]))
+def test_written_files_load_back_bitwise(case, block_rows):
+    """write -> load gives the dataset back (ids equal, arrays bitwise
+    equal), and writing the loaded dataset gives the same bytes."""
+    data, student_decls, school_decls = case
+    config = make_config(data.n_items, [], [])
+    config = dataclasses.replace(config, student_covariates=student_decls,
+                                 school_covariates=school_decls)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(mio, "_BLOCK_ROWS", block_rows):
+        first = written_files(Path(tmp) / "a", data, student_decls, school_decls)
+        loaded = load_dataset(Path(tmp) / "a" / "students.csv",
+                              Path(tmp) / "a" / "schools.csv", config)
+        second = written_files(Path(tmp) / "b", loaded, student_decls, school_decls)
+    for name in ("school_ids", "student_ids"):
+        assert getattr(loaded, name).tolist() == getattr(data, name).tolist()
+    for name in ("sizes", "school_covariates", "student_covariates", "responses"):
+        got, want = getattr(loaded, name), getattr(data, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert second == first

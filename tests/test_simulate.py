@@ -14,7 +14,6 @@ from mlcirt import (
     marginal_loglik,
     permute_parameters,
     recovery_report,
-    simulate_full,
     student_class_weights,
 )
 from mlcirt.em import FitResult
@@ -144,16 +143,6 @@ class TestGenerateDataset:
         scalar = [np.searchsorted(np.cumsum(w), rng.random(), side="right")
                   for w in weights]
         np.testing.assert_array_equal(batched, scalar)
-
-    def test_tokens_match_expanded_columns(self):
-        sim = simulate_full(simple_design(seed=7))
-        for h, school in enumerate(sim.dataset.schools):
-            token = sim.school_tokens[h][0]
-            assert school.covariates[0] == (1.0 if token == "L1" else 0.0)
-            for i in range(school.n_students):
-                token = sim.student_tokens[sim.dataset.starts[h] + i][0]
-                assert school.student_covariates[i, 0] == \
-                    (1.0 if token == "L1" else 0.0)
 
     def test_cyclic_covariate(self):
         spec = make_spec(n_items=2, n_classes=1, n_types=1, m_v=0, m_u=1)
