@@ -45,14 +45,10 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
         raw = args.bic_n
         changes["bic_n"] = raw if raw in ("students", "schools") else int(raw)
     controls = config.controls
-    if getattr(args, "seed", None) is not None:
-        controls = controls.replace(seed=args.seed)
-    if getattr(args, "starts", None) is not None:
-        controls = controls.replace(n_starts=args.starts)
-    if getattr(args, "max_iter", None) is not None:
-        controls = controls.replace(max_iter=args.max_iter)
-    if getattr(args, "tol", None) is not None:
-        controls = controls.replace(tol_loglik=args.tol)
+    for flag, name in (("seed", "seed"), ("starts", "n_starts"),
+                       ("max_iter", "max_iter"), ("tol", "tol_loglik")):
+        if getattr(args, flag, None) is not None:
+            controls = controls.replace(**{name: getattr(args, flag)})
     changes["controls"] = controls
     return dataclasses.replace(config, **changes)
 

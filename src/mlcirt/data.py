@@ -6,12 +6,14 @@ by school: the students of school h are the rows ``starts[h]`` to
 int8 matrix with values 0, 1, or MISSING (-1).  Covariates are numeric;
 categorical covariates are expanded to indicator columns before a dataset
 is constructed.  ``SchoolGroup`` is one school's slice of a dataset, for
-code that wants a school at a time.
+code that wants a school at a time.  The dataset is the one representation
+the estimator reads, its answer masks and covariate patterns included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +61,10 @@ class ResponseDataset:
       ``responses``: (n, r) int8, school by school
 
     The arrays are taken without copying and kept as read-only views.
+    Derived read-only arrays, built on first use and then kept: ``is_one``
+    and ``is_zero``, (n, r) float masks of right and wrong answers;
+    ``x_patterns``, the distinct student covariate rows in lexicographic
+    order, and ``x_pattern_index``, each student's row of them.
     """
 
     school_ids: np.ndarray
@@ -111,6 +117,27 @@ class ResponseDataset:
             for sid, w, a, n in zip(self.school_ids, self.school_covariates,
                                     self.starts.tolist(), self.sizes.tolist()))
 
+    @cached_property
+    def is_one(self) -> np.ndarray:
+        return _read_only(self.responses == 1, float)
+
+    @cached_property
+    def is_zero(self) -> np.ndarray:
+        return _read_only(self.responses == 0, float)
+
+    @cached_property
+    def _covariate_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        patterns, index = unique_rows(self.student_covariates)
+        return _read_only(patterns, float), _read_only(index, np.intp)
+
+    @property
+    def x_patterns(self) -> np.ndarray:
+        return self._covariate_patterns[0]
+
+    @property
+    def x_pattern_index(self) -> np.ndarray:
+        return self._covariate_patterns[1]
+
     @property
     def n_schools(self) -> int:
         return self.school_ids.shape[0]
@@ -122,6 +149,22 @@ class ResponseDataset:
     @property
     def n_items(self) -> int:
         return self.responses.shape[1]
+
+
+def unique_rows(x: np.ndarray):
+    """Distinct rows of a 2-D array in lexicographic order, and the index of
+    each row's pattern: ``np.unique(x, axis=0, return_inverse=True)`` by one
+    stable lexsort."""
+    n = x.shape[0]
+    if x.shape[1] == 0:
+        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
+    order = np.lexsort(x.T[::-1])          # the first column is the primary key
+    ordered = x[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    index = np.empty(n, dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:

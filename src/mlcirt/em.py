@@ -37,7 +37,6 @@ from ._numeric import expit, log_expit, logit, logsumexp_last
 from .data import ResponseDataset, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
-    StackedData,
     stack_dataset,
     stacked_loglik_terms,
 )
@@ -146,16 +145,16 @@ class FitResult:
 # E-step
 # ---------------------------------------------------------------------------
 
-def _e_step_stacked(stacked: StackedData, params: ParameterSet,
-                    spec: ModelSpec) -> tuple[float, PosteriorTables]:
+def _e_step(data: ResponseDataset, params: ParameterSet,
+            spec: ModelSpec) -> tuple[float, PosteriorTables]:
     loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
-        stacked, params, spec)
+        data, params, spec)
     if not np.isfinite(loglik):
         raise NonFiniteLikelihoodError("log-likelihood is not finite at the "
                                        "current parameters")
     z_hu = np.exp(evidence - school_ll[:, None])                    # (H, k_U)
     cond_post = np.exp(joint - log_mix[:, :, None])                 # (n, k_U, k_V)
-    z_joint = cond_post * np.repeat(z_hu, stacked.sizes, axis=0)[:, :, None]
+    z_joint = cond_post * np.repeat(z_hu, data.sizes, axis=0)[:, :, None]
     # Sum over types slice by slice: same order as numpy's sum over a
     # short axis, at a fraction of the cost (see ``logsumexp_last``).
     z_class = z_joint[:, 0, :].copy()                               # (n, k_V)
@@ -169,7 +168,7 @@ def _e_step_stacked(stacked: StackedData, params: ParameterSet,
 def e_step(data: ResponseDataset, params: ParameterSet,
            spec: ModelSpec) -> PosteriorTables:
     """Posterior tables of the latent indicators given data and parameters."""
-    return _e_step_stacked(stack_dataset(data), params, spec)[1]
+    return _e_step(data, params, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,7 @@ def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
     return design
 
 
-def _class_block_cases(stacked: StackedData, z_joint: np.ndarray, n_types: int):
+def _class_block_cases(data: ResponseDataset, z_joint: np.ndarray, n_types: int):
     """Cases and weights of the class-membership regression.
 
     One case per (type, student covariate pattern) cell, weighted by the
@@ -367,45 +366,15 @@ def _class_block_cases(stacked: StackedData, z_joint: np.ndarray, n_types: int):
     that of one case per (type, student).
     """
     k_v = z_joint.shape[2]
-    n_pat = stacked.x_patterns.shape[0]
+    n_pat = data.x_patterns.shape[0]
     weights = np.empty((n_types, n_pat, k_v))
     for u in range(n_types):
         for v in range(k_v):
-            weights[u, :, v] = np.bincount(stacked.x_pattern_index,
+            weights[u, :, v] = np.bincount(data.x_pattern_index,
                                            weights=z_joint[:, u, v],
                                            minlength=n_pat)
-    return (_class_design_rows(stacked.x_patterns, n_types),
+    return (_class_design_rows(data.x_patterns, n_types),
             weights.reshape(n_types * n_pat, k_v))
-
-
-def _m_step_stacked(stacked: StackedData, posteriors: PosteriorTables,
-                    params: ParameterSet, spec: ModelSpec,
-                    controls: FitControls) -> ParameterSet:
-    z_class = posteriors.class_posterior
-    answered = stacked.is_one + stacked.is_zero
-    succ = z_class.T @ stacked.is_one                        # (k_V, r)
-    total = z_class.T @ answered
-    new_params = _maximize_item_block(succ, total, params, spec, controls)
-
-    k_u, k_v = spec.n_types, spec.n_classes
-    if k_v > 1:
-        design, wts = _class_block_cases(stacked, posteriors.joint_posterior, k_u)
-        coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
-        coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
-                                          controls.newton_max_iter,
-                                          "class-membership")
-        new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
-                                        class_slopes=coef[:, k_u:].copy())
-    if k_u > 1:
-        design = np.hstack([np.ones((stacked.w.shape[0], 1)), stacked.w])
-        coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
-        coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
-                                          controls.newton_tol,
-                                          controls.newton_max_iter,
-                                          "type-membership")
-        new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
-                                        type_slopes=coef[:, 1:].copy())
-    return new_params
 
 
 def m_step(data: ResponseDataset, posteriors: PosteriorTables,
@@ -415,8 +384,32 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
 
     Never decreases any block objective relative to ``params``.
     """
-    return _m_step_stacked(stack_dataset(data), posteriors, params, spec,
-                           controls or FitControls())
+    controls = controls or FitControls()
+    z_class = posteriors.class_posterior
+    answered = data.is_one + data.is_zero
+    succ = z_class.T @ data.is_one                           # (k_V, r)
+    total = z_class.T @ answered
+    new_params = _maximize_item_block(succ, total, params, spec, controls)
+
+    k_u, k_v = spec.n_types, spec.n_classes
+    if k_v > 1:
+        design, wts = _class_block_cases(data, posteriors.joint_posterior, k_u)
+        coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
+        coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
+                                          controls.newton_max_iter,
+                                          "class-membership")
+        new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
+                                        class_slopes=coef[:, k_u:].copy())
+    if k_u > 1:
+        design = np.hstack([np.ones((data.n_schools, 1)), data.school_covariates])
+        coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
+        coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
+                                          controls.newton_tol,
+                                          controls.newton_max_iter,
+                                          "type-membership")
+        new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
+                                        type_slopes=coef[:, 1:].copy())
+    return new_params
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +551,7 @@ def _squarem_point(x0: np.ndarray, x1: np.ndarray,
     return x if np.all(np.isfinite(x)) else None
 
 
-def _end_cycle(stacked: StackedData, spec: ModelSpec, theta0: ParameterSet,
+def _end_cycle(data: ResponseDataset, spec: ModelSpec, theta0: ParameterSet,
                theta1: ParameterSet, theta2: ParameterSet, loglik1: float):
     """Where a SQUAREM cycle lands, with its log-likelihood and posteriors.
 
@@ -573,14 +566,14 @@ def _end_cycle(stacked: StackedData, spec: ModelSpec, theta0: ParameterSet,
         if x is not None:
             candidate = _unpack(x, theta2)
             try:
-                loglik, posteriors = _e_step_stacked(stacked, candidate, spec)
+                loglik, posteriors = _e_step(data, candidate, spec)
             except NonFiniteLikelihoodError:
                 pass
             else:
                 if loglik >= loglik1:
                     return candidate, loglik, posteriors
                 del posteriors
-    return (theta2,) + _e_step_stacked(stacked, theta2, spec)
+    return (theta2,) + _e_step(data, theta2, spec)
 
 
 def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
@@ -605,27 +598,27 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     """
     _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
                       + validate_params(init, spec))
-    stacked = stack_dataset(data)
+    stack_dataset(data)
     params = init
-    loglik, posteriors = _e_step_stacked(stacked, params, spec)
+    loglik, posteriors = _e_step(data, params, spec)
     trace = [loglik]
     cycle_start = None      # theta0 while the second step of a cycle is due
     while True:
-        new_params = _m_step_stacked(stacked, posteriors, params, spec, controls)
+        new_params = m_step(data, posteriors, params, spec, controls)
         # Released before the next E-step: a fit never holds two sets of
         # posterior tables at once.
         posteriors = None
         converged = max_abs_change(params, new_params) < controls.tol_param
         if converged or len(trace) == controls.max_iter:
             params = new_params
-            trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+            trace.append(stacked_loglik_terms(data, params, spec)[0])
             break
         if cycle_start is None:
             cycle_start, params = params, new_params
-            loglik, posteriors = _e_step_stacked(stacked, params, spec)
+            loglik, posteriors = _e_step(data, params, spec)
         else:
             params, loglik, posteriors = _end_cycle(
-                stacked, spec, cycle_start, params, new_params, trace[-1])
+                data, spec, cycle_start, params, new_params, trace[-1])
             cycle_start = None
         trace.append(loglik)
         if abs(trace[-1] - trace[-2]) < controls.tol_loglik:

@@ -119,6 +119,9 @@ def _parse_covariate_decls(entries, where: str,
             if len(levels) < 2:
                 raise DataFormatError(f"{at} ({name}): categorical "
                                       "covariates need at least two levels")
+            for k, level in enumerate(levels):
+                if level in levels[:k]:
+                    raise DataFormatError(f"{at} ({name}): repeated level {level!r}")
             reference = str(entry.get("reference", levels[0]))
             if reference not in levels:
                 raise DataFormatError(f"{at} ({name}): reference level "

@@ -9,12 +9,11 @@ naive linear-space reference used to cross-check the log-space path on
 small instances.
 
 Missing responses (``MISSING``) simply drop out of the item products,
-i.e. missing-at-random handling.
+i.e. missing-at-random handling.  The batched path reads the answer masks
+and covariate patterns that each ``ResponseDataset`` builds once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,62 +56,24 @@ def success_prob_table(params: ParameterSet, spec: ModelSpec) -> np.ndarray:
     return np.exp(logp1)
 
 
-# ---------------------------------------------------------------------------
-# What the hot loops need beyond the dataset's own arrays: float masks of the
-# answers and the distinct student covariate rows.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class StackedData:
-    """A dataset's answer masks and its P <= n distinct student covariate
-    rows (patterns): class weights and the class regression work per
-    pattern, as the multinomial logit is linear in the case weights."""
-
-    is_one: np.ndarray           # (n, r) float mask of correct answers
-    is_zero: np.ndarray          # (n, r) float mask of wrong answers
-    w: np.ndarray                # (H, m_U), the dataset's school covariates
-    starts: np.ndarray           # (H,) first student row of each school
-    sizes: np.ndarray            # (H,)
-    x_patterns: np.ndarray       # (P, m_V) distinct student covariate rows
-    x_pattern_index: np.ndarray  # (n,) each student's row of x_patterns
+def stack_dataset(data: ResponseDataset) -> ResponseDataset:
+    """Build the answer masks and covariate patterns of ``data`` if they are
+    missing, and return ``data``.  ``fit`` calls it once so that the
+    benchmark tracer, which wraps this name, times the build in its own span;
+    it stays until the fit observer planned in ROADMAP.md replaces the tracer.
+    """
+    data.is_one, data.is_zero, data.x_patterns    # built on first access
+    return data
 
 
-def stack_dataset(data: ResponseDataset) -> StackedData:
-    """The answer masks and the student covariate patterns of ``data``;
-    every other field refers to the dataset's own arrays."""
-    patterns, index = unique_rows(data.student_covariates)
-    return StackedData(
-        is_one=(data.responses == 1).astype(float),
-        is_zero=(data.responses == 0).astype(float),
-        w=data.school_covariates, starts=data.starts, sizes=data.sizes,
-        x_patterns=patterns, x_pattern_index=index,
-    )
-
-
-def unique_rows(x: np.ndarray):
-    """Distinct rows of a 2-D array in lexicographic order, and the index of
-    each row's pattern: ``np.unique(x, axis=0, return_inverse=True)`` by one
-    stable lexsort."""
-    n = x.shape[0]
-    if x.shape[1] == 0:
-        return np.zeros((min(n, 1), 0)), np.zeros(n, dtype=np.intp)
-    order = np.lexsort(x.T[::-1])          # the first column is the primary key
-    ordered = x[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    index = np.empty(n, dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return ordered[new], index
-
-
-def conditional_loglik_matrix(stacked: StackedData, params: ParameterSet,
+def conditional_loglik_matrix(data: ResponseDataset, params: ParameterSet,
                               spec: ModelSpec) -> np.ndarray:
     """(n, k_V) log-probability of each student's response vector per class."""
     logp0, logp1 = response_logprob_tables(params, spec)
-    return stacked.is_one @ logp1.T + stacked.is_zero @ logp0.T
+    return data.is_one @ logp1.T + data.is_zero @ logp0.T
 
 
-def stacked_loglik_terms(stacked: StackedData, params: ParameterSet,
+def stacked_loglik_terms(data: ResponseDataset, params: ParameterSet,
                          spec: ModelSpec):
     """Core log-space quantities shared by the likelihood and the E-step.
 
@@ -122,13 +83,13 @@ def stacked_loglik_terms(stacked: StackedData, params: ParameterSet,
     plus conditional log-likelihood, and ``log_mix[i, u]`` its log-sum-exp
     over v.
     """
-    cond = conditional_loglik_matrix(stacked, params, spec)        # (n, k_V)
-    logw = log_class_weight_matrix(stacked.x_patterns,
-                                   params)[stacked.x_pattern_index]  # (n, k_U, k_V)
+    cond = conditional_loglik_matrix(data, params, spec)           # (n, k_V)
+    logw = log_class_weight_matrix(data.x_patterns,
+                                   params)[data.x_pattern_index]   # (n, k_U, k_V)
     joint = logw + cond[:, None, :]
     log_mix = logsumexp_last(joint)                                # (n, k_U)
-    log_rho = np.add.reduceat(log_mix, stacked.starts, axis=0)     # (H, k_U)
-    log_pi = log_type_weight_matrix(stacked.w, params)             # (H, k_U)
+    log_rho = np.add.reduceat(log_mix, data.starts, axis=0)        # (H, k_U)
+    log_pi = log_type_weight_matrix(data.school_covariates, params)  # (H, k_U)
     evidence = log_pi + log_rho
     school_ll = logsumexp_last(evidence)                           # (H,)
     return float(school_ll.sum()), evidence, school_ll, joint, log_mix
@@ -164,8 +125,8 @@ def group_conditional_loglik(school: SchoolGroup, type_index: int,
     """
     if not 0 <= type_index < params.n_types:
         raise IndexError(f"type index {type_index} out of range")
-    stacked = stack_dataset(ResponseDataset.from_schools((school,)))
-    _, _, _, _, log_mix = stacked_loglik_terms(stacked, params, spec)
+    data = ResponseDataset.from_schools((school,))
+    _, _, _, _, log_mix = stacked_loglik_terms(data, params, spec)
     return float(log_mix[:, type_index].sum())
 
 
@@ -177,8 +138,7 @@ def marginal_loglik(data: ResponseDataset, params: ParameterSet,
     likelihoods; evaluated entirely in log space with a fixed summation
     order, so repeated calls are bit-reproducible.
     """
-    stacked = stack_dataset(data)
-    loglik, _, _, _, _ = stacked_loglik_terms(stacked, params, spec)
+    loglik, _, _, _, _ = stacked_loglik_terms(data, params, spec)
     if not np.isfinite(loglik):
         raise NonFiniteLikelihoodError("marginal log-likelihood is not finite")
     return loglik

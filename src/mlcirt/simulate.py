@@ -75,6 +75,8 @@ class CyclicCovariate:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if len(self.values) == 0:
+            raise ValueError("cyclic covariates need at least one value")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @property

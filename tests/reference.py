@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from mlcirt import Parameterization, em
 from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
-from mlcirt.likelihood import stack_dataset, stacked_loglik_terms
+from mlcirt.likelihood import stacked_loglik_terms
 from mlcirt.model import apply_identifiability, max_abs_change
 
 
@@ -451,25 +451,24 @@ def plain_em_fit(data, spec, controls, init):
     """
     em._raise_if_invalid(em.validate_spec(spec) + em.validate_dataset(data, spec)
                          + em.validate_params(init, spec))
-    stacked = stack_dataset(data)
     params = init
     trace: list[float] = []
     converged = False
     for iteration in range(controls.max_iter):
-        loglik, posteriors = em._e_step_stacked(stacked, params, spec)
+        loglik, posteriors = em._e_step(data, params, spec)
         trace.append(loglik)
         if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
             converged = True
             break
-        new_params = em._m_step_stacked(stacked, posteriors, params, spec, controls)
+        new_params = em.m_step(data, posteriors, params, spec, controls)
         delta = max_abs_change(params, new_params)
         params = new_params
         if delta < controls.tol_param:
             converged = True
-            trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+            trace.append(stacked_loglik_terms(data, params, spec)[0])
             break
     else:
-        trace.append(stacked_loglik_terms(stacked, params, spec)[0])
+        trace.append(stacked_loglik_terms(data, params, spec)[0])
 
     params = apply_identifiability(params, spec.item_bank)
     return em.FitResult(params=params, loglik=trace[-1], trace=tuple(trace),

@@ -1,13 +1,16 @@
 """Dataset container invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mlcirt import ResponseDataset, SchoolGroup, validate_dataset
-from mlcirt.likelihood import stack_dataset
+import mlcirt.data
+from mlcirt import (FitControls, ResponseDataset, SchoolGroup, e_step, m_step,
+                    marginal_loglik, multistart_fit, validate_dataset)
 
 from helpers import make_spec, random_dataset
 
@@ -194,10 +197,36 @@ def test_constructor_rejects_disagreeing_lengths(field, value):
         ResponseDataset(**dict(fields, **{field: value}))
 
 
-def test_stacking_refers_to_the_dataset_arrays():
-    spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=2, m_u=1)
-    data = random_dataset(spec, np.random.default_rng(5), n_schools=3,
-                          school_size=(1, 4))
-    stacked = stack_dataset(data)
-    assert np.shares_memory(stacked.w, data.school_covariates)
-    assert stacked.starts is data.starts and stacked.sizes is data.sizes
+def test_derived_arrays_are_built_once_and_read_only(monkeypatch):
+    """A multistart fit, an E-step, an M-step and a likelihood call on one
+    dataset find its covariate patterns once and share one set of masks."""
+    calls = []
+    unique_rows = mlcirt.data.unique_rows
+
+    def counted_unique_rows(x):
+        calls.append(x.shape)
+        return unique_rows(x)
+
+    monkeypatch.setattr(mlcirt.data, "unique_rows", counted_unique_rows)
+    spec = make_spec(n_items=4, n_classes=2, n_types=2, m_v=1, m_u=1)
+    rng = np.random.default_rng(5)
+    data = random_dataset(spec, rng, n_schools=6, school_size=(2, 6),
+                          missing_rate=0.2)
+    is_one = data.is_one
+    result = multistart_fit(data, spec, FitControls(max_iter=10, n_starts=3))
+    posteriors = e_step(data, result.params, spec)
+    m_step(data, posteriors, result.params, spec)
+    marginal_loglik(data, result.params, spec)
+
+    assert calls == [(data.n_students, 1)]
+    assert data.is_one is is_one
+    np.testing.assert_array_equal(data.is_one, data.responses == 1)
+    np.testing.assert_array_equal(data.is_zero, data.responses == 0)
+    assert data.x_pattern_index.shape == (data.n_students,)
+    np.testing.assert_array_equal(data.x_patterns[data.x_pattern_index],
+                                  data.student_covariates)
+    for name in ("is_one", "is_zero", "x_patterns", "x_pattern_index"):
+        with pytest.raises(ValueError):
+            getattr(data, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(data, name, None)

@@ -22,7 +22,6 @@ from mlcirt import (
     multistart_fit,
     permute_parameters,
 )
-from mlcirt.likelihood import stack_dataset
 from mlcirt.model import max_abs_change
 
 import reference
@@ -305,17 +304,16 @@ class TestClassBlockCases:
     def test_pattern_aggregate_equals_per_student_sum(self):
         rng = np.random.default_rng(31)
         data = _pattern_dataset(30, 20, 37, rng)
-        stacked = stack_dataset(data)
         z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
-        design, weights = mlcirt.em._class_block_cases(stacked, z_joint, 2)
+        design, weights = mlcirt.em._class_block_cases(data, z_joint, 2)
 
-        n_pat = stacked.x_patterns.shape[0]
+        n_pat = data.x_patterns.shape[0]
         expected = np.zeros((2, n_pat, 3))
-        for i, p in enumerate(stacked.x_pattern_index):
+        for i, p in enumerate(data.x_pattern_index):
             expected[:, p, :] += z_joint[i]
         np.testing.assert_array_equal(weights, expected.reshape(2 * n_pat, 3))
         np.testing.assert_array_equal(
-            design, mlcirt.em._class_design_rows(stacked.x_patterns, 2))
+            design, mlcirt.em._class_design_rows(data.x_patterns, 2))
 
     @pytest.mark.parametrize("n_patterns", [400, 1200])
     def test_merged_cases_match_per_student_cases(self, n_patterns):
@@ -327,7 +325,7 @@ class TestClassBlockCases:
         n_pat = np.unique(data.student_covariates, axis=0).shape[0]
         assert (data.n_students, n_pat) == (1200, n_patterns)
         z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
-        merged = mlcirt.em._class_block_cases(stack_dataset(data), z_joint, 2)
+        merged = mlcirt.em._class_block_cases(data, z_joint, 2)
         per_student = reference.per_student_class_block_cases(
             data.student_covariates, z_joint, 2)
         assert merged[0].shape[0] == merged[1].shape[0] == 2 * n_pat
@@ -343,13 +341,13 @@ class TestClassBlockCases:
 
     def test_pattern_aggregate_allocates_no_student_by_pattern_array(self):
         rng = np.random.default_rng(32)
-        stacked = stack_dataset(_pattern_dataset(500, 40, 200, rng))
-        n, n_pat = stacked.is_one.shape[0], stacked.x_patterns.shape[0]
+        data = _pattern_dataset(500, 40, 200, rng)
+        n, n_pat = data.n_students, data.x_patterns.shape[0]
         assert (n, n_pat) == (20_000, 200)
         z_joint = rng.dirichlet(np.ones(6), size=n).reshape(n, 2, 3)
         tracemalloc.start()
         try:
-            mlcirt.em._class_block_cases(stacked, z_joint, 2)
+            mlcirt.em._class_block_cases(data, z_joint, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

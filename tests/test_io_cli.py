@@ -53,6 +53,14 @@ sch2,South
 """
 
 
+# A categorical student and school covariate, each with a repeated level.
+REPEATED_LEVELS = (
+    [{"name": "gender", "type": "categorical", "levels": ["M", "F", "M"],
+      "reference": "F"}],
+    [{"name": "area", "type": "categorical", "levels": ["NW", "NW"]}],
+)
+
+
 def write_inputs(tmp_path, students=STUDENTS_CSV, schools=SCHOOLS_CSV,
                  config=None):
     (tmp_path / "students.csv").write_text(students)
@@ -140,6 +148,20 @@ class TestLoadDataset:
         config = parse_config(config_path)
         with pytest.raises(DataFormatError, match="header"):
             load_dataset(students, schools, config)
+
+    @pytest.mark.parametrize("entry, message", [
+        (dict(student_covariates=REPEATED_LEVELS[0]),
+         "student_covariates[0] (gender): repeated level 'M'"),
+        (dict(school_covariates=REPEATED_LEVELS[1]),
+         "school_covariates[0] (area): repeated level 'NW'")],
+        ids=["student", "school"])
+    def test_repeated_level(self, tmp_path, entry, message):
+        """Repeated levels would expand to duplicate indicator columns, or
+        to none at all."""
+        config_path = write_inputs(tmp_path, config=dict(BASE_CONFIG, **entry))[2]
+        with pytest.raises(DataFormatError) as info:
+            parse_config(config_path)
+        assert str(info.value) == f"{config_path}: {message}"
 
 
 class TestWriteAssignments:
@@ -714,6 +736,9 @@ class TestInputErrorsBeforeFitting:
     ("fit", {"student_covariates": {"name": "x"}}),
     ("fit", {"n_classes": None}),
     ("simulate", {"student_covariates": ["x"]}),
+    ("fit", {"student_covariates": REPEATED_LEVELS[0]}),
+    ("fit", {"school_covariates": REPEATED_LEVELS[1]}),
+    ("simulate", {"student_covariates": [{"type": "cyclic", "values": []}]}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):

@@ -15,7 +15,7 @@ from mlcirt import (
     permute_parameters,
     student_conditional_loglik,
 )
-from mlcirt.likelihood import stack_dataset, unique_rows
+from mlcirt.data import unique_rows
 
 import reference
 from helpers import make_spec, random_dataset, random_instance, random_params, \
@@ -253,11 +253,10 @@ class TestStackDataset:
                 f"s{h}", np.zeros(0), tuple(f"{h}-{i}" for i in range(n)),
                 x, rng.integers(-1, 2, size=(n, 2))))
         data = ResponseDataset.from_schools(schools)
-        stacked = stack_dataset(data)
         want_patterns, want_index = np.unique(data.student_covariates, axis=0,
                                               return_inverse=True)
         if distinct:
             assert want_patterns.shape == (200, m_v)
-        np.testing.assert_array_equal(stacked.x_patterns, want_patterns)
-        np.testing.assert_array_equal(stacked.x_pattern_index, want_index.reshape(-1))
+        np.testing.assert_array_equal(data.x_patterns, want_patterns)
+        np.testing.assert_array_equal(data.x_pattern_index, want_index.reshape(-1))
 

@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 
 from mlcirt._numeric import expit, log_expit, logit, logsumexp_last
 from mlcirt.em import e_step
-from mlcirt.likelihood import stack_dataset, stacked_loglik_terms
+from mlcirt.likelihood import stacked_loglik_terms
 
 from helpers import make_spec, random_dataset, random_params
 
@@ -102,13 +102,12 @@ def test_e_step_equals_gather_and_axis_sum_bitwise(k_u, k_v):
     params = random_params(spec, rng, scale=1.5)
     data = random_dataset(spec, rng, n_schools=7, school_size=(1, 9),
                           missing_rate=0.1)
-    stacked = stack_dataset(data)
     post = e_step(data, params, spec)
     z_hu, z_joint, z_class = (post.type_posterior, post.joint_posterior,
                               post.class_posterior)
 
     _, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
-        stacked, params, spec)
+        data, params, spec)
     old_hu = np.exp(evidence - school_ll[:, None])
     school_index = np.repeat(np.arange(data.n_schools), data.sizes)
     old_joint = (np.exp(joint - log_mix[:, :, None])

@@ -44,9 +44,11 @@ def test_pinned_name_is_callable(module_name, attr):
 
 def test_stacked_answer_mask_is_two_dimensional():
     """The span of ``conditional_loglik_matrix`` reads ``args[0].is_one.shape``
-    as (n, r)."""
+    as (n, r); its first argument is the dataset, which ``stack_dataset``
+    returns."""
     spec = make_spec(n_items=3, n_classes=2, n_types=2)
     data = random_dataset(spec, np.random.default_rng(0), n_schools=3,
                           school_size=(1, 4))
     stacked = stack_dataset(data)
+    assert stacked is data
     assert stacked.is_one.shape == (data.n_students, 3)
