@@ -24,9 +24,7 @@ from .likelihood import (
     EnumerationCapError,
     NonFiniteLikelihoodError,
     brute_force_loglik,
-    group_conditional_loglik,
     marginal_loglik,
-    student_conditional_loglik,
 )
 from .model import (
     ItemBank,
@@ -35,7 +33,6 @@ from .model import (
     Parameterization,
     apply_identifiability,
     count_free_parameters,
-    item_success_prob,
     validate_params,
     validate_spec,
 )
@@ -60,17 +57,11 @@ from .simulate import (
     RecoveryReport,
     SimulationDesign,
     align_labels,
-    generate_dataset,
     permute_parameters,
     recovery_report,
     simulate_full,
 )
-from .weights import (
-    log_school_type_weights,
-    log_student_class_weights,
-    school_type_weights,
-    student_class_weights,
-)
+from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 __version__ = "0.1.0"
 
@@ -108,23 +99,17 @@ __all__ = [
     "count_free_parameters",
     "e_step",
     "fit",
-    "generate_dataset",
-    "group_conditional_loglik",
     "initialize",
-    "item_success_prob",
-    "log_school_type_weights",
-    "log_student_class_weights",
+    "log_class_weight_matrix",
+    "log_type_weight_matrix",
     "m_step",
     "marginal_loglik",
     "multistart_fit",
     "permute_parameters",
     "recovery_report",
     "school_support_points",
-    "school_type_weights",
     "simulate_full",
     "standardize_abilities",
-    "student_class_weights",
-    "student_conditional_loglik",
     "sweep_school_types",
     "type_probabilities_by_profile",
     "validate_dataset",

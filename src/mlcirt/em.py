@@ -596,8 +596,7 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     ``tol_param`` or more.  Hitting the cap yields a result with
     ``converged=False`` rather than an error.
     """
-    _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec)
-                      + validate_params(init, spec))
+    _raise_if_invalid(validate_params(init, spec) + validate_dataset(data, spec))
     stack_dataset(data)
     params = init
     loglik, posteriors = _e_step(data, params, spec)

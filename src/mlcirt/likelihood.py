@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numeric import log_expit, logsumexp_last
-from .data import MISSING, ResponseDataset, SchoolGroup
+from .data import MISSING, ResponseDataset
 from .model import ModelSpec, ParameterSet, Parameterization
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
@@ -93,41 +93,6 @@ def stacked_loglik_terms(data: ResponseDataset, params: ParameterSet,
     evidence = log_pi + log_rho
     school_ll = logsumexp_last(evidence)                           # (H,)
     return float(school_ll.sum()), evidence, school_ll, joint, log_mix
-
-
-# ---------------------------------------------------------------------------
-# Public likelihood operations
-# ---------------------------------------------------------------------------
-
-def student_conditional_loglik(responses, class_index: int, params: ParameterSet,
-                               spec: ModelSpec) -> float:
-    """Log-probability of one response vector given latent class membership.
-
-    Missing responses contribute nothing to the sum.
-    """
-    y = np.asarray(responses)
-    if not 0 <= class_index < spec.n_classes:
-        raise IndexError(f"class index {class_index} out of range")
-    if y.shape != (spec.item_bank.n_items,):
-        raise ValueError(f"response vector must have length {spec.item_bank.n_items}")
-    if np.any(~np.isin(y, (0, 1, MISSING))):
-        raise ValueError("responses must be 0, 1, or missing")
-    logp0, logp1 = response_logprob_tables(params, spec)
-    return float(logp1[class_index, y == 1].sum() + logp0[class_index, y == 0].sum())
-
-
-def group_conditional_loglik(school: SchoolGroup, type_index: int,
-                             params: ParameterSet, spec: ModelSpec) -> float:
-    """Log-likelihood of one school's responses given its latent type.
-
-    Sums, over students, the log of the class mixture of conditional
-    response likelihoods under that school type's membership weights.
-    """
-    if not 0 <= type_index < params.n_types:
-        raise IndexError(f"type index {type_index} out of range")
-    data = ResponseDataset.from_schools((school,))
-    _, _, _, _, log_mix = stacked_loglik_terms(data, params, spec)
-    return float(log_mix[:, type_index].sum())
 
 
 def marginal_loglik(data: ResponseDataset, params: ParameterSet,

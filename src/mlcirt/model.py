@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import expit
-
 
 # Every parameter block of a ``ParameterSet`` but ``lc_success``, which only
 # the "lc" parameterization has, in field order (also the order of reports
@@ -180,39 +178,6 @@ class ParameterSet:
         return dataclasses.replace(self, **changes)
 
 
-def item_success_prob(item, class_ability, params: ParameterSet,
-                      spec: ModelSpec) -> float:
-    """Success probability of one item for one latent class.
-
-    ``class_ability`` is either an ability vector of length ``n_dims``
-    (2PL/1PL) or a class index (required for the "lc" parameterization,
-    allowed otherwise as shorthand for ``params.abilities[v]``).
-    """
-    bank = spec.item_bank
-    if not 0 <= item < bank.n_items:
-        raise IndexError(f"item index {item} out of range 0..{bank.n_items - 1}")
-    if spec.parameterization is Parameterization.LC:
-        if not isinstance(class_ability, (int, np.integer)):
-            raise TypeError("lc parameterization requires a class index")
-        p = float(params.lc_success[int(class_ability), item])
-        if not np.isfinite(p):
-            raise ValueError("non-finite success probability")
-        return p
-    if isinstance(class_ability, (int, np.integer)):
-        ability = params.abilities[int(class_ability)]
-    else:
-        ability = np.asarray(class_ability, dtype=float)
-        if ability.shape != (bank.n_dims,):
-            raise ValueError(f"ability vector must have length {bank.n_dims}")
-    gam = float(params.discrimination[item])
-    beta = float(params.difficulty[item])
-    xi = float(ability[bank.dim_of[item]])
-    z = gam * (xi - beta)
-    if not np.isfinite(z):
-        raise ValueError("non-finite parameter values in success logit")
-    return float(expit(z))
-
-
 def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
     """Re-express item and ability parameters on the constrained scale.
 
@@ -305,8 +270,14 @@ def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 
 def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
-    """Check parameter shapes and constraints against a spec."""
-    problems: list[str] = []
+    """Check parameter shapes and constraints against a spec.
+
+    An invalid spec gives no shapes to check against, so its own problems
+    (``validate_spec``) are returned alone.
+    """
+    problems = validate_spec(spec)
+    if problems:
+        return problems
     bank = spec.item_bank
     for name, shape in parameter_shapes(spec).items():
         arr = getattr(params, name)

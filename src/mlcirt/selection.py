@@ -165,7 +165,8 @@ def average_class_weights(data: ResponseDataset, params: ParameterSet,
     students; the type average is the mean type posterior across schools.
     """
     z_hu = posteriors.type_posterior
-    w_mat = np.exp(log_class_weight_matrix(data.student_covariates, params))
+    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
+                                           params))[data.x_pattern_index]
     mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, data.sizes, axis=0), w_mat)
     total = np.add.reduceat(mixed, data.starts, axis=0).sum(axis=0)
     return total / data.n_students, z_hu.mean(axis=0)
@@ -204,7 +205,8 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     """
     z_hu = posteriors.type_posterior
     k_u = spec.n_types
-    w_mat = np.exp(log_class_weight_matrix(data.student_covariates, params))
+    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
+                                           params))[data.x_pattern_index]
     # (n, k_U, k_V) x (k_V,) mean ability per class over dimensions
     class_mean = params.abilities.mean(axis=1)
     per_student = np.einsum("nuv,v->nu", w_mat, class_mean)

@@ -25,7 +25,6 @@ from .model import (
     ParameterSet,
     Parameterization,
     validate_params,
-    validate_spec,
 )
 from .selection import assign_schools, assign_students
 from .weights import log_class_weight_matrix, log_type_weight_matrix
@@ -110,7 +109,7 @@ class SimulationDesign:
             raise ValueError("n_schools must be >= 1")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
-        problems = validate_spec(self.spec) + validate_params(self.truth, self.spec)
+        problems = validate_params(self.truth, self.spec)
         if covariate_width(self.student_covariates) != self.spec.n_student_covariates:
             problems.append("student covariate generators produce "
                             f"{covariate_width(self.student_covariates)} columns, "
@@ -201,12 +200,6 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
         student_ids=student_ids, student_covariates=x, responses=responses)
     return SimulatedData(dataset=dataset,
                          labels=LatentLabels(types=types, classes=classes))
-
-
-def generate_dataset(design: SimulationDesign):
-    """Draw a dataset; returns ``(ResponseDataset, LatentLabels)``."""
-    sim = simulate_full(design)
-    return sim.dataset, sim.labels
 
 
 def desk_design(seed: int = 0, n_schools: int = 200, school_size=20,

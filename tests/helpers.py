@@ -114,12 +114,12 @@ def check_posterior_invariants(posteriors, data, atol=1e-10):
     np.testing.assert_allclose(zj.sum(axis=1), posteriors.class_posterior, atol=atol)
 
 
-def single_item_dataset(y=1, m_v=0, m_u=0):
-    """One school, one student, one item."""
+def single_student_dataset(y=(1,), m_v=0, m_u=0):
+    """One school with one student, whose responses are ``y``."""
     return ResponseDataset.from_schools((SchoolGroup(
         school_id="s0",
         covariates=np.zeros(m_u),
         student_ids=("s0-i0",),
         student_covariates=np.zeros((1, m_v)),
-        responses=np.array([[y]], dtype=np.int8),
+        responses=np.array([y], dtype=np.int8),
     ),))

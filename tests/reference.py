@@ -41,18 +41,29 @@ def softmax(logits):
     return [v / s for v in e]
 
 
+def class_probs(class_intercepts, class_slopes, x, u):
+    """Class membership probabilities of a student with covariates ``x`` in
+    a type-``u`` school, from the multinomial-logit definition."""
+    return softmax([0.0] + [float(class_intercepts[u, v - 1]
+                                  + np.dot(class_slopes[v - 1], x))
+                            for v in range(1, class_intercepts.shape[1] + 1)])
+
+
+def type_probs(type_intercepts, type_slopes, w):
+    """Type membership probabilities of a school with covariates ``w``."""
+    return softmax([0.0] + [float(type_intercepts[u - 1]
+                                  + np.dot(type_slopes[u - 1], w))
+                            for u in range(1, len(type_intercepts) + 1)])
+
+
 def single_level_loglik(data, params, spec):
     """Manifest-distribution log-likelihood for k_U = 1 data, by plain loops."""
     assert spec.n_types == 1
     total = 0.0
     for school in data.schools:
         for i in range(school.n_students):
-            x = school.student_covariates[i]
-            logits = [0.0] + [
-                float(params.class_intercepts[0, v - 1]
-                      + np.dot(params.class_slopes[v - 1], x))
-                for v in range(1, spec.n_classes)]
-            weights = softmax(logits)
+            weights = class_probs(params.class_intercepts, params.class_slopes,
+                                  school.student_covariates[i], 0)
             mix = 0.0
             for v in range(spec.n_classes):
                 lik = 1.0
@@ -118,11 +129,7 @@ def block_class_objective(data, posteriors, spec, class_intercepts, class_slopes
         for i in range(school.n_students):
             x = school.student_covariates[i]
             for u in range(spec.n_types):
-                logits = [0.0] + [
-                    float(class_intercepts[u, v - 1]
-                          + np.dot(class_slopes[v - 1], x))
-                    for v in range(1, spec.n_classes)]
-                weights = softmax(logits)
+                weights = class_probs(class_intercepts, class_slopes, x, u)
                 for v in range(spec.n_classes):
                     if zj[i, u, v] > 0:
                         total += zj[i, u, v] * math.log(weights[v])
@@ -142,11 +149,7 @@ def block_type_objective(data, posteriors, spec, type_intercepts, type_slopes):
     """Type-posterior-weighted log membership weights of the school types."""
     total = 0.0
     for h, school in enumerate(data.schools):
-        logits = [0.0] + [
-            float(type_intercepts[u - 1]
-                  + np.dot(type_slopes[u - 1], school.covariates))
-            for u in range(1, spec.n_types)]
-        weights = softmax(logits)
+        weights = type_probs(type_intercepts, type_slopes, school.covariates)
         for u in range(spec.n_types):
             if posteriors.type_posterior[h, u] > 0:
                 total += posteriors.type_posterior[h, u] * math.log(weights[u])
@@ -449,8 +452,8 @@ def plain_em_fit(data, spec, controls, init):
     and the same E-step and M-step; ``n_iter`` and ``trace`` count as in
     ``em.fit``.
     """
-    em._raise_if_invalid(em.validate_spec(spec) + em.validate_dataset(data, spec)
-                         + em.validate_params(init, spec))
+    em._raise_if_invalid(em.validate_params(init, spec)
+                         + em.validate_dataset(data, spec))
     params = init
     trace: list[float] = []
     converged = False

@@ -31,7 +31,7 @@ from mlcirt import (
 )
 from mlcirt.cli import main
 from mlcirt.em import FitResult
-from mlcirt.simulate import desk_design, generate_dataset
+from mlcirt.simulate import desk_design, simulate_full
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
@@ -59,8 +59,8 @@ def desk_datasets():
     out = []
     for seed in range(N_SEEDS):
         design = desk_design(seed=1000 + seed)
-        data, labels = generate_dataset(design)
-        out.append((design, data, labels))
+        sim = simulate_full(design)
+        out.append((design, sim.dataset, sim.labels))
     return out
 
 
@@ -184,7 +184,7 @@ def test_criterion_5_m_step_optimality():
                 student_covariates=(CategoricalCovariate((0.5, 0.5)),),
                 school_covariates=(CategoricalCovariate((0.5, 0.5)),),
                 seed=600 + k)
-            data, _ = generate_dataset(design)
+            data = simulate_full(design).dataset
             post = e_step(data, truth, spec)
             params = initialize(data, spec)
             new = m_step(data, post, params, spec, controls)
@@ -334,7 +334,7 @@ def test_criterion_8_nesting(desk_datasets, desk_fits):
         # small model-generated datasets
         for k in range(4):
             design = desk_design(seed=900 + k, n_schools=8, school_size=6)
-            data, _ = generate_dataset(design)
+            data = simulate_full(design).dataset
             spec2 = design.spec
             spec1 = spec2.replace(parameterization=Parameterization.ONE_PL)
             two = multistart_fit(data, spec2, controls)
@@ -373,7 +373,7 @@ def test_criterion_8_nesting(desk_datasets, desk_fits):
                 type_slopes=np.zeros((0, 0)))
             design = SimulationDesign(spec=spec, truth=truth, n_schools=8,
                                       school_size=15, seed=40 + k)
-            data, _ = generate_dataset(design)
+            data = simulate_full(design).dataset
             ours = multistart_fit(data, spec, deep)
             direct = reference.fit_single_level_direct(
                 data, spec, ours.params, extra_starts=4, rng=rng)

@@ -26,7 +26,7 @@ from mlcirt.model import max_abs_change
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
-    random_instance, random_params, single_item_dataset
+    random_instance, random_params, single_student_dataset
 
 
 QUICK = FitControls(max_iter=400, tol_loglik=1e-9, tol_param=1e-8, n_starts=1)
@@ -61,11 +61,9 @@ class TestEStep:
             class_intercepts=np.tile(params.class_intercepts[0], (2, 1)))
         data = random_dataset(spec, rng, n_schools=4, school_size=3)
         post = e_step(data, params, spec)
-        from mlcirt import school_type_weights
-        for h, school in enumerate(data.schools):
-            np.testing.assert_allclose(
-                post.type_posterior[h],
-                school_type_weights(school.covariates, params), atol=1e-12)
+        prior = [reference.type_probs(params.type_intercepts, params.type_slopes, w)
+                 for w in data.school_covariates]
+        np.testing.assert_allclose(post.type_posterior, prior, atol=1e-12)
 
     def test_hand_bayes_rule(self):
         """Types inducing response probabilities 0.8 vs 0.4 on a correct
@@ -81,7 +79,7 @@ class TestEStep:
             class_intercepts=[[-40.0], [40.0]],
             class_slopes=np.zeros((1, 0)),
             type_intercepts=[0.0], type_slopes=np.zeros((1, 0)))
-        post = e_step(single_item_dataset(1), params, spec)
+        post = e_step(single_student_dataset([1]), params, spec)
         np.testing.assert_allclose(post.type_posterior[0], [2 / 3, 1 / 3],
                                    atol=1e-9)
 
@@ -152,9 +150,9 @@ class TestMStep:
         post = e_step(data, params, spec)
         new = m_step(data, post, params, spec, QUICK)
         expected = post.class_posterior.mean(axis=0)
-        from mlcirt import student_class_weights
         np.testing.assert_allclose(
-            student_class_weights(np.zeros(0), 0, new), expected, atol=1e-8)
+            reference.class_probs(new.class_intercepts, new.class_slopes,
+                                  np.zeros(0), 0), expected, atol=1e-8)
 
     def test_never_decreases_block_objectives(self):
         rng = np.random.default_rng(6)

@@ -289,11 +289,11 @@ class TestSimulateCommand:
 
     def test_round_trip_equals_in_memory_dataset(self, tmp_path):
         """Loading the written files reproduces the generating dataset."""
-        from mlcirt.simulate import generate_dataset
+        from mlcirt.simulate import simulate_full
 
         out = run_simulate(tmp_path)
         design = parse_design(tmp_path / "design.json")
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         config = parse_config(out / "config.json")
         loaded = load_dataset(out / "students.csv", out / "schools.csv", config)
         assert loaded.n_schools == data.n_schools
@@ -763,6 +763,32 @@ def classify_argv(fitted, out, **paths):
              "schools": sim / "schools.csv", "config": sim / "config.json", **paths}
     return ["classify", *(f"--{flag}={path}" for flag, path in files.items()),
             "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("reference_items", [[9], []], ids=["item-9", "none"])
+def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
+                                                      command, reference_items):
+    """A report or design whose spec names no valid reference item exits 1
+    with an error line naming the file, not a traceback."""
+    if command == "classify":
+        path = tmp_path / "report.json"
+        report = json.loads((fitted[2] / "report.json").read_text())
+        report["model"]["reference_items"] = reference_items
+        path.write_text(json.dumps(report))
+        argv = classify_argv(fitted, tmp_path / "out", report=path)
+        expected = f"error: {path}: "
+    else:
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(dict(
+            DESIGN, spec=dict(DESIGN["spec"], reference_items=reference_items))))
+        argv = ["simulate", "--design", str(path), "--out", str(tmp_path / "out")]
+        expected = f"error: {path}: bad design"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and "Traceback" not in err, err
+    if command == "classify":
+        assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("flag", ["config", "students", "schools", "report",

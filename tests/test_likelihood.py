@@ -10,20 +10,25 @@ from mlcirt import (
     ResponseDataset,
     SchoolGroup,
     brute_force_loglik,
-    group_conditional_loglik,
     marginal_loglik,
     permute_parameters,
-    student_conditional_loglik,
 )
 from mlcirt.data import unique_rows
+from mlcirt.likelihood import conditional_loglik_matrix, stacked_loglik_terms
 
 import reference
 from helpers import make_spec, random_dataset, random_instance, random_params, \
-    single_item_dataset
+    single_student_dataset
 
 
 def params_with(spec, seed=0, **blocks):
     return random_params(spec, np.random.default_rng(seed)).replace(**blocks)
+
+
+def school_conditional_loglik(data, params, spec):
+    """(H, k_U) log-likelihood of each school's responses given its type."""
+    _, _, _, _, log_mix = stacked_loglik_terms(data, params, spec)
+    return np.add.reduceat(log_mix, data.starts, axis=0)
 
 
 class TestStudentConditionalLoglik:
@@ -33,15 +38,15 @@ class TestStudentConditionalLoglik:
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         params = params_with(spec, difficulty=[0.0, 0.0],
                              discrimination=[1.0, 1.0], abilities=[[0.0]])
-        ll = student_conditional_loglik(np.array([1, 0]), 0, params, spec)
-        assert ll == pytest.approx(math.log(0.25), abs=1e-12)
+        ll = conditional_loglik_matrix(single_student_dataset([1, 0]), params, spec)
+        assert ll[0, 0] == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_single_item(self):
         spec = make_spec(n_items=1, n_classes=1, n_types=1)
         params = params_with(spec, difficulty=[0.0], discrimination=[1.0],
                              abilities=[[0.0]])
-        ll = student_conditional_loglik(np.array([1]), 0, params, spec)
-        assert ll == pytest.approx(math.log(0.5), abs=1e-12)
+        ll = conditional_loglik_matrix(single_student_dataset([1]), params, spec)
+        assert ll[0, 0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_hand_product(self):
         """p = (0.75, 0.5, 0.2) and pattern (1, 1, 0): log(0.75*0.5*0.8)."""
@@ -52,28 +57,22 @@ class TestStudentConditionalLoglik:
             difficulty=[0.0, math.log(3.0), math.log(3.0) + math.log(4.0)],
             discrimination=[1.0, 1.0, 1.0],
             abilities=[[math.log(3.0)]])
-        ll = student_conditional_loglik(np.array([1, 1, 0]), 0, params, spec)
-        assert ll == pytest.approx(math.log(0.3), abs=1e-12)
+        ll = conditional_loglik_matrix(single_student_dataset([1, 1, 0]), params, spec)
+        assert ll[0, 0] == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_missing_items_drop_out(self):
         spec = make_spec(n_items=3, n_classes=1, n_types=1)
         params = params_with(spec, difficulty=[0.0, 0.4, -0.2],
                              discrimination=[1.0, 1.1, 0.9],
                              abilities=[[0.3]])
-        full = student_conditional_loglik(np.array([1, -1, 0]), 0, params, spec)
+        full = conditional_loglik_matrix(single_student_dataset([1, -1, 0]),
+                                         params, spec)
         spec2 = make_spec(n_items=2, n_classes=1, n_types=1)
         params2 = params_with(spec2, difficulty=[0.0, -0.2],
                               discrimination=[1.0, 0.9], abilities=[[0.3]])
-        reduced = student_conditional_loglik(np.array([1, 0]), 0, params2, spec2)
-        assert full == pytest.approx(reduced, abs=1e-12)
-
-    def test_bad_inputs(self):
-        spec = make_spec(n_items=2, n_classes=2, n_types=1)
-        params = random_params(spec, np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            student_conditional_loglik(np.array([1, 0]), 2, params, spec)
-        with pytest.raises(ValueError):
-            student_conditional_loglik(np.array([1, 2]), 0, params, spec)
+        reduced = conditional_loglik_matrix(single_student_dataset([1, 0]),
+                                            params2, spec2)
+        assert full[0, 0] == pytest.approx(reduced[0, 0], abs=1e-12)
 
 
 class TestGroupConditionalLoglik:
@@ -83,13 +82,9 @@ class TestGroupConditionalLoglik:
         params = random_params(spec, np.random.default_rng(4))
         data = random_dataset(spec, np.random.default_rng(5), n_schools=1,
                               school_size=4)
-        school = data.schools[0]
-        expected = sum(student_conditional_loglik(school.responses[i], 0,
-                                                  params, spec)
-                       for i in range(school.n_students))
-        for u in range(2):
-            assert group_conditional_loglik(school, u, params, spec) == \
-                pytest.approx(expected, abs=1e-12)
+        expected = conditional_loglik_matrix(data, params, spec)[:, 0].sum()
+        np.testing.assert_allclose(school_conditional_loglik(data, params, spec),
+                                   [[expected, expected]], atol=1e-12)
 
     def test_hand_mixture(self):
         """One student, two classes at 50/50 with p = 0.4 / 0.8 on y = 1."""
@@ -99,9 +94,8 @@ class TestGroupConditionalLoglik:
                              abilities=[[logit(0.4)], [logit(0.8)]],
                              class_intercepts=[[0.0]],
                              class_slopes=np.zeros((1, 0)))
-        data = single_item_dataset(y=1)
-        ll = group_conditional_loglik(data.schools[0], 0, params, spec)
-        assert ll == pytest.approx(math.log(0.6), abs=1e-12)
+        ll = school_conditional_loglik(single_student_dataset([1]), params, spec)
+        assert ll[0, 0] == pytest.approx(math.log(0.6), abs=1e-12)
 
     def test_identical_components_ignore_weights(self):
         """Equal class abilities make the weights irrelevant."""
@@ -110,8 +104,7 @@ class TestGroupConditionalLoglik:
         params = random_params(spec, rng).replace(
             abilities=np.full((3, 1), 0.4))
         data = random_dataset(spec, rng, n_schools=1, school_size=3)
-        lls = [group_conditional_loglik(data.schools[0], u, params, spec)
-               for u in range(2)]
+        lls = school_conditional_loglik(data, params, spec)[0]
         assert lls[0] == pytest.approx(lls[1], abs=1e-12)
         assert math.exp(lls[0]) <= 1.0
 
@@ -119,10 +112,9 @@ class TestGroupConditionalLoglik:
         rng = np.random.default_rng(7)
         for _ in range(10):
             spec, params, data = random_instance(rng)
-            for u in range(spec.n_types):
-                value = group_conditional_loglik(data.schools[0], u, params, spec)
-                assert value <= 0.0
-                assert 0.0 < math.exp(value) <= 1.0
+            values = school_conditional_loglik(data, params, spec)
+            assert np.all(values <= 0.0)
+            assert np.all((0.0 < np.exp(values)) & (np.exp(values) <= 1.0))
 
 
 class TestMarginalLoglik:
@@ -131,7 +123,7 @@ class TestMarginalLoglik:
         spec = make_spec(n_items=1, n_classes=1, n_types=1, m_v=0, m_u=0)
         params = params_with(spec, difficulty=[0.0], discrimination=[1.0],
                              abilities=[[0.0]])
-        assert marginal_loglik(single_item_dataset(1), params, spec) == \
+        assert marginal_loglik(single_student_dataset([1]), params, spec) == \
             pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_identical_types_collapse(self):

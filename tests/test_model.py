@@ -11,9 +11,10 @@ from mlcirt import (
     Parameterization,
     apply_identifiability,
     count_free_parameters,
-    item_success_prob,
+    validate_params,
     validate_spec,
 )
+from mlcirt.likelihood import success_prob_table
 
 from helpers import make_spec, random_params
 
@@ -27,7 +28,7 @@ def two_item_params(spec, difficulty, discrimination, ability):
 
 
 # ---------------------------------------------------------------------------
-# item_success_prob
+# success_prob_table
 # ---------------------------------------------------------------------------
 
 class TestItemSuccessProb:
@@ -36,68 +37,52 @@ class TestItemSuccessProb:
         """Ability equal to difficulty gives probability 0.5."""
         spec = make_spec(n_items=1, n_classes=1, n_types=1)
         params = two_item_params(spec, [0.0], [1.0], [[0.0]])
-        assert item_success_prob(0, np.array([0.0]), params, spec) == pytest.approx(0.5)
+        assert success_prob_table(params, spec)[0, 0] == pytest.approx(0.5)
 
     def test_log_odds_three(self):
         """Ability ln 3 above difficulty at unit discrimination gives 0.75."""
         spec = make_spec(n_items=1, n_classes=1, n_types=1)
-        params = two_item_params(spec, [0.0], [1.0], [[0.0]])
-        p = item_success_prob(0, np.array([math.log(3.0)]), params, spec)
+        params = two_item_params(spec, [0.0], [1.0], [[math.log(3.0)]])
+        p = success_prob_table(params, spec)[0, 0]
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_discrimination_scales_around_difficulty(self):
         """At ability == difficulty the discrimination is irrelevant."""
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         params = two_item_params(spec, [0.0, 1.0], [1.0, 2.0], [[1.0]])
-        assert item_success_prob(1, np.array([1.0]), params, spec) == pytest.approx(0.5)
+        assert success_prob_table(params, spec)[0, 1] == pytest.approx(0.5)
 
     def test_hand_computed_value(self):
         # logistic(1.5 * (0.8 - 0.3)) = logistic(0.75)
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         params = two_item_params(spec, [0.0, 0.3], [1.0, 1.5], [[0.8]])
         expected = 1.0 / (1.0 + math.exp(-0.75))
-        p = item_success_prob(1, np.array([0.8]), params, spec)
+        p = success_prob_table(params, spec)[0, 1]
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.67918, abs=1e-5)
-
-    def test_class_index_shorthand(self):
-        spec = make_spec(n_items=2, n_classes=2, n_types=1)
-        params = two_item_params(spec, [0.0, 0.5], [1.0, 1.2], [[-1.0], [1.0]])
-        direct = item_success_prob(1, np.array([1.0]), params, spec)
-        assert item_success_prob(1, 1, params, spec) == pytest.approx(direct)
 
     def test_lc_lookup(self):
         spec = make_spec(n_items=2, n_classes=2, n_types=1,
                          parameterization=Parameterization.LC)
         params = random_params(spec, np.random.default_rng(3))
-        assert item_success_prob(0, 1, params, spec) == params.lc_success[1, 0]
-        with pytest.raises(TypeError):
-            item_success_prob(0, np.array([0.0]), params, spec)
-
-    def test_item_out_of_range(self):
-        spec = make_spec(n_items=2, n_classes=1, n_types=1)
-        params = random_params(spec, np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            item_success_prob(2, np.array([0.0]), params, spec)
+        np.testing.assert_allclose(success_prob_table(params, spec),
+                                   params.lc_success, rtol=1e-15)
 
     def test_non_finite_parameters_rejected(self):
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         params = two_item_params(spec, [0.0, np.nan], [1.0, 1.0], [[0.0]])
-        with pytest.raises(ValueError):
-            item_success_prob(1, np.array([0.0]), params, spec)
+        assert "non-finite parameter values" in validate_params(params, spec)
 
     def test_monotone_in_ability_and_difficulty(self):
         """Increasing ability raises p; increasing difficulty lowers it."""
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         grid = np.linspace(-3.0, 3.0, 25)
-        probs = [item_success_prob(
-            1, np.array([xi]),
-            two_item_params(spec, [0.0, 0.4], [1.0, 1.3], [[0.0]]), spec)
+        probs = [success_prob_table(
+            two_item_params(spec, [0.0, 0.4], [1.0, 1.3], [[xi]]), spec)[0, 1]
             for xi in grid]
         assert np.all(np.diff(probs) > 0)
-        probs = [item_success_prob(
-            1, np.array([0.2]),
-            two_item_params(spec, [0.0, b], [1.0, 1.3], [[0.0]]), spec)
+        probs = [success_prob_table(
+            two_item_params(spec, [0.0, b], [1.0, 1.3], [[0.2]]), spec)[0, 1]
             for b in grid]
         assert np.all(np.diff(probs) < 0)
 
@@ -125,10 +110,8 @@ class TestApplyIdentifiability:
         assert out.discrimination[0] == 1.0
         np.testing.assert_allclose(out.discrimination, [1.0, 2.0])
         np.testing.assert_allclose(out.abilities, [[2.0]])
-        for j in range(2):
-            before = item_success_prob(j, params.abilities[0], params, spec)
-            after = item_success_prob(j, out.abilities[0], out, spec)
-            assert after == pytest.approx(before, abs=1e-12)
+        np.testing.assert_allclose(success_prob_table(out, spec),
+                                   success_prob_table(params, spec), atol=1e-12)
 
     def test_probability_preservation_random(self):
         """Unconstrained random parameters: response surface unchanged."""
@@ -144,11 +127,8 @@ class TestApplyIdentifiability:
                 ref = spec.item_bank.reference_items[d]
                 assert out.difficulty[ref] == 0.0
                 assert out.discrimination[ref] == pytest.approx(1.0, abs=1e-15)
-            for v in range(3):
-                for j in range(5):
-                    before = item_success_prob(j, params.abilities[v], params, spec)
-                    after = item_success_prob(j, out.abilities[v], out, spec)
-                    assert abs(after - before) <= 1e-12
+            before = success_prob_table(params, spec)
+            assert np.all(np.abs(success_prob_table(out, spec) - before) <= 1e-12)
 
     def test_zero_reference_discrimination_names_dimension(self):
         spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=2, n_types=1)
@@ -277,3 +257,15 @@ class TestValidateSpec:
         spec = make_spec(n_items=2, n_classes=0, n_types=0)
         problems = validate_spec(spec)
         assert len(problems) == 2
+
+    def test_params_of_invalid_spec_report_spec_problems_alone(self):
+        """An out-of-range or missing reference item, or a nonpositive
+        count, is reported once, without shape lines built from it."""
+        good = make_spec(n_items=3, n_classes=2, n_types=2)
+        params = random_params(good, np.random.default_rng(0))
+        bank = good.item_bank
+        for spec in (good.replace(item_bank=ItemBank(3, 1, bank.dim_of, (8,))),
+                     good.replace(item_bank=ItemBank(3, 1, bank.dim_of, ())),
+                     good.replace(n_classes=0)):
+            problems = validate_params(params, spec)
+            assert problems and problems == validate_spec(spec)

@@ -1,6 +1,7 @@
 """BIC, the school-type sweep, MAP assignment, and fitted-model summaries."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,13 +19,13 @@ from mlcirt import (
     e_step,
     school_support_points,
     standardize_abilities,
-    student_class_weights,
     sweep_school_types,
     type_probabilities_by_profile,
 )
 from mlcirt.em import FitResult
 from mlcirt.model import count_free_parameters
 
+import reference
 from helpers import make_spec, random_dataset, random_params
 
 
@@ -222,6 +223,14 @@ class TestAssignments:
             np.testing.assert_array_equal(assign_students(post2).labels, base)
 
 
+def with_repeated_rows(data, rng):
+    """``data`` with each student's covariate row drawn from three rows, so
+    that students share covariate patterns."""
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, -1.0]])
+    x = rows[rng.integers(0, len(rows), size=data.n_students)]
+    return dataclasses.replace(data, student_covariates=x)
+
+
 class TestSummaries:
 
     def test_average_weights_single_class(self):
@@ -251,22 +260,24 @@ class TestSummaries:
                                    atol=1e-12)
 
     def test_average_weights_match_per_student_loop(self):
-        """Ragged schools, three types: the batched sums equal the
-        per-student mixture written as a loop."""
+        """Ragged schools, three types, two covariate columns, with every
+        row distinct and with repeated rows: the sums over covariate
+        patterns equal the per-student mixture written as a loop."""
         rng = np.random.default_rng(19)
         spec = make_spec(n_items=3, n_classes=3, n_types=3, m_v=2, m_u=1)
         params = random_params(spec, rng)
-        data = random_dataset(spec, rng, n_schools=5, school_size=(1, 6))
-        post = e_step(data, params, spec)
-        total = np.zeros(3)
-        for h, school in enumerate(data.schools):
-            for x in school.student_covariates:
-                total += sum(post.type_posterior[h, u]
-                             * student_class_weights(x, u, params)
-                             for u in range(3))
-        avg_class, _ = average_class_weights(data, params, spec, post)
-        np.testing.assert_allclose(avg_class, total / data.n_students,
-                                   atol=1e-12)
+        distinct = random_dataset(spec, rng, n_schools=5, school_size=(1, 6))
+        for data in (distinct, with_repeated_rows(distinct, rng)):
+            post = e_step(data, params, spec)
+            total = np.zeros(3)
+            for h, school in enumerate(data.schools):
+                for x, u in itertools.product(school.student_covariates, range(3)):
+                    total += post.type_posterior[h, u] * np.array(
+                        reference.class_probs(params.class_intercepts,
+                                              params.class_slopes, x, u))
+            avg_class, _ = average_class_weights(data, params, spec, post)
+            np.testing.assert_allclose(avg_class, total / data.n_students,
+                                       atol=1e-12)
 
     def test_average_weights_on_simplex(self):
         rng = np.random.default_rng(7)
@@ -334,10 +345,32 @@ class TestSummaries:
         for school in data.schools:
             values = []
             for i in range(school.n_students):
-                w = student_class_weights(school.student_covariates[i], 0, params)
+                w = reference.class_probs(params.class_intercepts,
+                                          params.class_slopes,
+                                          school.student_covariates[i], 0)
                 values.append(float(w @ params.abilities.mean(axis=1)))
             per_school.append(np.mean(values))
         assert points.raw[0] == pytest.approx(np.mean(per_school), abs=1e-12)
+
+    def test_support_points_match_per_student_loop(self):
+        """Repeated rows of two covariate columns, three types: the support
+        points equal the double average written per student."""
+        rng = np.random.default_rng(20)
+        spec = make_spec(n_items=3, n_classes=3, n_types=3, m_v=2, m_u=1)
+        params = random_params(spec, rng)
+        data = with_repeated_rows(
+            random_dataset(spec, rng, n_schools=5, school_size=(1, 6)), rng)
+        post = e_step(data, params, spec)
+        class_mean = params.abilities.mean(axis=1)
+        school_mean = np.array([
+            [np.mean([reference.class_probs(params.class_intercepts,
+                                            params.class_slopes, x, u) @ class_mean
+                      for x in school.student_covariates]) for u in range(3)]
+            for school in data.schools])
+        z = post.type_posterior
+        expected = (z * school_mean).sum(axis=0) / z.sum(axis=0)
+        points = school_support_points(data, params, spec, post)
+        np.testing.assert_allclose(points.raw, expected, atol=1e-12)
 
     def test_support_points_hand_computed(self):
         """Two schools, two types: weighted double average done by hand."""

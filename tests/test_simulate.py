@@ -10,16 +10,18 @@ from mlcirt import (
     SimulationDesign,
     align_labels,
     e_step,
-    generate_dataset,
+    log_class_weight_matrix,
+    log_type_weight_matrix,
     marginal_loglik,
     permute_parameters,
     recovery_report,
-    student_class_weights,
+    simulate_full,
 )
 from mlcirt.em import FitResult
 from mlcirt.likelihood import success_prob_table
 from mlcirt.simulate import desk_design
 
+import reference
 from helpers import make_spec, random_params
 
 
@@ -36,11 +38,11 @@ def simple_design(seed=0, n_schools=4, school_size=5, **kwargs):
 class TestGenerateDataset:
 
     def test_same_seed_is_bit_identical(self):
-        a, la = generate_dataset(simple_design(seed=5))
-        b, lb = generate_dataset(simple_design(seed=5))
+        first, second = (simulate_full(simple_design(seed=5)) for _ in range(2))
+        a, b = first.dataset, second.dataset
         assert a.n_schools == b.n_schools
-        np.testing.assert_array_equal(la.types, lb.types)
-        np.testing.assert_array_equal(la.classes, lb.classes)
+        np.testing.assert_array_equal(first.labels.types, second.labels.types)
+        np.testing.assert_array_equal(first.labels.classes, second.labels.classes)
         for ga, gb in zip(a.schools, b.schools):
             assert ga.school_id == gb.school_id
             np.testing.assert_array_equal(ga.responses, gb.responses)
@@ -49,8 +51,8 @@ class TestGenerateDataset:
                                           gb.student_covariates)
 
     def test_different_seed_differs(self):
-        a, _ = generate_dataset(simple_design(seed=5))
-        b, _ = generate_dataset(simple_design(seed=6))
+        a = simulate_full(simple_design(seed=5)).dataset
+        b = simulate_full(simple_design(seed=6)).dataset
         same = all(np.array_equal(ga.responses, gb.responses)
                    for ga, gb in zip(a.schools, b.schools))
         assert not same
@@ -64,7 +66,7 @@ class TestGenerateDataset:
             abilities=np.array([[700.0]]))
         design = SimulationDesign(spec=spec, truth=truth, n_schools=3,
                                   school_size=4, seed=1)
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         for school in data.schools:
             assert np.all(school.responses == 1)
 
@@ -76,7 +78,7 @@ class TestGenerateDataset:
             abilities=np.array([[0.0]]))
         design = SimulationDesign(spec=spec, truth=truth, n_schools=100,
                                   school_size=100, seed=2)
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         rate = data.responses.mean()
         assert abs(rate - 0.5) < 0.02
 
@@ -84,7 +86,8 @@ class TestGenerateDataset:
         """Empirical (class, item) success rates stay within 3 binomial SEs
         for at least 99% of well-populated cells."""
         design = desk_design(seed=3, n_schools=250)
-        data, labels = generate_dataset(design)
+        sim = simulate_full(design)
+        data, labels = sim.dataset, sim.labels
         table = success_prob_table(design.truth, design.spec)
         v_all = labels.classes
         y_all = data.responses
@@ -105,29 +108,31 @@ class TestGenerateDataset:
     def test_missing_rate_mask(self):
         design = simple_design(seed=4, n_schools=30, school_size=20,
                                missing_rate=0.25)
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         values = data.responses
         frac = (values == -1).mean()
         assert 0.2 < frac < 0.3
 
     def test_variable_school_sizes(self):
         design = simple_design(seed=5, school_size=(2, 6))
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         sizes = {g.n_students for g in data.schools}
         assert sizes <= set(range(2, 7))
 
     def test_class_frequencies_follow_weights(self):
         """Class draws respect the type-conditional membership weights."""
         design = simple_design(seed=6, n_schools=300, school_size=10)
-        data, labels = generate_dataset(design)
+        sim = simulate_full(design)
+        data, labels = sim.dataset, sim.labels
         x0_count = 0
         hits = 0
         total = 0
         for h, school in enumerate(data.schools):
             u = labels.types[h]
             for i in range(school.n_students):
-                w = student_class_weights(school.student_covariates[i], u,
-                                          design.truth)
+                w = reference.class_probs(design.truth.class_intercepts,
+                                          design.truth.class_slopes,
+                                          school.student_covariates[i], u)
                 total += 1
                 hits += w[labels.classes[data.starts[h] + i]]
         # average posterior-free weight of the drawn class should beat chance
@@ -150,7 +155,7 @@ class TestGenerateDataset:
         design = SimulationDesign(
             spec=spec, truth=truth, n_schools=4, school_size=2,
             school_covariates=(CyclicCovariate((0.0, 0.5, 1.0)),), seed=8)
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         values = [g.covariates[0] for g in data.schools]
         assert values == [0.0, 0.5, 1.0, 0.0]
 
@@ -245,17 +250,15 @@ class TestPermuteParameters:
             perm_v = rng.permutation(spec.n_classes)
             perm_u = rng.permutation(spec.n_types)
             out = permute_parameters(params, spec, perm_v, perm_u)
-            x = rng.normal(size=1)
-            w = rng.normal(size=1)
-            from mlcirt import school_type_weights
-            np.testing.assert_allclose(school_type_weights(w, out),
-                                       school_type_weights(w, params)[perm_u],
-                                       atol=1e-12)
-            for new_u in range(spec.n_types):
-                np.testing.assert_allclose(
-                    student_class_weights(x, new_u, out),
-                    student_class_weights(x, perm_u[new_u], params)[perm_v],
-                    atol=1e-12)
+            x = rng.normal(size=(3, 1))
+            w = rng.normal(size=(3, 1))
+            np.testing.assert_allclose(
+                np.exp(log_type_weight_matrix(w, out)),
+                np.exp(log_type_weight_matrix(w, params))[:, perm_u], atol=1e-12)
+            np.testing.assert_allclose(
+                np.exp(log_class_weight_matrix(x, out)),
+                np.exp(log_class_weight_matrix(x, params))[:, perm_u][:, :, perm_v],
+                atol=1e-12)
 
     def test_rejects_non_permutation(self):
         spec = make_spec(n_items=2, n_classes=2, n_types=2)
@@ -268,7 +271,8 @@ class TestRecoveryReport:
 
     def test_truth_fit_has_zero_errors(self):
         design = simple_design(seed=30, n_schools=6, school_size=6)
-        data, labels = generate_dataset(design)
+        sim = simulate_full(design)
+        data, labels = sim.dataset, sim.labels
         spec = design.spec
         fake = FitResult(params=design.truth,
                          loglik=marginal_loglik(data, design.truth, spec),
@@ -284,7 +288,8 @@ class TestRecoveryReport:
 
     def test_permuted_truth_zero_error_after_alignment(self):
         design = simple_design(seed=31, n_schools=6, school_size=6)
-        data, labels = generate_dataset(design)
+        sim = simulate_full(design)
+        data, labels = sim.dataset, sim.labels
         spec = design.spec
         shuffled = permute_parameters(design.truth, spec, np.array([1, 0]),
                                       np.array([1, 0]))

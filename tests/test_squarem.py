@@ -12,7 +12,7 @@ import pytest
 
 import mlcirt.em
 from mlcirt import FitControls, Parameterization, fit, initialize
-from mlcirt.simulate import desk_design, generate_dataset
+from mlcirt.simulate import desk_design, simulate_full
 
 import reference
 from helpers import make_spec, random_dataset
@@ -34,7 +34,7 @@ def small_fits():
     parameterization, with and without school types and covariates."""
     cases = []
     design = desk_design(seed=5, n_schools=25, school_size=8)
-    data, _ = generate_dataset(design)
+    data = simulate_full(design).dataset
     controls = FitControls(max_iter=300, tol_loglik=1e-9, tol_param=1e-8)
     cases.append((data, design.spec, controls,
                   start_values(data, design.spec, controls, 1)))
@@ -68,7 +68,7 @@ def test_matches_plain_em_in_fewer_m_steps():
     m_steps = {"squarem": 0, "plain": 0}
     for seed in range(N_SEEDS):
         design = desk_design(seed=1000 + seed)
-        data, _ = generate_dataset(design)
+        data = simulate_full(design).dataset
         controls = DESK.replace(seed=seed)
         best = {"squarem": -np.inf, "plain": -np.inf}
         for start in range(controls.n_starts):
@@ -167,7 +167,7 @@ def test_peak_memory_no_higher_than_plain_em(monkeypatch, reject):
         monkeypatch.setattr(mlcirt.em, "_squarem_point",
                             lambda x0, x1, x2: x0 + 50.0)
     design = desk_design(seed=2, n_schools=1000, school_size=20)
-    data, _ = generate_dataset(design)
+    data = simulate_full(design).dataset
     controls = FitControls(max_iter=12, tol_loglik=1e-7)
     init = initialize(data, design.spec, "random", seed=4)
     ours_data, plain_data = dataclasses.replace(data), dataclasses.replace(data)
