@@ -34,7 +34,6 @@ from .model import (
     apply_identifiability,
     count_free_parameters,
     validate_params,
-    validate_spec,
 )
 from .selection import (
     ClassificationResult,
@@ -114,5 +113,4 @@ __all__ = [
     "type_probabilities_by_profile",
     "validate_dataset",
     "validate_params",
-    "validate_spec",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as mio
 from .data import validate_dataset
 from .em import MultistartError, e_step, multistart_fit
-from .model import Parameterization, count_free_parameters, validate_params, validate_spec
+from .model import Parameterization, count_free_parameters, validate_params
 from .selection import classify, resolve_bic_n, sweep_school_types, type_probabilities_by_profile
 from .simulate import (
     CategoricalCovariate,
@@ -34,13 +34,14 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
-    changes = {}
+    spec_changes = {}
     if getattr(args, "kv", None) is not None:
-        changes["n_classes"] = args.kv
+        spec_changes["n_classes"] = args.kv
     if getattr(args, "ku", None) is not None and not isinstance(args.ku, str):
-        changes["n_types"] = args.ku
+        spec_changes["n_types"] = args.ku
     if getattr(args, "parameterization", None):
-        changes["parameterization"] = Parameterization(args.parameterization)
+        spec_changes["parameterization"] = Parameterization(args.parameterization)
+    changes = {"spec": config.spec.replace(**spec_changes)}
     if getattr(args, "bic_n", None):
         raw = args.bic_n
         changes["bic_n"] = raw if raw in ("students", "schools") else int(raw)
@@ -54,16 +55,12 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
 
 
 def _load_inputs(args):
-    config = mio.parse_config(args.config)
-    config = _apply_overrides(config, args)
-    spec = config.model_spec()
-    problems = validate_spec(spec)
-    if problems:
-        raise mio.DataFormatError("invalid model spec:\n" + "\n".join(problems))
+    config = _apply_overrides(mio.parse_config(args.config), args)
+    spec = config.spec
     data = mio.load_dataset(args.students, args.schools, config)
     problems = validate_dataset(data, spec)
     if problems:
-        raise mio.DataFormatError("invalid dataset:\n" + "\n".join(problems))
+        raise mio.DataFormatError("invalid dataset: " + "; ".join(problems))
     print(f"loaded {data.n_schools} schools / {data.n_students} students / "
           f"{data.n_items} items "
           f"({spec.n_student_covariates} student covariate columns, "
@@ -276,24 +273,15 @@ def cmd_classify(args) -> int:
     if problems:
         raise mio.DataFormatError(f"{args.report}: {'; '.join(problems)}")
     config = mio.parse_config(args.config)
-    config_spec = config.model_spec()
-    mismatches = []
-    for attr in ("n_classes", "n_types", "n_student_covariates",
-                 "n_school_covariates"):
-        if getattr(config_spec, attr) != getattr(spec, attr):
-            mismatches.append(f"{attr}: report has {getattr(spec, attr)}, "
-                              f"config has {getattr(config_spec, attr)}")
-    if config_spec.item_bank != spec.item_bank:
-        mismatches.append("item bank (dim_of/reference_items) differs between "
-                          "report and config")
-    if config_spec.parameterization is not spec.parameterization:
-        mismatches.append("parameterization differs between report and config")
+    in_report, in_config = mio.spec_to_dict(spec), mio.spec_to_dict(config.spec)
+    mismatches = [f"{key}: report has {in_report[key]}, config has {in_config[key]}"
+                  for key in in_report if in_report[key] != in_config[key]]
     if mismatches:
-        raise mio.DataFormatError("report/config mismatch:\n" + "\n".join(mismatches))
+        raise mio.DataFormatError("report/config mismatch: " + "; ".join(mismatches))
     data = mio.load_dataset(args.students, args.schools, config)
     problems = validate_dataset(data, spec)
     if problems:
-        raise mio.DataFormatError("invalid dataset:\n" + "\n".join(problems))
+        raise mio.DataFormatError("invalid dataset: " + "; ".join(problems))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     classification = classify(data, params, spec)

@@ -48,7 +48,6 @@ from .model import (
     apply_identifiability,
     max_abs_change,
     validate_params,
-    validate_spec,
 )
 
 _LC_PROB_FLOOR = 1e-8
@@ -67,7 +66,7 @@ class MultistartError(RuntimeError):
     """Every initialization of a multistart fit failed."""
 
     def __init__(self, failures: list[str]):
-        super().__init__("all starts failed:\n" + "\n".join(failures))
+        super().__init__("all starts failed: " + "; ".join(failures))
         self.failures = tuple(failures)
 
 
@@ -503,7 +502,7 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
 
 def _raise_if_invalid(problems: list[str]) -> None:
     if problems:
-        raise ValueError("invalid fit inputs:\n" + "\n".join(problems))
+        raise ValueError("invalid fit inputs: " + "; ".join(problems))
 
 
 def _pack(params: ParameterSet) -> np.ndarray:
@@ -643,7 +642,7 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     the earliest start.  Failed starts are collected, and only if every
     start fails is a ``MultistartError`` raised.
     """
-    _raise_if_invalid(validate_spec(spec) + validate_dataset(data, spec))
+    _raise_if_invalid(validate_dataset(data, spec))
     best: FitResult | None = None
     failures: list[str] = []
     for start in range(controls.n_starts):

@@ -72,32 +72,11 @@ class CovariateDecl:
 class ModelConfig:
     """Parsed model configuration file."""
 
-    n_classes: int
-    n_types: int
-    parameterization: Parameterization
-    dim_of: tuple[int, ...]              # 0-based
-    reference_items: tuple[int, ...]     # 0-based
+    spec: ModelSpec
     student_covariates: tuple[CovariateDecl, ...]
     school_covariates: tuple[CovariateDecl, ...]
     controls: FitControls
     bic_n: str | int
-
-    @property
-    def n_items(self) -> int:
-        return len(self.dim_of)
-
-    def item_bank(self) -> ItemBank:
-        return ItemBank.from_dim_of(self.dim_of, self.reference_items)
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            item_bank=self.item_bank(),
-            n_classes=self.n_classes,
-            n_types=self.n_types,
-            parameterization=self.parameterization,
-            n_student_covariates=sum(d.n_columns for d in self.student_covariates),
-            n_school_covariates=sum(d.n_columns for d in self.school_covariates),
-        )
 
 
 def _parse_covariate_decls(entries, where: str,
@@ -157,16 +136,8 @@ def parse_config(path) -> ModelConfig:
 
 
 def _config_from_json(raw, path: Path) -> ModelConfig:
-    if "dim_of" not in raw or not isinstance(raw["dim_of"], list) or not raw["dim_of"]:
-        raise DataFormatError(f"{path}: config must declare a non-empty dim_of list")
-    dim_of = tuple(int(d) - 1 for d in raw["dim_of"])
-    if any(d < 0 for d in dim_of):
-        raise DataFormatError(f"{path}: dimension indices are 1-based")
-    if "reference_items" in raw and raw["reference_items"] is not None:
-        reference = tuple(int(j) - 1 for j in raw["reference_items"])
-    else:
-        n_dims = max(dim_of) + 1
-        reference = tuple(dim_of.index(d) for d in range(n_dims))
+    if not isinstance(raw.get("dim_of"), list):
+        raise DataFormatError(f"{path}: config must declare a dim_of list")
     try:
         parameterization = Parameterization(str(raw.get("parameterization", "2pl")).lower())
     except ValueError as exc:
@@ -180,19 +151,24 @@ def _config_from_json(raw, path: Path) -> ModelConfig:
     if bic_n not in ("students", "schools") and not isinstance(bic_n, int):
         raise DataFormatError(f"{path}: bic_n must be 'students', 'schools', "
                               "or an integer")
-    return ModelConfig(
+    student_covariates = _parse_covariate_decls(
+        raw.get("student_covariates"), "student_covariates", path)
+    school_covariates = _parse_covariate_decls(
+        raw.get("school_covariates"), "school_covariates", path)
+    reference = raw.get("reference_items")
+    spec = ModelSpec(
+        item_bank=ItemBank.from_dim_of(
+            [int(d) - 1 for d in raw["dim_of"]],
+            None if reference is None else [int(j) - 1 for j in reference]),
         n_classes=int(raw.get("n_classes", 1)),
         n_types=int(raw.get("n_types", 1)),
         parameterization=parameterization,
-        dim_of=dim_of,
-        reference_items=reference,
-        student_covariates=_parse_covariate_decls(
-            raw.get("student_covariates"), "student_covariates", path),
-        school_covariates=_parse_covariate_decls(
-            raw.get("school_covariates"), "school_covariates", path),
-        controls=controls,
-        bic_n=bic_n,
+        n_student_covariates=sum(d.n_columns for d in student_covariates),
+        n_school_covariates=sum(d.n_columns for d in school_covariates),
     )
+    return ModelConfig(spec=spec, student_covariates=student_covariates,
+                       school_covariates=school_covariates, controls=controls,
+                       bic_n=bic_n)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +342,7 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
                                             school_problems)[keep])
         del columns
 
-    r = config.n_items
+    r = config.spec.item_bank.n_items
     m_v = sum(d.n_columns for d in config.student_covariates)
     item_names = [f"item_{j + 1}" for j in range(r)]
     expected = (["school_id", "student_id"] + item_names

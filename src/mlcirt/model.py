@@ -73,7 +73,7 @@ class ItemBank:
             for d in range(n_dims):
                 members = [j for j, dj in enumerate(dim_of) if dj == d]
                 if not members:
-                    raise ValueError(f"dimension {d} has no items")
+                    raise ValueError(f"dimension {d + 1} has no items")
                 reference_items.append(members[0])
         return cls(n_items, n_dims, dim_of, tuple(int(j) for j in reference_items))
 
@@ -97,7 +97,12 @@ class ItemBank:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model shape: item bank, class/type counts, covariate arities."""
+    """Model shape: item bank, class/type counts, covariate arities.
+
+    Construction, ``replace`` included, raises ``ValueError`` listing every
+    structural problem (items and dimensions numbered from 1, as the files
+    number them), so a spec that exists is valid.
+    """
 
     item_bank: ItemBank
     n_classes: int
@@ -105,6 +110,42 @@ class ModelSpec:
     parameterization: Parameterization = Parameterization.TWO_PL
     n_student_covariates: int = 0
     n_school_covariates: int = 0
+
+    def __post_init__(self):
+        problems: list[str] = []
+        bank = self.item_bank
+        if self.n_classes < 1:
+            problems.append(f"n_classes must be >= 1, got {self.n_classes}")
+        if self.n_types < 1:
+            problems.append(f"n_types must be >= 1, got {self.n_types}")
+        if self.n_student_covariates < 0:
+            problems.append("n_student_covariates must be >= 0")
+        if self.n_school_covariates < 0:
+            problems.append("n_school_covariates must be >= 0")
+        if len(bank.dim_of) != bank.n_items:
+            problems.append(f"dim_of has length {len(bank.dim_of)}, expected {bank.n_items}")
+        if bank.n_items < 1:
+            problems.append("item bank is empty")
+        for j, d in enumerate(bank.dim_of):
+            if not 0 <= d < bank.n_dims:
+                problems.append(f"item {j + 1} assigned to dimension {d + 1}, "
+                                f"outside 1..{bank.n_dims}")
+        if len(bank.reference_items) != bank.n_dims:
+            problems.append(f"expected {bank.n_dims} reference items, "
+                            f"got {len(bank.reference_items)}")
+        for d in range(bank.n_dims):
+            if d not in bank.dim_of:
+                problems.append(f"empty dimension {d + 1}")
+            elif d < len(bank.reference_items):
+                ref = bank.reference_items[d]
+                if not 0 <= ref < bank.n_items:
+                    problems.append(f"reference item {ref + 1} of dimension {d + 1} "
+                                    "out of range")
+                elif bank.dim_of[ref] != d:
+                    problems.append(f"reference item {ref + 1} does not belong to "
+                                    f"dimension {d + 1}")
+        if problems:
+            raise ValueError("invalid model spec: " + "; ".join(problems))
 
     def replace(self, **changes) -> "ModelSpec":
         return dataclasses.replace(self, **changes)
@@ -218,43 +259,6 @@ def count_free_parameters(spec: ModelSpec) -> int:
     return n
 
 
-def validate_spec(spec: ModelSpec) -> list[str]:
-    """Check structural invariants; returns a list of violations (empty if ok)."""
-    problems: list[str] = []
-    bank = spec.item_bank
-    if spec.n_classes < 1:
-        problems.append(f"n_classes must be >= 1, got {spec.n_classes}")
-    if spec.n_types < 1:
-        problems.append(f"n_types must be >= 1, got {spec.n_types}")
-    if spec.n_student_covariates < 0:
-        problems.append("n_student_covariates must be >= 0")
-    if spec.n_school_covariates < 0:
-        problems.append("n_school_covariates must be >= 0")
-    if len(bank.dim_of) != bank.n_items:
-        problems.append(f"dim_of has length {len(bank.dim_of)}, expected {bank.n_items}")
-    if bank.n_items < 1:
-        problems.append("item bank is empty")
-    for j, d in enumerate(bank.dim_of):
-        if not 0 <= d < bank.n_dims:
-            problems.append(f"item {j} assigned to dimension {d}, "
-                            f"outside 0..{bank.n_dims - 1}")
-    if len(bank.reference_items) != bank.n_dims:
-        problems.append(f"expected {bank.n_dims} reference items, "
-                        f"got {len(bank.reference_items)}")
-    for d in range(bank.n_dims):
-        members = [j for j, dj in enumerate(bank.dim_of) if dj == d]
-        if not members:
-            problems.append(f"empty dimension {d}")
-            continue
-        if d < len(bank.reference_items):
-            ref = bank.reference_items[d]
-            if not 0 <= ref < bank.n_items:
-                problems.append(f"reference item {ref} of dimension {d} out of range")
-            elif bank.dim_of[ref] != d:
-                problems.append(f"reference item {ref} does not belong to dimension {d}")
-    return problems
-
-
 def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Shape of each parameter block except ``lc_success`` under a spec."""
     bank = spec.item_bank
@@ -270,14 +274,8 @@ def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 
 def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
-    """Check parameter shapes and constraints against a spec.
-
-    An invalid spec gives no shapes to check against, so its own problems
-    (``validate_spec``) are returned alone.
-    """
-    problems = validate_spec(spec)
-    if problems:
-        return problems
+    """Check parameter shapes and constraints against a spec."""
+    problems: list[str] = []
     bank = spec.item_bank
     for name, shape in parameter_shapes(spec).items():
         arr = getattr(params, name)
@@ -292,11 +290,11 @@ def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
         elif not (np.all(params.lc_success > 0) and np.all(params.lc_success < 1)):
             problems.append("lc_success entries must lie strictly inside (0, 1)")
     else:
-        if not problems:
-            for d in range(bank.n_dims):
-                ref = bank.reference_items[d]
+        # Reference entries can only be read from item blocks of the right shape.
+        if params.difficulty.shape == params.discrimination.shape == (bank.n_items,):
+            for ref in bank.reference_items:
                 if params.difficulty[ref] != 0.0 or params.discrimination[ref] != 1.0:
-                    problems.append(f"reference item {ref} not constrained to "
+                    problems.append(f"reference item {ref + 1} not constrained to "
                                     "difficulty 0, discrimination 1")
         if spec.parameterization is Parameterization.ONE_PL:
             if params.discrimination.shape == (bank.n_items,) and \

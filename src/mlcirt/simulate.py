@@ -119,7 +119,7 @@ class SimulationDesign:
                             f"{covariate_width(self.school_covariates)} columns, "
                             f"spec expects {self.spec.n_school_covariates}")
         if problems:
-            raise ValueError("invalid simulation design:\n" + "\n".join(problems))
+            raise ValueError("invalid simulation design: " + "; ".join(problems))
 
 
 @dataclass(frozen=True, eq=False)

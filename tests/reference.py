@@ -369,7 +369,7 @@ def load_dataset_per_row(students_path, schools_path, config) -> ResponseDataset
                                          schools_path, line, 2, errors)
         school_order.append(sid)
 
-    r = config.n_items
+    r = config.spec.item_bank.n_items
     item_names = [f"item_{j + 1}" for j in range(r)]
     expected = (["school_id", "student_id"] + item_names
                 + [d.name for d in config.student_covariates])

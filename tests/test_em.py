@@ -494,12 +494,20 @@ class TestFit:
             assert np.isfinite(result.loglik)
 
     def test_invalid_inputs_rejected(self):
+        """Parameters or a dataset that do not fit the spec are rejected
+        before any step, with every problem on one line."""
         rng = np.random.default_rng(16)
         spec = make_spec(n_items=3, n_classes=2, n_types=1)
         data = random_dataset(spec, rng, n_schools=2, school_size=2)
-        bad_spec = spec.replace(n_classes=0)
-        with pytest.raises(ValueError, match="invalid fit inputs"):
-            fit(data, bad_spec, QUICK, initialize(data, spec))
+        three_classes = initialize(data, spec.replace(n_classes=3))
+        with pytest.raises(ValueError, match="^invalid fit inputs: abilities has "
+                                             r"shape \(3, 1\), expected \(2, 1\); "):
+            fit(data, spec, QUICK, three_classes)
+        narrow = random_dataset(spec.replace(n_student_covariates=0), rng,
+                                n_schools=2, school_size=2)
+        with pytest.raises(ValueError, match="^invalid fit inputs: student "
+                                             "covariates have 0 columns, expected 1$"):
+            multistart_fit(narrow, spec, QUICK)
 
 
 class TestMultistart:
@@ -545,3 +553,8 @@ class TestMultistart:
         with pytest.raises(MultistartError) as excinfo:
             multistart_fit(data, spec, FitControls(max_iter=10, n_starts=3))
         assert len(excinfo.value.failures) == 3
+
+    def test_failure_message_is_one_line(self):
+        exc = MultistartError(["start 0: [item-ability] a", "start 1: [class] b"])
+        assert str(exc) == ("all starts failed: start 0: [item-ability] a; "
+                            "start 1: [class] b")

@@ -441,7 +441,7 @@ class TestSweepCommand:
         assert [row["n_types"] for row in payload["rows"]] == [1, 2]
         config = parse_config(out / "config.json")
         for row in payload["rows"]:
-            spec = config.model_spec().replace(n_types=row["n_types"])
+            spec = config.spec.replace(n_types=row["n_types"])
             assert row["n_par"] == count_free_parameters(spec)
         assert payload["chosen_n_types"] in (1, 2)
 
@@ -527,7 +527,8 @@ class TestClassifyCommand:
                      "--config", str(bad_config),
                      "--out", str(tmp_path_local / "clsbad")])
         assert code == 1
-        assert "mismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: report/config mismatch: n_classes: report has 2, config has 3"]
 
     def classify_with_report(self, fitted, tmp_path, edit):
         """Run classify on a copy of the fit report changed by ``edit``."""
@@ -571,6 +572,15 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "abilities has shape (2, 2)" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_report_empty_difficulty_exits_one(self, fitted, tmp_path, capsys):
+        """The reference-item check reads no entry of a misshaped item block."""
+        code = self.classify_with_report(
+            fitted, tmp_path, lambda r: r["parameters"].update(difficulty=[]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {tmp_path / 'bad_report.json'}: "
+                                    "difficulty has shape (0,), expected (4,)"]
 
 
 class TestSingleSchoolType:
@@ -739,6 +749,8 @@ class TestInputErrorsBeforeFitting:
     ("fit", {"student_covariates": REPEATED_LEVELS[0]}),
     ("fit", {"school_covariates": REPEATED_LEVELS[1]}),
     ("simulate", {"student_covariates": [{"type": "cyclic", "values": []}]}),
+    ("fit", {"n_classes": 0}),
+    ("simulate", {"spec": dict(DESIGN["spec"], n_classes=0)}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):
@@ -753,6 +765,40 @@ def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"dim_of": [1] * 15, "reference_items": [99]},
+     "invalid model spec: reference item 99 of dimension 1 out of range"),
+    ({"dim_of": [1, 1, 3, 3]}, "dimension 2 has no items"),
+], ids=["reference-99", "dimension-gap"])
+def test_config_spec_problem_numbers_items_from_one(tmp_path, capsys, entry,
+                                                     message):
+    path = write_inputs(tmp_path, config=dict(BASE_CONFIG, **entry))[2]
+    assert main(["fit", "--students", str(tmp_path / "students.csv"),
+                 "--schools", str(tmp_path / "schools.csv"), "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: bad config ({message})"]
+
+
+@pytest.mark.parametrize("flags, covariate, message", [
+    (["--kv", "0"], "1", "invalid model spec: n_classes must be >= 1, got 0"),
+    ([], "nan", "invalid dataset: school 'sch2': non-finite student covariates"),
+], ids=["kv-0", "nan-covariate"])
+def test_bad_override_or_dataset_is_a_one_line_input_error(tmp_path, capsys, flags,
+                                                           covariate, message):
+    """A numeric covariate of ``nan`` passes the loader and fails the dataset
+    check."""
+    students = (STUDENTS_CSV.replace(",M\n", ",0\n").replace(",F\n", ",1\n")
+                .replace("sch2,c,1,1,0,1", f"sch2,c,1,1,0,{covariate}"))
+    config = dict(BASE_CONFIG, student_covariates=[{"name": "gender"}])
+    write_inputs(tmp_path, students=students, config=config)
+    assert main(["fit", "--students", str(tmp_path / "students.csv"),
+                 "--schools", str(tmp_path / "schools.csv"),
+                 "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out"), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def classify_argv(fitted, out, **paths):
@@ -787,8 +833,9 @@ def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(expected) and "Traceback" not in err, err
-    if command == "classify":
-        assert len(err.splitlines()) == 1, err
+    assert len(err.splitlines()) == 1, err
+    if reference_items:
+        assert "reference item 9 " in err, err
 
 
 @pytest.mark.parametrize("flag", ["config", "students", "schools", "report",

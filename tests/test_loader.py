@@ -15,7 +15,7 @@ from mlcirt import io as mio
 from mlcirt.data import MISSING, ResponseDataset
 from mlcirt.em import FitControls
 from mlcirt.io import CovariateDecl, DataFormatError, ModelConfig, load_dataset
-from mlcirt.model import Parameterization
+from mlcirt.model import ItemBank, ModelSpec
 
 from reference import load_dataset_per_row
 
@@ -35,12 +35,13 @@ def make_config(n_items, student_kinds, school_kinds) -> ModelConfig:
             else CovariateDecl(f"{prefix}{k}", "categorical", LEVELS, LEVELS[k % 3])
             for k, kind in enumerate(kinds))
 
-    return ModelConfig(
-        n_classes=1, n_types=1, parameterization=Parameterization.TWO_PL,
-        dim_of=(0,) * n_items, reference_items=(0,),
-        student_covariates=decls(student_kinds, "x"),
-        school_covariates=decls(school_kinds, "w"),
-        controls=FitControls(), bic_n="students")
+    student, school = decls(student_kinds, "x"), decls(school_kinds, "w")
+    spec = ModelSpec(ItemBank.single_dimension(n_items), n_classes=1, n_types=1,
+                     n_student_covariates=sum(d.n_columns for d in student),
+                     n_school_covariates=sum(d.n_columns for d in school))
+    return ModelConfig(spec=spec, student_covariates=student,
+                       school_covariates=school, controls=FitControls(),
+                       bic_n="students")
 
 
 VALID_NUMERIC = NUMERIC_TOKENS[:10]

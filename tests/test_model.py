@@ -12,7 +12,6 @@ from mlcirt import (
     apply_identifiability,
     count_free_parameters,
     validate_params,
-    validate_spec,
 )
 from mlcirt.likelihood import success_prob_table
 
@@ -230,42 +229,58 @@ class TestCountFreeParameters:
 
 
 # ---------------------------------------------------------------------------
-# validate_spec
+# ModelSpec construction checks
 # ---------------------------------------------------------------------------
+
+def spec_problems(build) -> list[str]:
+    """The problems listed by the ``ValueError`` that ``build()`` raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    prefix, _, problems = str(info.value).partition(": ")
+    assert prefix == "invalid model spec" and "\n" not in problems
+    return problems.split("; ")
+
 
 class TestValidateSpec:
 
     def test_well_formed(self):
         spec = make_spec(dim_of=[0, 0, 1, 2, 2], n_classes=3, n_types=2)
-        assert validate_spec(spec) == []
+        assert spec.item_bank.reference_items == (0, 2, 3)
 
     def test_empty_dimension(self):
         bank = ItemBank(n_items=3, n_dims=3, dim_of=(1, 2, 2),
                         reference_items=(0, 1, 2))
-        spec = ModelSpec(bank, n_classes=2, n_types=1)
-        problems = validate_spec(spec)
-        assert any("empty dimension" in p for p in problems)
+        assert spec_problems(lambda: ModelSpec(bank, n_classes=2, n_types=1)) == [
+            "empty dimension 1", "reference item 2 does not belong to dimension 2"]
 
     def test_reference_item_outside_its_dimension(self):
         bank = ItemBank(n_items=3, n_dims=2, dim_of=(0, 0, 1),
                         reference_items=(0, 0))
-        spec = ModelSpec(bank, n_classes=2, n_types=1)
-        problems = validate_spec(spec)
-        assert any("does not belong" in p for p in problems)
+        assert spec_problems(lambda: ModelSpec(bank, n_classes=2, n_types=1)) == [
+            "reference item 1 does not belong to dimension 2"]
 
     def test_nonpositive_counts(self):
-        spec = make_spec(n_items=2, n_classes=0, n_types=0)
-        problems = validate_spec(spec)
-        assert len(problems) == 2
+        assert spec_problems(lambda: make_spec(n_items=2, n_classes=0, n_types=0)) == [
+            "n_classes must be >= 1, got 0", "n_types must be >= 1, got 0"]
 
-    def test_params_of_invalid_spec_report_spec_problems_alone(self):
+    def test_invalid_spec_cannot_be_built_by_replace(self):
         """An out-of-range or missing reference item, or a nonpositive
-        count, is reported once, without shape lines built from it."""
+        count, cannot be built by ``replace`` either; items and dimensions
+        are numbered from 1, as the files number them."""
         good = make_spec(n_items=3, n_classes=2, n_types=2)
-        params = random_params(good, np.random.default_rng(0))
-        bank = good.item_bank
-        for spec in (good.replace(item_bank=ItemBank(3, 1, bank.dim_of, (8,))),
-                     good.replace(item_bank=ItemBank(3, 1, bank.dim_of, ())),
-                     good.replace(n_classes=0)):
-            problems = validate_params(params, spec)
-            assert problems and problems == validate_spec(spec)
+        dim_of = good.item_bank.dim_of
+        for changes, expected in (
+                ({"item_bank": ItemBank(3, 1, dim_of, (8,))},
+                 ["reference item 9 of dimension 1 out of range"]),
+                ({"item_bank": ItemBank(3, 1, dim_of, ())},
+                 ["expected 1 reference items, got 0"]),
+                ({"n_classes": 0}, ["n_classes must be >= 1, got 0"])):
+            assert spec_problems(lambda: good.replace(**changes)) == expected
+
+    def test_unconstrained_reference_item_is_numbered_from_one(self):
+        spec = make_spec(dim_of=[0, 0, 1], n_classes=2, n_types=1)
+        params = random_params(spec, np.random.default_rng(0))
+        params = params.replace(difficulty=params.difficulty + 0.5)
+        assert validate_params(params, spec) == [
+            f"reference item {j} not constrained to difficulty 0, discrimination 1"
+            for j in (1, 3)]
