@@ -268,7 +268,8 @@ def cmd_classify(args) -> int:
         spec = mio.spec_from_dict(report["model"])
         params = mio.params_from_dict(report["parameters"], spec)
     except (KeyError, TypeError, ValueError) as exc:
-        raise mio.DataFormatError(f"{args.report}: bad report ({exc!r})") from exc
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise mio.DataFormatError(f"{args.report}: bad report ({what})") from exc
     problems = validate_params(params, spec)
     if problems:
         raise mio.DataFormatError(f"{args.report}: {'; '.join(problems)}")

@@ -61,10 +61,13 @@ class ResponseDataset:
       ``responses``: (n, r) int8, school by school
 
     The arrays are taken without copying and kept as read-only views.
-    Derived read-only arrays, built on first use and then kept: ``is_one``
-    and ``is_zero``, (n, r) float masks of right and wrong answers;
-    ``x_patterns``, the distinct student covariate rows in lexicographic
-    order, and ``x_pattern_index``, each student's row of them.
+    Building a dataset with no school, an empty school, a repeated school
+    id, a response outside {0, 1, MISSING} or a non-finite covariate raises
+    ``ValueError("invalid dataset: ...")``.  Derived read-only arrays,
+    built on first use and then kept: ``is_one`` and ``is_zero``, (n, r)
+    float masks of right and wrong answers; ``x_patterns``, the distinct
+    student covariate rows in lexicographic order, and ``x_pattern_index``,
+    each student's row of them.
     """
 
     school_ids: np.ndarray
@@ -90,6 +93,9 @@ class ResponseDataset:
                 "dataset arrays must be school_ids (H,), school_covariates (H, m_U), "
                 "sizes (H,) >= 0 summing to n, student_ids (n,), student_covariates "
                 f"(n, m_V) and responses (n, r); got {[a.shape for a in arrays]}")
+        problems = _dataset_problems(self)
+        if problems:
+            raise ValueError("invalid dataset: " + "; ".join(problems))
         object.__setattr__(self, "starts",
                            _read_only(np.cumsum(self.sizes) - self.sizes, np.intp))
 
@@ -97,8 +103,6 @@ class ResponseDataset:
     def from_schools(cls, groups) -> "ResponseDataset":
         """The dataset of a sequence of ``SchoolGroup``s, in their order."""
         groups = tuple(groups)
-        if not groups:
-            return cls((), np.zeros((0, 0)), (), (), np.zeros((0, 0)), np.zeros((0, 0)))
         return cls(
             school_ids=[g.school_id for g in groups],
             school_covariates=np.stack([g.covariates for g in groups]),
@@ -167,19 +171,11 @@ def unique_rows(x: np.ndarray):
     return ordered[new], index
 
 
-def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
-    """Check dataset invariants against a spec; returns violations."""
+def _dataset_problems(data: ResponseDataset) -> list[str]:
+    """What makes a dataset meaningless under any model, school by school."""
     if data.n_schools < 1:
         return ["dataset has no schools"]
     problems: list[str] = []
-    for what, have, expected in (
-            ("responses have {} items", data.n_items, spec.item_bank.n_items),
-            ("school covariates have {} columns", data.school_covariates.shape[1],
-             spec.n_school_covariates),
-            ("student covariates have {} columns", data.student_covariates.shape[1],
-             spec.n_student_covariates)):
-        if have != expected:
-            problems.append(f"{what.format(have)}, expected {expected}")
     # Per school, the number of its students with a flagged value.
     school_of = np.repeat(np.arange(data.n_schools), data.sizes)
     y = data.responses
@@ -203,4 +199,18 @@ def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
             problems.append(f"school {sid!r}: non-finite school covariates")
         if bad_xh:
             problems.append(f"school {sid!r}: non-finite student covariates")
+    return problems
+
+
+def validate_dataset(data: ResponseDataset, spec: ModelSpec) -> list[str]:
+    """How a dataset's item count and covariate widths differ from a spec's."""
+    problems: list[str] = []
+    for what, have, expected in (
+            ("responses have {} items", data.n_items, spec.item_bank.n_items),
+            ("school covariates have {} columns", data.school_covariates.shape[1],
+             spec.n_school_covariates),
+            ("student covariates have {} columns", data.student_covariates.shape[1],
+             spec.n_student_covariates)):
+        if have != expected:
+            problems.append(f"{what.format(have)}, expected {expected}")
     return problems

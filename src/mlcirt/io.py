@@ -266,8 +266,8 @@ def _convert_covariates(decls, columns, first_col: int, lines: np.ndarray,
                         keep: np.ndarray, path: Path, problems: list) -> np.ndarray:
     """(rows, expanded columns) covariate values of one block.
 
-    Invalid tokens become NaN and, in the ``keep`` rows, are appended to
-    ``problems``.
+    Invalid tokens become NaN and, like non-finite numbers, are appended to
+    ``problems`` in the ``keep`` rows.
     """
     parts = [np.zeros((len(lines), 0))]
     for offset, (decl, tokens) in enumerate(zip(decls, columns)):
@@ -275,9 +275,10 @@ def _convert_covariates(decls, columns, first_col: int, lines: np.ndarray,
         index = np.fromiter(map(lookup.get, tokens, repeat(-1)), np.intp, len(tokens))
         parts.append(table[index])
         col = first_col + offset
-        for i in np.flatnonzero((index < 0) & keep):
-            what = (f"non-numeric value {tokens[i]!r}" if decl.kind == "numeric"
-                    else f"level {tokens[i]!r} not declared")
+        for i in np.flatnonzero(~np.isfinite(parts[-1]).all(axis=1) & keep):
+            what = (f"level {tokens[i]!r} not declared" if decl.kind != "numeric"
+                    else f"non-numeric value {tokens[i]!r}" if index[i] < 0
+                    else f"non-finite value {tokens[i]!r}")
             problems.append((int(lines[i]), col, f"{path}:{lines[i]}: column {col} "
                                                  f"({decl.name}): {what}"))
     return np.concatenate(parts, axis=1)

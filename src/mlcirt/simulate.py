@@ -13,6 +13,7 @@ turns the columns back into CSV tokens through covariate declarations.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ class CategoricalCovariate:
 
     def __post_init__(self):
         p = tuple(float(v) for v in self.probs)
-        if len(p) < 2 or any(v < 0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
-            raise ValueError("level probabilities must be >= 0 and sum to 1")
+        if (len(p) < 2 or not np.isfinite(p).all() or min(p) < 0
+                or abs(sum(p) - 1.0) > 1e-9):
+            raise ValueError("level probabilities must be finite, >= 0 and sum to 1, "
+                             f"got {list(p)}")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -74,9 +77,11 @@ class CyclicCovariate:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("cyclic covariates need at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        if not values or not np.isfinite(values).all():
+            raise ValueError("cyclic covariates need at least one value, all "
+                             f"finite, got {list(values)}")
+        object.__setattr__(self, "values", values)
 
     @property
     def n_columns(self) -> int:
@@ -107,6 +112,12 @@ class SimulationDesign:
     def __post_init__(self):
         if self.n_schools < 1:
             raise ValueError("n_schools must be >= 1")
+        size = self.school_size
+        bounds = size if isinstance(size, tuple) else (size, size)
+        if (len(bounds) != 2 or not all(isinstance(b, numbers.Integral) for b in bounds)
+                or not 1 <= bounds[0] <= bounds[1]):
+            raise ValueError("school_size must be an integer >= 1 or [lo, hi] with "
+                             f"integers 1 <= lo <= hi, got {size}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
         problems = validate_params(self.truth, self.spec)

@@ -313,11 +313,16 @@ def _expand_tokens(decls, tokens, path, line, first_col, errors) -> np.ndarray:
         col = first_col + offset
         if decl.kind == "numeric":
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 errors.append(f"{path}:{line}: column {col} ({decl.name}): "
                               f"non-numeric value {token!r}")
-                values.append(np.nan)
+                value = np.nan
+            else:
+                if not np.isfinite(value):
+                    errors.append(f"{path}:{line}: column {col} ({decl.name}): "
+                                  f"non-finite value {token!r}")
+            values.append(value)
         else:
             if token not in decl.levels:
                 errors.append(f"{path}:{line}: column {col} ({decl.name}): "

@@ -1,6 +1,7 @@
 """Dataset container invariants."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -37,21 +38,42 @@ def test_item_count_mismatch():
     assert any("expected 4" in p for p in problems)
 
 
+def invalid_dataset(*problems: str) -> str:
+    """The pattern of the construction error that lists ``problems``."""
+    return "^" + re.escape("invalid dataset: " + "; ".join(problems)) + "$"
+
+
 def test_empty_school_and_duplicates_flagged():
-    spec = make_spec(n_items=2, n_classes=1, n_types=1, m_v=0, m_u=0)
     school = SchoolGroup("s0", np.zeros(0), (), np.zeros((0, 0)),
                          np.zeros((0, 2), dtype=np.int8))
-    problems = validate_dataset(ResponseDataset.from_schools((school, school)), spec)
-    assert any("no students" in p for p in problems)
-    assert any("duplicate school id" in p for p in problems)
+    with pytest.raises(ValueError, match=invalid_dataset(
+            "school 's0' has no students", "duplicate school id 's0'",
+            "school 's0' has no students")):
+        ResponseDataset.from_schools((school, school))
+    with pytest.raises(ValueError, match=invalid_dataset("dataset has no schools")):
+        ResponseDataset((), np.zeros((0, 0)), (), (), np.zeros((0, 0)),
+                        np.zeros((0, 0)))
 
 
 def test_bad_response_values_flagged():
-    spec = make_spec(n_items=2, n_classes=1, n_types=1, m_v=0, m_u=0)
     school = SchoolGroup("s0", np.zeros(0), ("a",), np.zeros((1, 0)),
                          np.array([[0, 3]], dtype=np.int8))
-    problems = validate_dataset(ResponseDataset.from_schools((school,)), spec)
-    assert any("outside" in p for p in problems)
+    with pytest.raises(ValueError, match=invalid_dataset(
+            "school 's0': responses outside {0, 1, NA}")):
+        ResponseDataset.from_schools((school,))
+
+
+@pytest.mark.parametrize("sizes", [[1, 0, 2], [1, 2, 0]])
+def test_school_without_students_cannot_be_built(sizes):
+    """An empty school would take its neighbour's rows in every per-school
+    sum, or fall off the end of them; it is refused where it is built."""
+    with pytest.raises(ValueError, match=invalid_dataset(
+            f"school 's{sizes.index(0)}' has no students")):
+        ResponseDataset(school_ids=["s0", "s1", "s2"],
+                        school_covariates=np.zeros((3, 0)), sizes=sizes,
+                        student_ids=["a", "b", "c"],
+                        student_covariates=np.zeros((3, 0)),
+                        responses=np.zeros((3, 2), dtype=np.int8))
 
 
 def test_counts():
@@ -66,57 +88,51 @@ def test_counts():
 def test_problems_name_each_school_in_order():
     """The one-pass response check flags exactly the schools that hold a
     bad value, interleaved with the other checks in school order."""
-    spec = make_spec(n_items=2, n_classes=1, n_types=1, m_v=0, m_u=1)
-
     def school(sid, responses, w=0.0):
         responses = np.array(responses, dtype=np.int8).reshape(-1, 2)
         n = responses.shape[0]
         return SchoolGroup(sid, np.array([w]), tuple(f"{sid}-{i}" for i in range(n)),
                            np.zeros((n, 0)), responses)
 
-    data = ResponseDataset.from_schools((
-        school("a", [[0, 1], [-1, 1]]),
-        school("b", [[0, -2]]),
-        school("c", np.zeros((0, 2))),
-        school("d", [[1, 1], [1, 3]], w=np.inf),
-        school("e", [[-1, -1]]),
-        school("b", [[2, 0]]),
-    ))
-    assert validate_dataset(data, spec) == [
-        "school 'b': responses outside {0, 1, NA}",
-        "school 'c' has no students",
-        "school 'd': responses outside {0, 1, NA}",
-        "school 'd': non-finite school covariates",
-        "duplicate school id 'b'",
-        "school 'b': responses outside {0, 1, NA}",
-    ]
+    with pytest.raises(ValueError, match=invalid_dataset(
+            "school 'b': responses outside {0, 1, NA}",
+            "school 'c' has no students",
+            "school 'd': responses outside {0, 1, NA}",
+            "school 'd': non-finite school covariates",
+            "duplicate school id 'b'",
+            "school 'b': responses outside {0, 1, NA}")):
+        ResponseDataset.from_schools((
+            school("a", [[0, 1], [-1, 1]]),
+            school("b", [[0, -2]]),
+            school("c", np.zeros((0, 2))),
+            school("d", [[1, 1], [1, 3]], w=np.inf),
+            school("e", [[-1, -1]]),
+            school("b", [[2, 0]]),
+        ))
 
 
 def test_non_finite_covariates_name_their_own_school():
     """The per-school counts from the concatenated arrays land on the
     school that holds the value, next to empty and clean neighbours."""
-    spec = make_spec(n_items=1, n_classes=1, n_types=1, m_v=2, m_u=1)
-
     def school(sid, x, w=0.0):
         x = np.array(x, dtype=float).reshape(-1, 2)
         n = x.shape[0]
         return SchoolGroup(sid, np.array([w]), tuple(f"{sid}-{i}" for i in range(n)),
                            x, np.zeros((n, 1), dtype=np.int8))
 
-    data = ResponseDataset.from_schools((
-        school("a", [[0.0, 1.0], [2.0, 3.0]]),
-        school("b", [[0.0, 1.0], [np.nan, 3.0]]),
-        school("c", np.zeros((0, 2)), w=-np.inf),
-        school("d", [[0.0, np.inf]]),
-        school("e", [[1.0, 1.0]], w=np.nan),
-    ))
-    assert validate_dataset(data, spec) == [
-        "school 'b': non-finite student covariates",
-        "school 'c' has no students",
-        "school 'c': non-finite school covariates",
-        "school 'd': non-finite student covariates",
-        "school 'e': non-finite school covariates",
-    ]
+    with pytest.raises(ValueError, match=invalid_dataset(
+            "school 'b': non-finite student covariates",
+            "school 'c' has no students",
+            "school 'c': non-finite school covariates",
+            "school 'd': non-finite student covariates",
+            "school 'e': non-finite school covariates")):
+        ResponseDataset.from_schools((
+            school("a", [[0.0, 1.0], [2.0, 3.0]]),
+            school("b", [[0.0, 1.0], [np.nan, 3.0]]),
+            school("c", np.zeros((0, 2)), w=-np.inf),
+            school("d", [[0.0, np.inf]]),
+            school("e", [[1.0, 1.0]], w=np.nan),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +141,14 @@ def test_non_finite_covariates_name_their_own_school():
 
 @st.composite
 def school_groups(draw):
-    """Ragged schools (one-student and empty ones included) of one layout."""
+    """Ragged schools (one-student ones included) of one layout."""
     r = draw(st.integers(0, 3))
     m_v = draw(st.integers(0, 2))
     m_u = draw(st.integers(0, 2))
-    floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
     groups = []
-    for h in range(draw(st.integers(0, 5))):
-        n = draw(st.integers(0, 4))
+    for h in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 4))
         groups.append(SchoolGroup(
             f"s{h}",
             draw(arrays(np.float64, (m_u,), elements=floats)),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -751,6 +752,14 @@ class TestInputErrorsBeforeFitting:
     ("simulate", {"student_covariates": [{"type": "cyclic", "values": []}]}),
     ("fit", {"n_classes": 0}),
     ("simulate", {"spec": dict(DESIGN["spec"], n_classes=0)}),
+    ("simulate", {"school_size": 0}),
+    ("simulate", {"school_size": -1}),
+    ("simulate", {"school_size": [0, 3]}),
+    ("simulate", {"school_size": [5, 2]}),
+    ("simulate", {"student_covariates": [{"type": "categorical",
+                                          "probs": [math.nan, 1.0]}]}),
+    ("simulate", {"student_covariates": [{"type": "cyclic",
+                                          "values": [math.nan, 1.0]}]}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):
@@ -784,12 +793,12 @@ def test_config_spec_problem_numbers_items_from_one(tmp_path, capsys, entry,
 
 @pytest.mark.parametrize("flags, covariate, message", [
     (["--kv", "0"], "1", "invalid model spec: n_classes must be >= 1, got 0"),
-    ([], "nan", "invalid dataset: school 'sch2': non-finite student covariates"),
+    ([], "nan", "{students}:4: column 6 (gender): non-finite value 'nan'"),
 ], ids=["kv-0", "nan-covariate"])
 def test_bad_override_or_dataset_is_a_one_line_input_error(tmp_path, capsys, flags,
                                                            covariate, message):
-    """A numeric covariate of ``nan`` passes the loader and fails the dataset
-    check."""
+    """A numeric covariate of ``nan`` is a bad token of the students file,
+    reported with its row and column."""
     students = (STUDENTS_CSV.replace(",M\n", ",0\n").replace(",F\n", ",1\n")
                 .replace("sch2,c,1,1,0,1", f"sch2,c,1,1,0,{covariate}"))
     config = dict(BASE_CONFIG, student_covariates=[{"name": "gender"}])
@@ -798,6 +807,7 @@ def test_bad_override_or_dataset_is_a_one_line_input_error(tmp_path, capsys, fla
                  "--schools", str(tmp_path / "schools.csv"),
                  "--config", str(tmp_path / "config.json"),
                  "--out", str(tmp_path / "out"), *flags]) == 1
+    message = message.format(students=tmp_path / "students.csv")
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
@@ -836,6 +846,22 @@ def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
     assert len(err.splitlines()) == 1, err
     if reference_items:
         assert "reference item 9 " in err, err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda report: report["model"].update(reference_items=[99]),
+     "invalid model spec: reference item 99 of dimension 1 out of range"),
+    (lambda report: report.pop("parameters"), "missing key 'parameters'"),
+], ids=["reference-99", "no-parameters"])
+def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,
+                                            message):
+    path = tmp_path / "report.json"
+    report = json.loads((fitted[2] / "report.json").read_text())
+    edit(report)
+    path.write_text(json.dumps(report))
+    assert main(classify_argv(fitted, tmp_path / "out", report=path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: bad report ({message})"]
 
 
 @pytest.mark.parametrize("flag", ["config", "students", "schools", "report",

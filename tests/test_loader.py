@@ -23,8 +23,8 @@ from reference import load_dataset_per_row
 # in padding.
 IDS = ["a", "b", "a,b", 'q"t', "Città", " a", ""]
 RESPONSE_TOKENS = ["0", "1", "NA", "0", "1", "NA", "2", "", "na", " 1"]
-NUMERIC_TOKENS = ["1.5", "-2", "0", "nan", "inf", "-inf", "1_0", " 3 ", "1e400",
-                  "-0.0", "abc", "", "1,5"]
+NUMERIC_TOKENS = ["1.5", "-2", "0", "1_0", " 3 ", "-0.0", "nan", "inf", "-inf",
+                  "1e400", "abc", "", "1,5"]
 LEVELS = ("M", "F", "x,y")
 
 
@@ -44,7 +44,7 @@ def make_config(n_items, student_kinds, school_kinds) -> ModelConfig:
                        bic_n="students")
 
 
-VALID_NUMERIC = NUMERIC_TOKENS[:10]
+VALID_NUMERIC = NUMERIC_TOKENS[:6]
 
 
 def covariate_token(draw, kind, faulty):
@@ -231,7 +231,7 @@ def test_peak_memory_below_row_by_row_loader(tmp_path):
 
 ROUND_TRIP_IDS = IDS + ["l\nm", "x\r\ny"]
 LEVEL_POOL = ("M", "F", "x,y", 'q"t', "0", "")
-SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300]
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e300]
 
 
 @st.composite
@@ -253,7 +253,8 @@ def datasets_with_decls(draw):
 
     # Values that survive 12 significant digits, as every written value must.
     numeric = st.one_of(st.sampled_from(SPECIAL_VALUES),
-                        st.floats().map(lambda v: float(format(v, ".12g"))))
+                        st.floats(allow_nan=False, allow_infinity=False)
+                        .map(lambda v: float(format(v, ".12g"))))
 
     def values(decls, n):
         columns = [np.zeros((n, 0))]
