@@ -29,6 +29,7 @@ and the trace count M-steps, as they would for plain EM.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +110,13 @@ class FitControls:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("max_iter", "newton_max_iter", "n_starts", "seed"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.tol_loglik <= 0 or self.tol_param <= 0 or self.newton_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
 
     def replace(self, **changes) -> "FitControls":
         return dataclasses.replace(self, **changes)

@@ -1,4 +1,4 @@
-"""File formats: CSV datasets, JSON model configs, JSON fit reports.
+"""File formats: CSV datasets and every JSON file.
 
 Datasets are two comma-separated files with header rows.  The students
 file has columns ``school_id, student_id, item_1..item_r`` (values 0/1/NA)
@@ -10,8 +10,10 @@ core only ever sees numeric vectors.  ``write_dataset_files`` is the
 inverse: it writes a dataset's numeric arrays back as tokens through the
 same declarations.
 
-Reports are JSON with every float rounded to 12 significant digits, which
-makes write -> read -> write byte-identical.
+Every JSON input (model config, simulation design, fit report) is read
+through ``_read_input``, and every JSON output is written here.  The files
+number items and dimensions from 1, and round every float to 12 significant
+digits, which makes write -> read -> write byte-identical.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ from .model import (
     Parameterization,
     count_free_parameters,
     parameter_shapes,
+    validate_params,
 )
-from .selection import bic as bic_value
+from .selection import SweepResult, bic as bic_value
+from .simulate import CategoricalCovariate, CyclicCovariate, SimulationDesign
 
 _MAX_REPORTED_ERRORS = 50
 
@@ -46,8 +50,67 @@ class DataFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Model configuration
+# JSON inputs: model config, simulation design, fit report
 # ---------------------------------------------------------------------------
+
+def _read_input(path, what: str, build):
+    """``build`` applied to the JSON value of the file at ``path``.  Errors
+    become one ``DataFormatError``: ``missing input file: <path>``, ``<path>:
+    <message>`` for ``build``'s own, else ``<path>: bad <what> (<error>)``."""
+    path = Path(path)
+    try:
+        return build(json.loads(path.read_text(encoding="utf-8-sig")))
+    except FileNotFoundError:
+        raise DataFormatError(f"missing input file: {path}") from None
+    except DataFormatError as exc:
+        message = str(exc)
+    except KeyError as exc:
+        message = f"bad {what} (missing key {exc})"
+    except (AttributeError, TypeError, ValueError) as exc:
+        message = f"bad {what} ({exc})"
+    raise DataFormatError(f"{path}: {message}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer (not ``2.5``, ``2.0`` or ``true``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _zero_based(values, name: str) -> list[int]:
+    """0-based indices of a file's list of 1-based item or dimension numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return [_integer(v, f"{name} entry") - 1 for v in values]
+
+
+def _bank_from_json(raw: dict) -> ItemBank:
+    """The item bank of a file's ``dim_of`` and ``reference_items`` (default:
+    each dimension's first item); any ``n_items`` and ``n_dims`` must agree."""
+    refs = raw.get("reference_items")
+    bank = ItemBank.from_dim_of(_zero_based(raw["dim_of"], "dim_of"),
+                                None if refs is None
+                                else _zero_based(refs, "reference_items"))
+    for name, value in (("n_items", bank.n_items), ("n_dims", bank.n_dims)):
+        if name in raw and _integer(raw[name], name) != value:
+            raise ValueError(f"{name} is {raw[name]}, but dim_of gives {value}")
+    return bank
+
+
+def _bank_to_json(bank: ItemBank) -> dict:
+    """Inverse of ``_bank_from_json``: ``dim_of`` and ``reference_items``."""
+    return {"dim_of": [d + 1 for d in bank.dim_of],
+            "reference_items": [j + 1 for j in bank.reference_items]}
+
+
+def _entries(raw: dict, key: str) -> list[dict]:
+    """The list of JSON objects under ``key`` (none if absent or null)."""
+    entries = raw.get(key) or []
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TypeError(f"{key} must be a list of JSON objects")
+    return entries
+
 
 @dataclass(frozen=True)
 class CovariateDecl:
@@ -79,16 +142,12 @@ class ModelConfig:
     bic_n: str | int
 
 
-def _parse_covariate_decls(entries, where: str,
-                           path: Path) -> tuple[CovariateDecl, ...]:
-    if not isinstance(entries or [], list) or not all(
-            isinstance(e, dict) for e in entries or []):
-        raise TypeError(f"{where} must be a list of JSON objects")
+def _parse_covariate_decls(raw: dict, key: str) -> tuple[CovariateDecl, ...]:
     decls = []
-    for idx, entry in enumerate(entries or []):
+    for idx, entry in enumerate(_entries(raw, key)):
         name = entry.get("name")
         kind = entry.get("type", "numeric")
-        at = f"{path}: {where}[{idx}]"
+        at = f"{key}[{idx}]"
         if not name:
             raise DataFormatError(f"{at}: covariate needs a name")
         if kind == "numeric":
@@ -113,62 +172,77 @@ def _parse_covariate_decls(entries, where: str,
     return tuple(decls)
 
 
-def read_json(path):
-    """The JSON value of a file; a file that is not UTF-8 JSON raises a
-    ``DataFormatError`` that names it."""
-    path = Path(path)
-    try:
-        return json.loads(path.read_text(encoding="utf-8-sig"))
-    except ValueError as exc:       # not UTF-8, or not JSON
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def parse_config(path) -> ModelConfig:
     """Read and validate a model configuration file (JSON)."""
-    path = Path(path)
-    raw = read_json(path)
-    try:
-        return _config_from_json(raw, path)
-    except DataFormatError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad config ({exc})") from exc
+    def build(raw):
+        bic_n = raw.get("bic_n", "students")
+        if bic_n not in ("students", "schools"):
+            bic_n = _integer(bic_n, "bic_n, if not 'students' or 'schools',")
+        student_covariates = _parse_covariate_decls(raw, "student_covariates")
+        school_covariates = _parse_covariate_decls(raw, "school_covariates")
+        spec = ModelSpec(
+            item_bank=_bank_from_json(raw),
+            n_classes=_integer(raw.get("n_classes", 1), "n_classes"),
+            n_types=_integer(raw.get("n_types", 1), "n_types"),
+            parameterization=Parameterization(
+                str(raw.get("parameterization", "2pl")).lower()),
+            n_student_covariates=sum(d.n_columns for d in student_covariates),
+            n_school_covariates=sum(d.n_columns for d in school_covariates),
+        )
+        return ModelConfig(spec=spec, student_covariates=student_covariates,
+                           school_covariates=school_covariates,
+                           controls=FitControls(**dict(raw.get("controls") or {})),
+                           bic_n=bic_n)
+    return _read_input(path, "config", build)
 
 
-def _config_from_json(raw, path: Path) -> ModelConfig:
-    if not isinstance(raw.get("dim_of"), list):
-        raise DataFormatError(f"{path}: config must declare a dim_of list")
-    try:
-        parameterization = Parameterization(str(raw.get("parameterization", "2pl")).lower())
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: unknown parameterization "
-                              f"{raw.get('parameterization')!r}") from exc
-    try:
-        controls = FitControls(**dict(raw.get("controls") or {}))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad controls block ({exc})") from exc
-    bic_n = raw.get("bic_n", "students")
-    if bic_n not in ("students", "schools") and not isinstance(bic_n, int):
-        raise DataFormatError(f"{path}: bic_n must be 'students', 'schools', "
-                              "or an integer")
-    student_covariates = _parse_covariate_decls(
-        raw.get("student_covariates"), "student_covariates", path)
-    school_covariates = _parse_covariate_decls(
-        raw.get("school_covariates"), "school_covariates", path)
-    reference = raw.get("reference_items")
-    spec = ModelSpec(
-        item_bank=ItemBank.from_dim_of(
-            [int(d) - 1 for d in raw["dim_of"]],
-            None if reference is None else [int(j) - 1 for j in reference]),
-        n_classes=int(raw.get("n_classes", 1)),
-        n_types=int(raw.get("n_types", 1)),
-        parameterization=parameterization,
-        n_student_covariates=sum(d.n_columns for d in student_covariates),
-        n_school_covariates=sum(d.n_columns for d in school_covariates),
-    )
-    return ModelConfig(spec=spec, student_covariates=student_covariates,
-                       school_covariates=school_covariates, controls=controls,
-                       bic_n=bic_n)
+def _covariate_generators(raw: dict, key: str) -> tuple:
+    kinds = {"categorical": (CategoricalCovariate, "probs"),
+             "cyclic": (CyclicCovariate, "values")}
+    gens = []
+    for idx, entry in enumerate(_entries(raw, key)):
+        if entry.get("type") not in kinds:
+            raise ValueError(f"{key}[{idx}]: unknown covariate generator "
+                             f"type {entry.get('type')!r}")
+        make, arg = kinds[entry["type"]]
+        gens.append(make(tuple(entry[arg])))
+    return tuple(gens)
+
+
+def parse_design(path, seed_override=None) -> SimulationDesign:
+    """Read a simulation design file (JSON), with ``seed_override`` if given."""
+    def build(raw):
+        spec = spec_from_dict(raw["spec"])
+        size = raw["school_size"]
+        many = isinstance(size, list)
+        sizes = tuple(_integer(s, "school_size") for s in (size if many else [size]))
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        return SimulationDesign(
+            spec=spec,
+            truth=params_from_dict(raw["truth"], spec),
+            n_schools=_integer(raw["n_schools"], "n_schools"),
+            school_size=sizes if many else sizes[0],
+            student_covariates=_covariate_generators(raw, "student_covariates"),
+            school_covariates=_covariate_generators(raw, "school_covariates"),
+            seed=_integer(seed, "seed"),
+            missing_rate=float(raw.get("missing_rate", 0.0)),
+        )
+    return _read_input(path, "design", build)
+
+
+def parse_report(path) -> tuple[ModelSpec, ParameterSet]:
+    """The model spec and the parameters of a fit report (JSON), validated."""
+    def build(raw):
+        spec = spec_from_dict(raw["model"])
+        params = params_from_dict(raw["parameters"], spec)
+        if problems := validate_params(params, spec):
+            raise DataFormatError("; ".join(problems))
+        return spec, params
+    return _read_input(path, "report", build)
+
+
+def read_report(path) -> dict:
+    return _read_input(path, "report", lambda raw: raw)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +535,7 @@ def write_dataset_files(out_dir, data: ResponseDataset, student_decls,
 
 
 # ---------------------------------------------------------------------------
-# JSON reports
+# JSON outputs, and the parameter and spec blocks that reports share
 # ---------------------------------------------------------------------------
 
 def round12(obj):
@@ -509,6 +583,11 @@ def params_from_dict(raw: dict, spec: ModelSpec | None = None) -> ParameterSet:
                         lc_success=None if lc is None else np.asarray(lc, dtype=float))
 
 
+def stored_params(params: ParameterSet, spec: ModelSpec) -> ParameterSet:
+    """``params`` as a report stores them: to 12 significant digits."""
+    return params_from_dict(round12(params_to_dict(params)), spec)
+
+
 def spec_to_dict(spec: ModelSpec) -> dict:
     bank = spec.item_bank
     return {
@@ -517,24 +596,18 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "n_types": spec.n_types,
         "n_items": bank.n_items,
         "n_dims": bank.n_dims,
-        "dim_of": [d + 1 for d in bank.dim_of],
-        "reference_items": [j + 1 for j in bank.reference_items],
+        **_bank_to_json(bank),
         "n_student_covariates": spec.n_student_covariates,
         "n_school_covariates": spec.n_school_covariates,
     }
 
 
 def spec_from_dict(raw: dict) -> ModelSpec:
-    bank = ItemBank.from_dim_of([d - 1 for d in raw["dim_of"]],
-                                [j - 1 for j in raw["reference_items"]])
-    return ModelSpec(
-        item_bank=bank,
-        n_classes=int(raw["n_classes"]),
-        n_types=int(raw["n_types"]),
-        parameterization=Parameterization(raw["parameterization"]),
-        n_student_covariates=int(raw["n_student_covariates"]),
-        n_school_covariates=int(raw["n_school_covariates"]),
-    )
+    """Inverse of ``spec_to_dict``."""
+    counts = ("n_classes", "n_types", "n_student_covariates", "n_school_covariates")
+    return ModelSpec(item_bank=_bank_from_json(raw),
+                     parameterization=Parameterization(raw["parameterization"]),
+                     **{name: _integer(raw[name], name) for name in counts})
 
 
 def build_report(spec: ModelSpec, config: ModelConfig, result: FitResult,
@@ -586,8 +659,62 @@ def write_report(path, report: dict) -> None:
                           encoding="utf-8")
 
 
-def read_report(path) -> dict:
-    return read_json(path)
+def write_sweep(path, result: SweepResult) -> None:
+    """Write a sweep: its BIC sample size and choice, one row per k_U."""
+    rows = [{name: getattr(row, name) for name in
+             ("n_types", "loglik", "n_par", "bic", "converged", "error")}
+            for row in result.rows]
+    write_report(path, round12({"bic_n": result.bic_n,
+                                "chosen_n_types": result.chosen_n_types, "rows": rows}))
+
+
+def _covariate_decls(gens, prefix: str) -> tuple[CovariateDecl, ...]:
+    """Declarations ``<prefix>1, <prefix>2, ...`` of simulated covariates; a
+    categorical one has levels ``L0, L1, ...`` and reference ``L0``."""
+    return tuple(
+        CovariateDecl(f"{prefix}{idx}", "categorical",
+                      tuple(f"L{k}" for k in range(len(gen.probs))), "L0")
+        if isinstance(gen, CategoricalCovariate)
+        else CovariateDecl(f"{prefix}{idx}", "numeric")
+        for idx, gen in enumerate(gens, 1))
+
+
+def _decl_entries(decls) -> list[dict]:
+    """Config-file entries of covariate declarations."""
+    return [{"name": d.name, "type": d.kind,
+             **({"levels": list(d.levels), "reference": d.reference}
+                if d.kind == "categorical" else {})}
+            for d in decls]
+
+
+def write_simulation(out_dir, design: SimulationDesign, sim) -> None:
+    """Write the ``simulate_full(design)`` result ``sim`` as students.csv and
+    schools.csv, the config.json that fits them, and truth.json: the design,
+    its parameters and the latent labels."""
+    out_dir = Path(out_dir)
+    student_decls = _covariate_decls(design.student_covariates, "x")
+    school_decls = _covariate_decls(design.school_covariates, "w")
+    write_dataset_files(out_dir, sim.dataset, student_decls, school_decls)
+    spec = design.spec
+    write_report(out_dir / "config.json", {
+        "n_classes": spec.n_classes, "n_types": spec.n_types,
+        "parameterization": spec.parameterization.value,
+        **_bank_to_json(spec.item_bank),
+        "student_covariates": _decl_entries(student_decls),
+        "school_covariates": _decl_entries(school_decls),
+        "controls": {"seed": design.seed}, "bic_n": "students"})
+    size = design.school_size
+    truth = round12({
+        "seed": design.seed, "n_schools": design.n_schools,
+        "school_size": list(size) if isinstance(size, tuple) else size,
+        "missing_rate": design.missing_rate, "spec": spec_to_dict(spec),
+        "parameters": params_to_dict(design.truth)})
+    truth["labels"] = {
+        "types": (sim.labels.types + 1).tolist(),
+        "classes": [(school + 1).tolist() for school in
+                    np.split(sim.labels.classes, sim.dataset.starts[1:])],
+    }
+    write_report(out_dir / "truth.json", truth)
 
 
 def write_assignments(out_dir, data: ResponseDataset, classification) -> None:

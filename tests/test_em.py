@@ -38,6 +38,15 @@ def params_with(spec, seed=0, **blocks):
     return random_params(spec, np.random.default_rng(seed)).replace(**blocks)
 
 
+@pytest.mark.parametrize("name", ["max_iter", "newton_max_iter", "n_starts", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+def test_fit_controls_reject_a_non_integer_count(name, value):
+    """A fractional ``max_iter`` would never equal the trace length, so the
+    cap would never hold."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        FitControls(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------

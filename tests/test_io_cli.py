@@ -14,11 +14,15 @@ import pytest
 
 import mlcirt
 from mlcirt import ResponseDataset, SchoolGroup, count_free_parameters
-from mlcirt.cli import main, parse_design
+from mlcirt.cli import main
 from mlcirt.io import (
+    CovariateDecl,
     DataFormatError,
     load_dataset,
+    params_to_dict,
     parse_config,
+    parse_design,
+    parse_report,
     read_report,
     round12,
     write_assignments,
@@ -760,6 +764,18 @@ class TestInputErrorsBeforeFitting:
                                           "probs": [math.nan, 1.0]}]}),
     ("simulate", {"student_covariates": [{"type": "cyclic",
                                           "values": [math.nan, 1.0]}]}),
+    ("fit", {"controls": {"seed": 1.5}}),
+    ("fit", {"controls": {"n_starts": 1.5}}),
+    ("fit", {"controls": {"max_iter": 2.5}}),
+    ("fit", {"controls": {"newton_max_iter": 1.5}}),
+    ("fit", {"n_classes": 2.5}),
+    ("fit", {"reference_items": [1.7]}),
+    ("fit", {"dim_of": [1, 1.5, 1]}),
+    ("simulate", {"n_schools": 2.5}),
+    ("simulate", {"school_size": 2.5}),
+    ("simulate", {"spec": dict(DESIGN["spec"], n_items=9, n_dims=3)}),
+    ("fit", {"bic_n": True}),
+    ("simulate", {"school_size": True}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):
@@ -811,6 +827,77 @@ def test_bad_override_or_dataset_is_a_one_line_input_error(tmp_path, capsys, fla
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def _without(raw: dict, key: str) -> dict:
+    return {k: v for k, v in raw.items() if k != key}
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("design", lambda d: _without(d, "school_size"), "missing key 'school_size'"),
+    ("design", lambda d: dict(d, student_covariates=[{"type": "categorical"}]),
+     "missing key 'probs'"),
+    ("design", lambda d: dict(d, n_schools=2.5), "n_schools must be an integer, got 2.5"),
+    ("design", lambda d: dict(d, spec=dict(d["spec"], n_items=9, n_dims=3)),
+     "n_items is 9, but dim_of gives 4"),
+    ("config", lambda c: dict(c, n_classes=2.5), "n_classes must be an integer, got 2.5"),
+    ("config", lambda c: dict(c, reference_items=[1.7]),
+     "reference_items entry must be an integer, got 1.7"),
+    ("config", lambda c: dict(c, controls={"seed": 1.5}),
+     "seed must be an integer, got 1.5"),
+], ids=["design-no-school-size", "design-no-probs", "design-n-schools-2.5",
+        "design-n-items-9", "config-n-classes-2.5", "config-reference-1.7",
+        "config-seed-1.5"])
+def test_json_input_error_is_bad_kind_with_message(fitted, tmp_path, capsys, kind,
+                                                   edit, message):
+    """A design or config is read as a report is (see
+    ``test_bad_report_error_gives_the_message``): one ``<path>: bad <kind>
+    (<message>)`` line, exit 1."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "design":
+        path.write_text(json.dumps(edit(DESIGN)))
+        argv = ["simulate", "--design", str(path), "--out", str(tmp_path / "out")]
+    else:
+        config = json.loads((fitted[1] / "config.json").read_text())
+        path.write_text(json.dumps(edit(config)))
+        argv = classify_argv(fitted, tmp_path / "out", config=path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: bad {kind} ({message})"]
+
+
+@pytest.mark.parametrize("flag", ["config", "report", "design"])
+def test_missing_json_input_is_a_missing_input_file(fitted, tmp_path, capsys, flag):
+    path = tmp_path / "nope.json"
+    if flag == "design":
+        argv = ["simulate", "--design", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = classify_argv(fitted, tmp_path / "out", **{flag: path})
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: missing input file: {path}"]
+
+
+def test_simulated_config_reads_back_the_design(tmp_path):
+    """``parse_config`` on the config.json that ``simulate`` writes gives the
+    design's spec, covariate declarations and seed."""
+    out = run_simulate(tmp_path, seed=5)
+    design = parse_design(tmp_path / "design.json", seed_override=5)
+    config = parse_config(out / "config.json")
+    assert config.spec == design.spec
+    assert config.student_covariates == (
+        CovariateDecl("x1", "categorical", ("L0", "L1"), "L0"),)
+    assert config.school_covariates == (
+        CovariateDecl("w1", "categorical", ("L0", "L1"), "L0"),)
+    assert config.controls.seed == 5 and config.bic_n == "students"
+
+
+def test_parse_report_reads_back_the_fit(fitted):
+    """``parse_report`` gives the fitted spec and the parameters as written."""
+    tmp_path, sim, fit_out = fitted
+    spec, params = parse_report(fit_out / "report.json")
+    assert spec == parse_config(sim / "config.json").spec
+    assert spec == parse_design(tmp_path / "design.json").spec
+    assert params_to_dict(params) == read_report(fit_out / "report.json")["parameters"]
+
+
 def classify_argv(fitted, out, **paths):
     """``classify`` on the fitted report and data, with ``paths`` (flag
     name without dashes -> path) in place of the given ones."""
@@ -852,7 +939,10 @@ def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
     (lambda report: report["model"].update(reference_items=[99]),
      "invalid model spec: reference item 99 of dimension 1 out of range"),
     (lambda report: report.pop("parameters"), "missing key 'parameters'"),
-], ids=["reference-99", "no-parameters"])
+    (lambda report: report["model"].update(n_classes=2.9),
+     "n_classes must be an integer, got 2.9"),
+    (lambda report: report["model"].update(n_items=7), "n_items is 7, but dim_of gives 4"),
+], ids=["reference-99", "no-parameters", "n-classes-2.9", "n-items-7"])
 def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,
                                             message):
     path = tmp_path / "report.json"
