@@ -7,7 +7,9 @@ int8 matrix with values 0, 1, or MISSING (-1).  Covariates are numeric;
 categorical covariates are expanded to indicator columns before a dataset
 is constructed.  ``SchoolGroup`` is one school's slice of a dataset, for
 code that wants a school at a time.  The dataset is the one representation
-the estimator reads, its answer masks and covariate patterns included.
+the estimator reads, its covariate patterns and response patterns
+included: ``ResponsePatterns`` holds the distinct (response row, covariate
+row) pairs, on which the likelihood and the M-step statistics run.
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ class ResponseDataset:
     Building a dataset with no school, an empty school, a repeated school
     id, a response outside {0, 1, MISSING} or a non-finite covariate raises
     ``ValueError("invalid dataset: ...")``.  Derived read-only arrays,
-    built on first use and then kept: ``is_one`` and ``is_zero``, (n, r)
-    float masks of right and wrong answers; ``x_patterns``, the distinct
-    student covariate rows in lexicographic order, and ``x_pattern_index``,
-    each student's row of them.
+    built on first use and then kept: ``x_patterns``, the distinct student
+    covariate rows in lexicographic order, and ``x_pattern_index``, each
+    student's row of them; ``patterns``, the ``ResponsePatterns`` of the
+    students.
     """
 
     school_ids: np.ndarray
@@ -122,12 +124,8 @@ class ResponseDataset:
                                     self.starts.tolist(), self.sizes.tolist()))
 
     @cached_property
-    def is_one(self) -> np.ndarray:
-        return _read_only(self.responses == 1, float)
-
-    @cached_property
-    def is_zero(self) -> np.ndarray:
-        return _read_only(self.responses == 0, float)
+    def patterns(self) -> "ResponsePatterns":
+        return ResponsePatterns.of(self.responses, self.x_pattern_index)
 
     @cached_property
     def _covariate_patterns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,6 +151,56 @@ class ResponseDataset:
     @property
     def n_items(self) -> int:
         return self.responses.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class ResponsePatterns:
+    """The distinct (response row, covariate pattern) pairs of the students.
+
+    Students with the same pair have the same conditional log-likelihood,
+    class weights and class posteriors given the school type, so the
+    estimator computes these once per pattern.  P patterns, all arrays
+    read-only:
+
+    - ``is_one`` and ``is_zero``: (P, r) float masks of right and wrong
+      answers
+    - ``counts``: (P,) students with each pattern, as floats
+    - ``x_index``: (P,) each pattern's row of the dataset's ``x_patterns``
+    - ``index``: (n,) each student's pattern
+    """
+
+    is_one: np.ndarray
+    is_zero: np.ndarray
+    counts: np.ndarray
+    x_index: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, responses: np.ndarray, x_index: np.ndarray) -> "ResponsePatterns":
+        """The patterns of (n, r) int8 ``responses`` with covariate pattern
+        rows ``x_index``, in the order of their integer keys."""
+        # Each row is a number: the covariate pattern, then one base-3 digit
+        # per answer.  A key that would pass 2**63 is first renumbered densely.
+        key, span = x_index.astype(np.int64), len(x_index)    # 0 <= key < span
+        for column in responses.T:
+            if 3 * span > 2 ** 63:
+                distinct, key = np.unique(key, return_inverse=True)
+                key, span = key.astype(np.int64), len(distinct)
+            key = 3 * key + (column + 1)
+            span = 3 * span
+        distinct, index = np.unique(key, return_inverse=True)
+        first = np.empty(len(distinct), dtype=np.intp)
+        first[index] = np.arange(len(key))       # any student of each pattern
+        rows = responses[first]
+        return cls(is_one=_read_only(rows == 1, float),
+                   is_zero=_read_only(rows == 0, float),
+                   counts=_read_only(np.bincount(index, minlength=len(first)), float),
+                   x_index=_read_only(x_index[first], np.intp),
+                   index=_read_only(index, np.intp))
+
+    @property
+    def n_patterns(self) -> int:
+        return self.is_one.shape[0]
 
 
 def unique_rows(x: np.ndarray):

@@ -1,7 +1,11 @@
 """EM estimation of the multilevel latent-class IRT model.
 
 The E-step computes exact posteriors of the latent school types and
-student classes in log space.  The M-step maximizes the expected complete
+student classes in log space.  Students with the same responses and
+covariate row (one response pattern of ``ResponseDataset.patterns``) share
+their class posteriors given the type, so the E-step and the M-step's
+statistics run once per pattern; only the school's type posterior differs
+between such students.  The M-step maximizes the expected complete
 log-likelihood block by block:
 
 (a) item/ability block: a posterior-weighted logistic regression over
@@ -31,11 +35,12 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._numeric import expit, log_expit, logit, logsumexp_last
-from .data import ResponseDataset, validate_dataset
+from .data import ResponseDataset, ResponsePatterns, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
     stack_dataset,
@@ -79,6 +84,10 @@ class PosteriorTables:
     - ``joint_posterior``: (n, k_U, k_V); each student's slice sums to 1
       overall and, along the class axis, to its school's type posterior
     - ``class_posterior``: (n, k_V), the joint summed over types
+
+    ``e_step`` derives these per-student tables from the per-pattern
+    E-step that ``fit`` runs, for classification and summaries; ``m_step``
+    reads the type and joint posteriors.
     """
 
     type_posterior: np.ndarray
@@ -113,8 +122,9 @@ class FitControls:
         for name in ("max_iter", "newton_max_iter", "n_starts", "seed"):
             if not isinstance(value := getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            lowest = 0 if name == "seed" else 1
+            if value < lowest:
+                raise ValueError(f"{name} must be >= {lowest}, got {value}")
         if self.tol_loglik <= 0 or self.tol_param <= 0 or self.newton_tol <= 0:
             raise ValueError("tolerances must be > 0")
 
@@ -144,30 +154,73 @@ class FitResult:
 # E-step
 # ---------------------------------------------------------------------------
 
-def _e_step(data: ResponseDataset, params: ParameterSet,
-            spec: ModelSpec) -> tuple[float, PosteriorTables]:
+class _PatternPosteriors(NamedTuple):
+    """What the M-step reads of an E-step, on the response patterns.
+
+    - ``type_posterior``: (H, k_U), as in ``PosteriorTables``
+    - ``mass``: (P, k_U, k_V), the posterior mass of each (pattern, type,
+      class): the sum of the joint posteriors of the pattern's students
+    """
+
+    type_posterior: np.ndarray
+    mass: np.ndarray
+
+
+def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, ...) sums of the rows of ``values`` that share an ``index``,
+    added in row order (one ``np.bincount`` per column)."""
+    columns = values.reshape(len(index), -1)
+    out = np.empty((size, columns.shape[1]))
+    for c in range(columns.shape[1]):
+        out[:, c] = np.bincount(index, weights=columns[:, c], minlength=size)
+    return out.reshape((size,) + values.shape[1:])
+
+
+def _sum_types(joint: np.ndarray) -> np.ndarray:
+    """(N, k_V) sum of a (N, k_U, k_V) table over types, slice by slice:
+    the order of numpy's sum over a short axis, at a fraction of the cost
+    (see ``logsumexp_last``)."""
+    total = joint[:, 0, :].copy()
+    for u in range(1, joint.shape[1]):
+        total += joint[:, u, :]
+    return total
+
+
+def _conditional_posteriors(data: ResponseDataset, params: ParameterSet,
+                            spec: ModelSpec):
+    """The log-likelihood, the (H, k_U) type posteriors, and the
+    (P, k_U, k_V) class posteriors of each response pattern given the type."""
     loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
         data, params, spec)
     if not np.isfinite(loglik):
         raise NonFiniteLikelihoodError("log-likelihood is not finite at the "
                                        "current parameters")
     z_hu = np.exp(evidence - school_ll[:, None])                    # (H, k_U)
-    cond_post = np.exp(joint - log_mix[:, :, None])                 # (n, k_U, k_V)
-    z_joint = cond_post * np.repeat(z_hu, data.sizes, axis=0)[:, :, None]
-    # Sum over types slice by slice: same order as numpy's sum over a
-    # short axis, at a fraction of the cost (see ``logsumexp_last``).
-    z_class = z_joint[:, 0, :].copy()                               # (n, k_V)
-    for u in range(1, z_joint.shape[1]):
-        z_class += z_joint[:, u, :]
-    if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(z_joint))):
+    cond_post = np.exp(joint - log_mix[:, :, None])                 # (P, k_U, k_V)
+    if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(cond_post))):
         raise NonFiniteLikelihoodError("posterior tables are not finite")
-    return loglik, PosteriorTables(z_hu, z_joint, z_class)
+    return loglik, z_hu, cond_post
+
+
+def _e_step(data: ResponseDataset, params: ParameterSet,
+            spec: ModelSpec) -> tuple[float, _PatternPosteriors]:
+    """The log-likelihood and the pattern table that ``_m_step`` reads."""
+    loglik, z_hu, cond_post = _conditional_posteriors(data, params, spec)
+    patterns = data.patterns
+    # A pattern's mass of type u: the type-u posteriors of its students'
+    # schools, summed.
+    type_mass = _sum_by(patterns.index, np.repeat(z_hu, data.sizes, axis=0),
+                        patterns.n_patterns)                        # (P, k_U)
+    return loglik, _PatternPosteriors(z_hu, cond_post * type_mass[:, :, None])
 
 
 def e_step(data: ResponseDataset, params: ParameterSet,
            spec: ModelSpec) -> PosteriorTables:
     """Posterior tables of the latent indicators given data and parameters."""
-    return _e_step(data, params, spec)[1]
+    _, z_hu, cond_post = _conditional_posteriors(data, params, spec)
+    z_joint = (np.take(cond_post, data.patterns.index, axis=0)
+               * np.repeat(z_hu, data.sizes, axis=0)[:, :, None])  # (n, k_U, k_V)
+    return PosteriorTables(z_hu, z_joint, _sum_types(z_joint))
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +410,41 @@ def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
     return design
 
 
-def _class_block_cases(data: ResponseDataset, z_joint: np.ndarray, n_types: int):
+def _class_block_cases(x_patterns: np.ndarray, x_index: np.ndarray,
+                       joint: np.ndarray, n_types: int):
     """Cases and weights of the class-membership regression.
 
-    One case per (type, student covariate pattern) cell, weighted by the
-    sum of its students' joint posteriors; by linearity the objective is
-    that of one case per (type, student).
+    ``joint`` (N, k_U, k_V) holds the joint posterior mass of N rows
+    (students or response patterns), and ``x_index`` each row's covariate
+    pattern.  One case per (type, covariate pattern) cell, weighted by the
+    sum of its rows' masses; by linearity the objective is that of one
+    case per (type, student).
     """
-    k_v = z_joint.shape[2]
-    n_pat = data.x_patterns.shape[0]
-    weights = np.empty((n_types, n_pat, k_v))
-    for u in range(n_types):
-        for v in range(k_v):
-            weights[u, :, v] = np.bincount(data.x_pattern_index,
-                                           weights=z_joint[:, u, v],
-                                           minlength=n_pat)
-    return (_class_design_rows(data.x_patterns, n_types),
-            weights.reshape(n_types * n_pat, k_v))
+    n_pat, k_v = x_patterns.shape[0], joint.shape[2]
+    weights = _sum_by(x_index, joint, n_pat)                # (X, k_U, k_V)
+    return (_class_design_rows(x_patterns, n_types),
+            weights.transpose(1, 0, 2).reshape(n_types * n_pat, k_v))
 
 
-def m_step(data: ResponseDataset, posteriors: PosteriorTables,
-           params: ParameterSet, spec: ModelSpec,
-           controls: FitControls | None = None) -> ParameterSet:
-    """Maximize the expected complete log-likelihood given E-step posteriors.
+def _answer_counts(patterns: ResponsePatterns, mass: np.ndarray):
+    """(k_V, r) posterior counts of right answers and of answers per
+    (class, item), from the (P, k_U, k_V) posterior mass of the patterns."""
+    class_mass = _sum_types(mass)                            # (P, k_V)
+    succ = class_mass.T @ patterns.is_one
+    return succ, succ + class_mass.T @ patterns.is_zero
 
-    Never decreases any block objective relative to ``params``.
-    """
+
+def _m_step(data: ResponseDataset, posteriors: _PatternPosteriors,
+            params: ParameterSet, spec: ModelSpec,
+            controls: FitControls | None = None) -> ParameterSet:
     controls = controls or FitControls()
-    z_class = posteriors.class_posterior
-    answered = data.is_one + data.is_zero
-    succ = z_class.T @ data.is_one                           # (k_V, r)
-    total = z_class.T @ answered
+    succ, total = _answer_counts(data.patterns, posteriors.mass)
     new_params = _maximize_item_block(succ, total, params, spec, controls)
 
     k_u, k_v = spec.n_types, spec.n_classes
     if k_v > 1:
-        design, wts = _class_block_cases(data, posteriors.joint_posterior, k_u)
+        design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
+                                         posteriors.mass, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
         coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
                                           controls.newton_max_iter,
@@ -409,6 +461,21 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
                                         type_slopes=coef[:, 1:].copy())
     return new_params
+
+
+def m_step(data: ResponseDataset, posteriors: PosteriorTables,
+           params: ParameterSet, spec: ModelSpec,
+           controls: FitControls | None = None) -> ParameterSet:
+    """Maximize the expected complete log-likelihood given E-step posteriors.
+
+    Reads the type and joint posteriors; the joint is summed onto the
+    response patterns first.  Never decreases any block objective relative
+    to ``params``.
+    """
+    patterns = data.patterns
+    mass = _sum_by(patterns.index, posteriors.joint_posterior, patterns.n_patterns)
+    return _m_step(data, _PatternPosteriors(posteriors.type_posterior, mass),
+                   params, spec, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +506,10 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
     if strategy not in ("deterministic", "random"):
         raise ValueError(f"unknown initialization strategy {strategy!r}")
     bank = spec.item_bank
-    responses = data.responses
-    n_correct = (responses == 1).sum(axis=0).astype(float)
-    n_answered = ((responses == 0) | (responses == 1)).sum(axis=0).astype(float)
+    patterns = data.patterns
+    # Sums of whole numbers, exact in floating point.
+    n_correct = patterns.counts @ patterns.is_one
+    n_answered = n_correct + patterns.counts @ patterns.is_zero
     phat = np.where(n_answered > 0, n_correct / np.maximum(n_answered, 1.0), 0.5)
     with np.errstate(divide="ignore"):
         raw = -(np.log(phat) - np.log1p(-phat))
@@ -596,13 +664,12 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     ``converged=False`` rather than an error.
     """
     _raise_if_invalid(validate_params(init, spec) + validate_dataset(data, spec))
-    stack_dataset(data)
     params = init
     loglik, posteriors = _e_step(data, params, spec)
     trace = [loglik]
     cycle_start = None      # theta0 while the second step of a cycle is due
     while True:
-        new_params = m_step(data, posteriors, params, spec, controls)
+        new_params = _m_step(data, posteriors, params, spec, controls)
         # Released before the next E-step: a fit never holds two sets of
         # posterior tables at once.
         posteriors = None
@@ -643,6 +710,7 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     start fails is a ``MultistartError`` raised.
     """
     _raise_if_invalid(validate_dataset(data, spec))
+    stack_dataset(data)
     best: FitResult | None = None
     failures: list[str] = []
     for start in range(controls.n_starts):

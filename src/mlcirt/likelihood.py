@@ -9,8 +9,11 @@ naive linear-space reference used to cross-check the log-space path on
 small instances.
 
 Missing responses (``MISSING``) simply drop out of the item products,
-i.e. missing-at-random handling.  The batched path reads the answer masks
-and covariate patterns that each ``ResponseDataset`` builds once.
+i.e. missing-at-random handling.  The batched path reads the covariate
+patterns and response patterns that each ``ResponseDataset`` builds once:
+the conditional log-likelihoods, the class mixtures and their log-sum-exp
+are computed once per response pattern, and students only gather their
+pattern's mixture for the sum over each school.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._numeric import log_expit, logsumexp_last
-from .data import MISSING, ResponseDataset
+from .data import MISSING, ResponseDataset, ResponsePatterns
 from .model import ModelSpec, ParameterSet, Parameterization
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
@@ -57,20 +60,21 @@ def success_prob_table(params: ParameterSet, spec: ModelSpec) -> np.ndarray:
 
 
 def stack_dataset(data: ResponseDataset) -> ResponseDataset:
-    """Build the answer masks and covariate patterns of ``data`` if they are
-    missing, and return ``data``.  ``fit`` calls it once so that the
-    benchmark tracer, which wraps this name, times the build in its own span;
-    it stays until the fit observer planned in ROADMAP.md replaces the tracer.
+    """Build the covariate patterns and response patterns of ``data`` if they
+    are missing, and return ``data``.  ``multistart_fit`` calls it once so
+    that the benchmark tracer, which wraps this name, times the build in its
+    own span; it stays until the fit observer planned in ROADMAP.md replaces
+    the tracer.
     """
-    data.is_one, data.is_zero, data.x_patterns    # built on first access
+    data.patterns      # built on first access, covariate patterns first
     return data
 
 
-def conditional_loglik_matrix(data: ResponseDataset, params: ParameterSet,
+def conditional_loglik_matrix(patterns: ResponsePatterns, params: ParameterSet,
                               spec: ModelSpec) -> np.ndarray:
-    """(n, k_V) log-probability of each student's response vector per class."""
+    """(P, k_V) log-probability of each pattern's response vector per class."""
     logp0, logp1 = response_logprob_tables(params, spec)
-    return data.is_one @ logp1.T + data.is_zero @ logp0.T
+    return patterns.is_one @ logp1.T + patterns.is_zero @ logp0.T
 
 
 def stacked_loglik_terms(data: ResponseDataset, params: ParameterSet,
@@ -79,16 +83,20 @@ def stacked_loglik_terms(data: ResponseDataset, params: ParameterSet,
 
     Returns ``(loglik, evidence, school_ll, joint, log_mix)`` where
     ``evidence[h, u]`` is log(pi_hu) + log(rho_h(u)), ``school_ll[h]`` its
-    log-sum-exp over u, ``joint[i, u, v]`` the per-student class log weight
-    plus conditional log-likelihood, and ``log_mix[i, u]`` its log-sum-exp
-    over v.
+    log-sum-exp over u, ``joint[p, u, v]`` the class log weight plus
+    conditional log-likelihood of response pattern p (``data.patterns``),
+    and ``log_mix[p, u]`` its log-sum-exp over v; student i's mixture is
+    ``log_mix[data.patterns.index[i]]``.
     """
-    cond = conditional_loglik_matrix(data, params, spec)           # (n, k_V)
-    logw = log_class_weight_matrix(data.x_patterns,
-                                   params)[data.x_pattern_index]   # (n, k_U, k_V)
+    patterns = data.patterns
+    cond = conditional_loglik_matrix(patterns, params, spec)       # (P, k_V)
+    # Row gathers use np.take, several times faster than fancy indexing.
+    logw = np.take(log_class_weight_matrix(data.x_patterns, params),
+                   patterns.x_index, axis=0)                       # (P, k_U, k_V)
     joint = logw + cond[:, None, :]
-    log_mix = logsumexp_last(joint)                                # (n, k_U)
-    log_rho = np.add.reduceat(log_mix, data.starts, axis=0)        # (H, k_U)
+    log_mix = logsumexp_last(joint)                                # (P, k_U)
+    log_rho = np.add.reduceat(np.take(log_mix, patterns.index, axis=0),
+                              data.starts, axis=0)                 # (H, k_U)
     log_pi = log_type_weight_matrix(data.school_covariates, params)  # (H, k_U)
     evidence = log_pi + log_rho
     school_ll = logsumexp_last(evidence)                           # (H,)

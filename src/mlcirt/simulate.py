@@ -112,6 +112,8 @@ class SimulationDesign:
     def __post_init__(self):
         if self.n_schools < 1:
             raise ValueError("n_schools must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         size = self.school_size
         bounds = size if isinstance(size, tuple) else (size, size)
         if (len(bounds) != 2 or not all(isinstance(b, numbers.Integral) for b in bounds)

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import logsumexp as scipy_logsumexp
 
 from mlcirt import Parameterization, em
 from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
-from mlcirt.likelihood import stacked_loglik_terms
+from mlcirt.likelihood import response_logprob_tables, stacked_loglik_terms
 from mlcirt.model import apply_identifiability, max_abs_change
+from mlcirt.weights import log_class_weight_matrix, log_type_weight_matrix
 
 
 def sigmoid(z):
@@ -143,6 +145,61 @@ def per_student_class_block_cases(student_covariates, z_joint, n_types):
     n, _, k_v = z_joint.shape
     return (em._class_design_rows(student_covariates, n_types),
             z_joint.transpose(1, 0, 2).reshape(n_types * n, k_v))
+
+
+def per_student_answer_masks(data):
+    """(n, r) float masks of right and wrong answers, one row per student."""
+    return ((data.responses == 1).astype(float),
+            (data.responses == 0).astype(float))
+
+
+def per_student_e_step(data, params, spec):
+    """``(loglik, PosteriorTables)`` with every student's conditional
+    log-likelihood, class weights, joint tensor and log-sum-exp computed on
+    its own row: the E-step before it ran once per response pattern."""
+    is_one, is_zero = per_student_answer_masks(data)
+    logp0, logp1 = response_logprob_tables(params, spec)
+    cond = is_one @ logp1.T + is_zero @ logp0.T                     # (n, k_V)
+    logw = log_class_weight_matrix(data.student_covariates, params)
+    joint = logw + cond[:, None, :]                                # (n, k_U, k_V)
+    log_mix = scipy_logsumexp(joint, axis=2)                       # (n, k_U)
+    log_rho = np.add.reduceat(log_mix, data.starts, axis=0)
+    evidence = log_type_weight_matrix(data.school_covariates, params) + log_rho
+    school_ll = scipy_logsumexp(evidence, axis=1)
+    z_hu = np.exp(evidence - school_ll[:, None])
+    z_joint = (np.exp(joint - log_mix[:, :, None])
+               * np.repeat(z_hu, data.sizes, axis=0)[:, :, None])
+    return float(school_ll.sum()), em.PosteriorTables(z_hu, z_joint,
+                                                      z_joint.sum(axis=1))
+
+
+def per_student_m_step_statistics(data, posteriors, n_types):
+    """The M-step's statistics summed over students: the (k_V, r) posterior
+    counts of right answers and of answers, and the class-membership
+    regression's design rows and (type, covariate pattern) case weights."""
+    is_one, is_zero = per_student_answer_masks(data)
+    z_class = posteriors.class_posterior
+    succ = z_class.T @ is_one
+    total = z_class.T @ (is_one + is_zero)
+    z_joint = posteriors.joint_posterior
+    weights = np.zeros((data.x_patterns.shape[0],) + z_joint.shape[1:])
+    np.add.at(weights, data.x_pattern_index, z_joint)
+    return (succ, total, em._class_design_rows(data.x_patterns, n_types),
+            weights.transpose(1, 0, 2).reshape(-1, z_joint.shape[2]))
+
+
+def initial_item_logits(data):
+    """Each item's clamped negated empirical logit from a scan of every
+    student's responses: the deterministic start's difficulty before
+    re-anchoring, as ``em.initialize`` computed it before it read the
+    response patterns."""
+    responses = data.responses
+    n_correct = (responses == 1).sum(axis=0).astype(float)
+    n_answered = ((responses == 0) | (responses == 1)).sum(axis=0).astype(float)
+    phat = np.where(n_answered > 0, n_correct / np.maximum(n_answered, 1.0), 0.5)
+    with np.errstate(divide="ignore"):
+        raw = -(np.log(phat) - np.log1p(-phat))
+    return np.clip(raw, -5.0, 5.0)
 
 
 def block_type_objective(data, posteriors, spec, type_intercepts, type_slopes):
@@ -468,7 +525,7 @@ def plain_em_fit(data, spec, controls, init):
         if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
             converged = True
             break
-        new_params = em.m_step(data, posteriors, params, spec, controls)
+        new_params = em._m_step(data, posteriors, params, spec, controls)
         delta = max_abs_change(params, new_params)
         params = new_params
         if delta < controls.tol_param:

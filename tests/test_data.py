@@ -215,34 +215,55 @@ def test_constructor_rejects_disagreeing_lengths(field, value):
 
 def test_derived_arrays_are_built_once_and_read_only(monkeypatch):
     """A multistart fit, an E-step, an M-step and a likelihood call on one
-    dataset find its covariate patterns once and share one set of masks."""
+    dataset find its covariate patterns and its response patterns once and
+    share them."""
     calls = []
     unique_rows = mlcirt.data.unique_rows
+    patterns_of = mlcirt.data.ResponsePatterns.of
 
     def counted_unique_rows(x):
-        calls.append(x.shape)
+        calls.append(("unique_rows", x.shape))
         return unique_rows(x)
 
+    def counted_patterns_of(responses, x_index):
+        calls.append(("patterns", responses.shape))
+        return patterns_of(responses, x_index)
+
     monkeypatch.setattr(mlcirt.data, "unique_rows", counted_unique_rows)
+    monkeypatch.setattr(mlcirt.data.ResponsePatterns, "of", counted_patterns_of)
     spec = make_spec(n_items=4, n_classes=2, n_types=2, m_v=1, m_u=1)
     rng = np.random.default_rng(5)
     data = random_dataset(spec, rng, n_schools=6, school_size=(2, 6),
                           missing_rate=0.2)
-    is_one = data.is_one
+    patterns = data.patterns
     result = multistart_fit(data, spec, FitControls(max_iter=10, n_starts=3))
     posteriors = e_step(data, result.params, spec)
     m_step(data, posteriors, result.params, spec)
     marginal_loglik(data, result.params, spec)
 
-    assert calls == [(data.n_students, 1)]
-    assert data.is_one is is_one
-    np.testing.assert_array_equal(data.is_one, data.responses == 1)
-    np.testing.assert_array_equal(data.is_zero, data.responses == 0)
+    assert calls == [("unique_rows", (data.n_students, 1)),
+                     ("patterns", (data.n_students, 4))]
+    assert data.patterns is patterns
     assert data.x_pattern_index.shape == (data.n_students,)
     np.testing.assert_array_equal(data.x_patterns[data.x_pattern_index],
                                   data.student_covariates)
-    for name in ("is_one", "is_zero", "x_patterns", "x_pattern_index"):
+    # Each student's pattern gives back its answers and covariate row, and
+    # no two patterns agree in both.
+    np.testing.assert_array_equal(patterns.is_one[patterns.index],
+                                  data.responses == 1)
+    np.testing.assert_array_equal(patterns.is_zero[patterns.index],
+                                  data.responses == 0)
+    np.testing.assert_array_equal(patterns.x_index[patterns.index],
+                                  data.x_pattern_index)
+    np.testing.assert_array_equal(patterns.counts, np.bincount(patterns.index))
+    pairs = np.column_stack([patterns.is_one - patterns.is_zero, patterns.x_index])
+    assert len(np.unique(pairs, axis=0)) == patterns.n_patterns
+    for owner, name in ((data, "x_patterns"), (data, "x_pattern_index"),
+                        (patterns, "is_one"), (patterns, "is_zero"),
+                        (patterns, "counts"), (patterns, "x_index"),
+                        (patterns, "index")):
         with pytest.raises(ValueError):
-            getattr(data, name)[0] = 0
+            getattr(owner, name)[0] = 0
+    for owner, name in ((data, "patterns"), (data, "x_patterns"), (patterns, "index")):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(data, name, None)
+            setattr(owner, name, None)

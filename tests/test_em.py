@@ -47,6 +47,14 @@ def test_fit_controls_reject_a_non_integer_count(name, value):
         FitControls(**{name: value})
 
 
+def test_fit_controls_reject_a_negative_seed():
+    """``np.random.SeedSequence`` takes no negative seed, and a random start
+    would only meet it after the deterministic start was fitted."""
+    assert FitControls(seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        FitControls(seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # E-step
 # ---------------------------------------------------------------------------
@@ -312,7 +320,8 @@ class TestClassBlockCases:
         rng = np.random.default_rng(31)
         data = _pattern_dataset(30, 20, 37, rng)
         z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
-        design, weights = mlcirt.em._class_block_cases(data, z_joint, 2)
+        design, weights = mlcirt.em._class_block_cases(
+            data.x_patterns, data.x_pattern_index, z_joint, 2)
 
         n_pat = data.x_patterns.shape[0]
         expected = np.zeros((2, n_pat, 3))
@@ -332,7 +341,8 @@ class TestClassBlockCases:
         n_pat = np.unique(data.student_covariates, axis=0).shape[0]
         assert (data.n_students, n_pat) == (1200, n_patterns)
         z_joint = rng.dirichlet(np.ones(6), size=data.n_students).reshape(-1, 2, 3)
-        merged = mlcirt.em._class_block_cases(data, z_joint, 2)
+        merged = mlcirt.em._class_block_cases(data.x_patterns, data.x_pattern_index,
+                                              z_joint, 2)
         per_student = reference.per_student_class_block_cases(
             data.student_covariates, z_joint, 2)
         assert merged[0].shape[0] == merged[1].shape[0] == 2 * n_pat
@@ -354,7 +364,8 @@ class TestClassBlockCases:
         z_joint = rng.dirichlet(np.ones(6), size=n).reshape(n, 2, 3)
         tracemalloc.start()
         try:
-            mlcirt.em._class_block_cases(data, z_joint, 2)
+            mlcirt.em._class_block_cases(data.x_patterns, data.x_pattern_index,
+                                         z_joint, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -712,14 +712,33 @@ class TestOverParameterisedWarning:
 
 
 class TestInputErrorsBeforeFitting:
-    """A bad --bic-n or --ku value exits 1 before any start is fitted."""
+    """A bad --bic-n, --ku or --seed value exits 1 before any start is
+    fitted or any dataset simulated."""
 
     @pytest.fixture
     def no_fitting(self, monkeypatch):
         def fail(*args, **kwargs):
-            pytest.fail("multistart_fit was called")
+            pytest.fail("multistart_fit or simulate_full was called")
         monkeypatch.setattr("mlcirt.cli.multistart_fit", fail)
         monkeypatch.setattr("mlcirt.selection.multistart_fit", fail)
+        monkeypatch.setattr("mlcirt.cli.simulate_full", fail)
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "simulate"])
+    def test_negative_seed(self, tmp_path, capsys, no_fitting, command):
+        if command == "simulate":
+            path = tmp_path / "design.json"
+            path.write_text(json.dumps(DESIGN))
+            argv = ["simulate", "--design", str(path)]
+            expected = f"error: {path}: bad design (seed must be >= 0, got -1)"
+        else:
+            students, schools, config_path = write_inputs(tmp_path)
+            argv = [command, "--students", str(students), "--schools", str(schools),
+                    "--config", str(config_path), "--starts", "2"]
+            argv += ["--ku", "1..2"] if command == "sweep" else []
+            expected = "error: seed must be >= 0, got -1"
+        assert main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+        assert not (tmp_path / "out").exists()
 
     def test_fit_rejects_zero_bic_n(self, tmp_path, capsys, no_fitting):
         students, schools, config_path = write_inputs(tmp_path)
@@ -776,6 +795,8 @@ class TestInputErrorsBeforeFitting:
     ("simulate", {"spec": dict(DESIGN["spec"], n_items=9, n_dims=3)}),
     ("fit", {"bic_n": True}),
     ("simulate", {"school_size": True}),
+    ("fit", {"controls": {"seed": -1}}),
+    ("simulate", {"seed": -1}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):

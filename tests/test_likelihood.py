@@ -28,7 +28,7 @@ def params_with(spec, seed=0, **blocks):
 def school_conditional_loglik(data, params, spec):
     """(H, k_U) log-likelihood of each school's responses given its type."""
     _, _, _, _, log_mix = stacked_loglik_terms(data, params, spec)
-    return np.add.reduceat(log_mix, data.starts, axis=0)
+    return np.add.reduceat(log_mix[data.patterns.index], data.starts, axis=0)
 
 
 class TestStudentConditionalLoglik:
@@ -38,14 +38,16 @@ class TestStudentConditionalLoglik:
         spec = make_spec(n_items=2, n_classes=1, n_types=1)
         params = params_with(spec, difficulty=[0.0, 0.0],
                              discrimination=[1.0, 1.0], abilities=[[0.0]])
-        ll = conditional_loglik_matrix(single_student_dataset([1, 0]), params, spec)
+        ll = conditional_loglik_matrix(single_student_dataset([1, 0]).patterns,
+                                       params, spec)
         assert ll[0, 0] == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_single_item(self):
         spec = make_spec(n_items=1, n_classes=1, n_types=1)
         params = params_with(spec, difficulty=[0.0], discrimination=[1.0],
                              abilities=[[0.0]])
-        ll = conditional_loglik_matrix(single_student_dataset([1]), params, spec)
+        ll = conditional_loglik_matrix(single_student_dataset([1]).patterns, params,
+                                       spec)
         assert ll[0, 0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_hand_product(self):
@@ -57,7 +59,8 @@ class TestStudentConditionalLoglik:
             difficulty=[0.0, math.log(3.0), math.log(3.0) + math.log(4.0)],
             discrimination=[1.0, 1.0, 1.0],
             abilities=[[math.log(3.0)]])
-        ll = conditional_loglik_matrix(single_student_dataset([1, 1, 0]), params, spec)
+        ll = conditional_loglik_matrix(single_student_dataset([1, 1, 0]).patterns,
+                                       params, spec)
         assert ll[0, 0] == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_missing_items_drop_out(self):
@@ -65,12 +68,12 @@ class TestStudentConditionalLoglik:
         params = params_with(spec, difficulty=[0.0, 0.4, -0.2],
                              discrimination=[1.0, 1.1, 0.9],
                              abilities=[[0.3]])
-        full = conditional_loglik_matrix(single_student_dataset([1, -1, 0]),
+        full = conditional_loglik_matrix(single_student_dataset([1, -1, 0]).patterns,
                                          params, spec)
         spec2 = make_spec(n_items=2, n_classes=1, n_types=1)
         params2 = params_with(spec2, difficulty=[0.0, -0.2],
                               discrimination=[1.0, 0.9], abilities=[[0.3]])
-        reduced = conditional_loglik_matrix(single_student_dataset([1, 0]),
+        reduced = conditional_loglik_matrix(single_student_dataset([1, 0]).patterns,
                                             params2, spec2)
         assert full[0, 0] == pytest.approx(reduced[0, 0], abs=1e-12)
 
@@ -82,7 +85,9 @@ class TestGroupConditionalLoglik:
         params = random_params(spec, np.random.default_rng(4))
         data = random_dataset(spec, np.random.default_rng(5), n_schools=1,
                               school_size=4)
-        expected = conditional_loglik_matrix(data, params, spec)[:, 0].sum()
+        patterns = data.patterns
+        expected = conditional_loglik_matrix(patterns, params,
+                                             spec)[patterns.index, 0].sum()
         np.testing.assert_allclose(school_conditional_loglik(data, params, spec),
                                    [[expected, expected]], atol=1e-12)
 

@@ -110,7 +110,7 @@ def test_e_step_equals_gather_and_axis_sum_bitwise(k_u, k_v):
         data, params, spec)
     old_hu = np.exp(evidence - school_ll[:, None])
     school_index = np.repeat(np.arange(data.n_schools), data.sizes)
-    old_joint = (np.exp(joint - log_mix[:, :, None])
+    old_joint = (np.exp(joint - log_mix[:, :, None])[data.patterns.index]
                  * old_hu[school_index][:, :, None])
     old_class = old_joint.sum(axis=1)
     np.testing.assert_array_equal(bits(z_hu), bits(old_hu))

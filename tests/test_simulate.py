@@ -50,6 +50,10 @@ class TestGenerateDataset:
             np.testing.assert_array_equal(ga.student_covariates,
                                           gb.student_covariates)
 
+    def test_negative_seed_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            simple_design(seed=-1)
+
     def test_different_seed_differs(self):
         a = simulate_full(simple_design(seed=5)).dataset
         b = simulate_full(simple_design(seed=6)).dataset

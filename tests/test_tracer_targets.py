@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlcirt.likelihood import stack_dataset
+from mlcirt.likelihood import marginal_loglik, stack_dataset
 
-from helpers import make_spec, random_dataset
+from helpers import make_spec, random_dataset, random_params
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,11 +44,19 @@ def test_pinned_name_is_callable(module_name, attr):
 
 def test_stacked_answer_mask_is_two_dimensional():
     """The span of ``conditional_loglik_matrix`` reads ``args[0].is_one.shape``
-    as (n, r); its first argument is the dataset, which ``stack_dataset``
-    returns."""
+    as (rows, r); its first argument is the dataset's response patterns,
+    which ``stack_dataset`` builds, so the span counts pattern rows."""
     spec = make_spec(n_items=3, n_classes=2, n_types=2)
-    data = random_dataset(spec, np.random.default_rng(0), n_schools=3,
-                          school_size=(1, 4))
+    rng = np.random.default_rng(0)
+    data = random_dataset(spec, rng, n_schools=3, school_size=(1, 4))
     stacked = stack_dataset(data)
     assert stacked is data
-    assert stacked.is_one.shape == (data.n_students, 3)
+    n_patterns = data.patterns.n_patterns
+    assert data.patterns.is_one.shape == (n_patterns, 3)
+
+    tracer = load_tracing().Tracer()
+    with tracer.patched():
+        marginal_loglik(data, random_params(spec, rng), spec)
+    (span,) = [sp for sp in tracer.spans
+               if sp.name == "likelihood.conditional_loglik_matrix"]
+    assert span.attrs == {"n": n_patterns, "r": 3, "k_v": 2}
