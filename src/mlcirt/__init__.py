@@ -19,6 +19,7 @@ from .em import (
     initialize,
     m_step,
     multistart_fit,
+    student_class_posteriors,
 )
 from .likelihood import (
     EnumerationCapError,
@@ -109,6 +110,7 @@ __all__ = [
     "school_support_points",
     "simulate_full",
     "standardize_abilities",
+    "student_class_posteriors",
     "sweep_school_types",
     "type_probabilities_by_profile",
     "validate_dataset",

@@ -34,6 +34,11 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
         return default if value is None else value
 
     spec, controls, bic_n = config.spec, config.controls, given(args.bic_n, config.bic_n)
+    if bic_n not in ("students", "schools"):
+        try:
+            bic_n = int(bic_n)
+        except ValueError:
+            raise _flag_error("--bic-n", bic_n, "students, schools or an integer") from None
     return dataclasses.replace(
         config,
         spec=spec.replace(
@@ -46,7 +51,12 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
             n_starts=given(args.starts, controls.n_starts),
             max_iter=given(args.max_iter, controls.max_iter),
             tol_loglik=given(args.tol, controls.tol_loglik)),
-        bic_n=bic_n if bic_n in ("students", "schools") else int(bic_n))
+        bic_n=bic_n)
+
+
+def _flag_error(flag: str, value: str, accepted: str) -> mio.DataFormatError:
+    """The input error of a flag value that is none of the ``accepted`` forms."""
+    return mio.DataFormatError(f"{flag} {value!r}: expected {accepted}")
 
 
 def _load_inputs(args):
@@ -89,8 +99,7 @@ def cmd_fit(args) -> int:
     # on the report reproduces the assignment files byte for byte.
     stored = mio.stored_params(result.params, spec)
     result = dataclasses.replace(result, params=stored)
-    posteriors = e_step(data, stored, spec)
-    classification = classify(data, stored, spec, posteriors)
+    classification = classify(data, stored, spec, e_step(data, stored, spec))
     profiles, probs = _profile_table(data, stored, spec)
     report = mio.build_report(spec, config, result, classification, n_bic,
                               profiles, probs)
@@ -104,13 +113,13 @@ def cmd_fit(args) -> int:
 
 
 def _parse_ku_range(value: str):
-    if ".." in value:
-        lo, hi = value.split("..", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-        if not ks:
-            raise mio.DataFormatError(f"--ku range {value!r} is empty")
-    else:
-        ks = [int(value)]
+    lo, dots, hi = value.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1)) if dots else [int(value)]
+    except ValueError:
+        raise _flag_error("--ku", value, "a count N or a range LO..HI, e.g. 1..6") from None
+    if not ks:
+        raise mio.DataFormatError(f"--ku range {value!r} is empty")
     if ks[0] < 1:
         raise mio.DataFormatError(f"--ku {value!r}: the number of school "
                                   "types must be >= 1")

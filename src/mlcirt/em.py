@@ -3,10 +3,10 @@
 The E-step computes exact posteriors of the latent school types and
 student classes in log space.  Students with the same responses and
 covariate row (one response pattern of ``ResponseDataset.patterns``) share
-their class posteriors given the type, so the E-step and the M-step's
-statistics run once per pattern; only the school's type posterior differs
-between such students.  The M-step maximizes the expected complete
-log-likelihood block by block:
+their class posteriors given the type, so the E-step's tables and the
+M-step's statistics are kept once per pattern; only the school's type
+posterior differs between such students.  The M-step maximizes the
+expected complete log-likelihood block by block:
 
 (a) item/ability block: a posterior-weighted logistic regression over
     (class, item) cells.  The response logit is bilinear in the item
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,21 +77,17 @@ class MultistartError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PosteriorTables:
-    """E-step posteriors, with students in dataset order.
+    """E-step posteriors, on the schools and the response patterns.
 
-    - ``type_posterior``: (H, k_U), rows sum to 1
-    - ``joint_posterior``: (n, k_U, k_V); each student's slice sums to 1
-      overall and, along the class axis, to its school's type posterior
-    - ``class_posterior``: (n, k_V), the joint summed over types
+    - ``type_posterior``: (H, k_U), schools in dataset order; rows sum to 1
+    - ``cond_posterior``: (P, k_U, k_V), each response pattern's class
+      posteriors given the school type; each (pattern, type) row sums to 1
 
-    ``e_step`` derives these per-student tables from the per-pattern
-    E-step that ``fit`` runs, for classification and summaries; ``m_step``
-    reads the type and joint posteriors.
-    """
+    A student's joint posterior of (type u, class v) is its school's
+    ``type_posterior[u]`` times its pattern's ``cond_posterior[u, v]``."""
 
     type_posterior: np.ndarray
-    joint_posterior: np.ndarray
-    class_posterior: np.ndarray
+    cond_posterior: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,8 +120,11 @@ class FitControls:
             lowest = 0 if name == "seed" else 1
             if value < lowest:
                 raise ValueError(f"{name} must be >= {lowest}, got {value}")
-        if self.tol_loglik <= 0 or self.tol_param <= 0 or self.newton_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        for name in ("tol_loglik", "tol_param", "newton_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < np.inf):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def replace(self, **changes) -> "FitControls":
         return dataclasses.replace(self, **changes)
@@ -154,18 +152,6 @@ class FitResult:
 # E-step
 # ---------------------------------------------------------------------------
 
-class _PatternPosteriors(NamedTuple):
-    """What the M-step reads of an E-step, on the response patterns.
-
-    - ``type_posterior``: (H, k_U), as in ``PosteriorTables``
-    - ``mass``: (P, k_U, k_V), the posterior mass of each (pattern, type,
-      class): the sum of the joint posteriors of the pattern's students
-    """
-
-    type_posterior: np.ndarray
-    mass: np.ndarray
-
-
 def _sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """(size, ...) sums of the rows of ``values`` that share an ``index``,
     added in row order (one ``np.bincount`` per column)."""
@@ -186,10 +172,9 @@ def _sum_types(joint: np.ndarray) -> np.ndarray:
     return total
 
 
-def _conditional_posteriors(data: ResponseDataset, params: ParameterSet,
-                            spec: ModelSpec):
-    """The log-likelihood, the (H, k_U) type posteriors, and the
-    (P, k_U, k_V) class posteriors of each response pattern given the type."""
+def _e_step(data: ResponseDataset, params: ParameterSet,
+            spec: ModelSpec) -> tuple[float, PosteriorTables]:
+    """The log-likelihood and the posterior tables at ``params``."""
     loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
         data, params, spec)
     if not np.isfinite(loglik):
@@ -199,28 +184,27 @@ def _conditional_posteriors(data: ResponseDataset, params: ParameterSet,
     cond_post = np.exp(joint - log_mix[:, :, None])                 # (P, k_U, k_V)
     if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(cond_post))):
         raise NonFiniteLikelihoodError("posterior tables are not finite")
-    return loglik, z_hu, cond_post
-
-
-def _e_step(data: ResponseDataset, params: ParameterSet,
-            spec: ModelSpec) -> tuple[float, _PatternPosteriors]:
-    """The log-likelihood and the pattern table that ``_m_step`` reads."""
-    loglik, z_hu, cond_post = _conditional_posteriors(data, params, spec)
-    patterns = data.patterns
-    # A pattern's mass of type u: the type-u posteriors of its students'
-    # schools, summed.
-    type_mass = _sum_by(patterns.index, np.repeat(z_hu, data.sizes, axis=0),
-                        patterns.n_patterns)                        # (P, k_U)
-    return loglik, _PatternPosteriors(z_hu, cond_post * type_mass[:, :, None])
+    return loglik, PosteriorTables(z_hu, cond_post)
 
 
 def e_step(data: ResponseDataset, params: ParameterSet,
            spec: ModelSpec) -> PosteriorTables:
     """Posterior tables of the latent indicators given data and parameters."""
-    _, z_hu, cond_post = _conditional_posteriors(data, params, spec)
-    z_joint = (np.take(cond_post, data.patterns.index, axis=0)
-               * np.repeat(z_hu, data.sizes, axis=0)[:, :, None])  # (n, k_U, k_V)
-    return PosteriorTables(z_hu, z_joint, _sum_types(z_joint))
+    return _e_step(data, params, spec)[1]
+
+
+def student_class_posteriors(data: ResponseDataset,
+                             posteriors: PosteriorTables) -> np.ndarray:
+    """(n, k_V) class posteriors of the students in dataset order: their joint
+    posteriors summed over types as ``_sum_types`` adds, one type at a time."""
+    index, cond = data.patterns.index, posteriors.cond_posterior
+    terms = (np.take(cond[:, u, :], index, axis=0)
+             * np.repeat(posteriors.type_posterior[:, u], data.sizes)[:, None]
+             for u in range(cond.shape[1]))                         # (n, k_V) each
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +398,27 @@ def _class_block_cases(x_patterns: np.ndarray, x_index: np.ndarray,
                        joint: np.ndarray, n_types: int):
     """Cases and weights of the class-membership regression.
 
-    ``joint`` (N, k_U, k_V) holds the joint posterior mass of N rows
-    (students or response patterns), and ``x_index`` each row's covariate
+    ``joint`` (P, k_U, k_V) holds the posterior mass of the response
+    patterns (``_pattern_mass``), and ``x_index`` each pattern's covariate
     pattern.  One case per (type, covariate pattern) cell, weighted by the
-    sum of its rows' masses; by linearity the objective is that of one
+    sum of its patterns' masses; by linearity the objective is that of one
     case per (type, student).
     """
     n_pat, k_v = x_patterns.shape[0], joint.shape[2]
     weights = _sum_by(x_index, joint, n_pat)                # (X, k_U, k_V)
     return (_class_design_rows(x_patterns, n_types),
             weights.transpose(1, 0, 2).reshape(n_types * n_pat, k_v))
+
+
+def _pattern_mass(data: ResponseDataset, posteriors: PosteriorTables) -> np.ndarray:
+    """(P, k_U, k_V) posterior mass of each (pattern, type, class): its class
+    posteriors given type u times the summed type-u posteriors of its
+    students' schools."""
+    patterns = data.patterns
+    type_mass = _sum_by(patterns.index, np.repeat(posteriors.type_posterior,
+                                                  data.sizes, axis=0),
+                        patterns.n_patterns)                        # (P, k_U)
+    return posteriors.cond_posterior * type_mass[:, :, None]
 
 
 def _answer_counts(patterns: ResponsePatterns, mass: np.ndarray):
@@ -434,17 +429,22 @@ def _answer_counts(patterns: ResponsePatterns, mass: np.ndarray):
     return succ, succ + class_mass.T @ patterns.is_zero
 
 
-def _m_step(data: ResponseDataset, posteriors: _PatternPosteriors,
-            params: ParameterSet, spec: ModelSpec,
-            controls: FitControls | None = None) -> ParameterSet:
+def m_step(data: ResponseDataset, posteriors: PosteriorTables,
+           params: ParameterSet, spec: ModelSpec,
+           controls: FitControls | None = None) -> ParameterSet:
+    """Maximize the expected complete log-likelihood given E-step posteriors.
+
+    Never decreases any block objective relative to ``params``.
+    """
     controls = controls or FitControls()
-    succ, total = _answer_counts(data.patterns, posteriors.mass)
+    mass = _pattern_mass(data, posteriors)
+    succ, total = _answer_counts(data.patterns, mass)
     new_params = _maximize_item_block(succ, total, params, spec, controls)
 
     k_u, k_v = spec.n_types, spec.n_classes
     if k_v > 1:
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
-                                         posteriors.mass, k_u)
+                                         mass, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
         coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
                                           controls.newton_max_iter,
@@ -461,21 +461,6 @@ def _m_step(data: ResponseDataset, posteriors: _PatternPosteriors,
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
                                         type_slopes=coef[:, 1:].copy())
     return new_params
-
-
-def m_step(data: ResponseDataset, posteriors: PosteriorTables,
-           params: ParameterSet, spec: ModelSpec,
-           controls: FitControls | None = None) -> ParameterSet:
-    """Maximize the expected complete log-likelihood given E-step posteriors.
-
-    Reads the type and joint posteriors; the joint is summed onto the
-    response patterns first.  Never decreases any block objective relative
-    to ``params``.
-    """
-    patterns = data.patterns
-    mass = _sum_by(patterns.index, posteriors.joint_posterior, patterns.n_patterns)
-    return _m_step(data, _PatternPosteriors(posteriors.type_posterior, mass),
-                   params, spec, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +654,7 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     trace = [loglik]
     cycle_start = None      # theta0 while the second step of a cycle is due
     while True:
-        new_params = _m_step(data, posteriors, params, spec, controls)
+        new_params = m_step(data, posteriors, params, spec, controls)
         # Released before the next E-step: a fit never holds two sets of
         # posterior tables at once.
         posteriors = None

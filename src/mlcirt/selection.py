@@ -1,5 +1,6 @@
 """Model selection (BIC sweep over school types), MAP classification, and
-summary quantities of a fitted model."""
+summary quantities of a fitted model.  Class weights are computed once
+per student covariate row, and no (student, type, class) table is built."""
 
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ from .em import (
     FitResult,
     PosteriorTables,
     _child_seed,
+    _sum_by,
     e_step,
     multistart_fit,
+    student_class_posteriors,
 )
 from .model import ModelSpec, ParameterSet, Parameterization, count_free_parameters
 from .weights import log_class_weight_matrix, log_type_weight_matrix
@@ -146,9 +149,10 @@ def _map_rows(z: np.ndarray):
     return labels, z[np.arange(z.shape[0]), labels]
 
 
-def assign_students(posteriors: PosteriorTables) -> StudentAssignments:
+def assign_students(data: ResponseDataset,
+                    posteriors: PosteriorTables) -> StudentAssignments:
     """MAP class per student; ties break to the lowest class index."""
-    return StudentAssignments(*_map_rows(posteriors.class_posterior))
+    return StudentAssignments(*_map_rows(student_class_posteriors(data, posteriors)))
 
 
 def assign_schools(posteriors: PosteriorTables) -> SchoolAssignments:
@@ -163,12 +167,13 @@ def average_class_weights(data: ResponseDataset, params: ParameterSet,
     The class average mixes each student's model-implied class weights over
     school types using the school's type posterior, then averages over all
     students; the type average is the mean type posterior across schools.
+    The students' type posteriors are summed per covariate row first.
     """
     z_hu = posteriors.type_posterior
-    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
-                                           params))[data.x_pattern_index]
-    mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, data.sizes, axis=0), w_mat)
-    total = np.add.reduceat(mixed, data.starts, axis=0).sum(axis=0)
+    row_mass = _sum_by(data.x_pattern_index, np.repeat(z_hu, data.sizes, axis=0),
+                       data.x_patterns.shape[0])                   # (X, k_U)
+    total = np.einsum("xu,xuv->v", row_mass,
+                      np.exp(log_class_weight_matrix(data.x_patterns, params)))
     return total / data.n_students, z_hu.mean(axis=0)
 
 
@@ -205,11 +210,10 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     """
     z_hu = posteriors.type_posterior
     k_u = spec.n_types
-    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
-                                           params))[data.x_pattern_index]
-    # (n, k_U, k_V) x (k_V,) mean ability per class over dimensions
+    w_mat = np.exp(log_class_weight_matrix(data.x_patterns, params))
+    # (X, k_U, k_V) x (k_V,) mean ability per class over dimensions
     class_mean = params.abilities.mean(axis=1)
-    per_student = np.einsum("nuv,v->nu", w_mat, class_mean)
+    per_student = np.einsum("xuv,v->xu", w_mat, class_mean)[data.x_pattern_index]
     school_mean = (np.add.reduceat(per_student, data.starts, axis=0)
                    / data.sizes[:, None])
     mass = z_hu.sum(axis=0)
@@ -219,8 +223,7 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     std = np.full(k_u, np.nan)
     if defined.any():
         w = z_hu.mean(axis=0)[defined]
-        w = w / w.sum()
-        std[defined] = standardize_abilities(raw[defined], w)
+        std[defined] = standardize_abilities(raw[defined], w / w.sum())
     return SupportPoints(raw=raw, standardized=std, defined=defined)
 
 
@@ -245,7 +248,7 @@ def classify(data: ResponseDataset, params: ParameterSet, spec: ModelSpec,
         posteriors = e_step(data, params, spec)
     avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
     return ClassificationResult(
-        student_assignments=assign_students(posteriors),
+        student_assignments=assign_students(data, posteriors),
         school_assignments=assign_schools(posteriors),
         avg_class_weights=avg_class,
         avg_type_weights=avg_type,

@@ -399,7 +399,7 @@ def recovery_report(truth: ParameterSet, fit_result, labels: LatentLabels,
                                 truth.type_slopes.ravel()])
     errors["membership"] = _block_error(zeta_est, zeta_true)
 
-    student_map = assign_students(posteriors)
+    student_map = assign_students(data, posteriors)
     school_map = assign_schools(posteriors)
     hits = int(np.count_nonzero(student_map.labels == class_perm[labels.classes]))
     student_acc = hits / labels.classes.size

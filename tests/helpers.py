@@ -9,6 +9,7 @@ from mlcirt import (
     Parameterization,
     ResponseDataset,
     SchoolGroup,
+    student_class_posteriors,
 )
 
 
@@ -100,18 +101,20 @@ def random_instance(rng, *, max_schools=3, max_students=3, max_items=4,
 
 
 def check_posterior_invariants(posteriors, data, atol=1e-10):
-    """Normalization and consistency of all three posterior tables of
-    ``data``."""
+    """Normalization and consistency of the posterior tables of ``data``
+    and of the class posteriors they give each student."""
     z_hu = posteriors.type_posterior
-    zj = posteriors.joint_posterior
+    cond = posteriors.cond_posterior
     assert z_hu.shape[0] == data.n_schools
-    assert zj.shape[0] == posteriors.class_posterior.shape[0] == data.n_students
+    assert cond.shape[:2] == (data.patterns.n_patterns, z_hu.shape[1])
     np.testing.assert_allclose(z_hu.sum(axis=1), 1.0, atol=atol)
     assert np.all(z_hu >= 0)
-    np.testing.assert_allclose(zj.sum(axis=(1, 2)), 1.0, atol=atol)
-    np.testing.assert_allclose(zj.sum(axis=2), np.repeat(z_hu, data.sizes, axis=0),
-                               atol=atol)
-    np.testing.assert_allclose(zj.sum(axis=1), posteriors.class_posterior, atol=atol)
+    np.testing.assert_allclose(cond.sum(axis=2), 1.0, atol=atol)
+    assert np.all(cond >= 0)
+    z_class = student_class_posteriors(data, posteriors)
+    assert z_class.shape == (data.n_students, cond.shape[2])
+    np.testing.assert_allclose(z_class.sum(axis=1), 1.0, atol=atol)
+    assert np.all(z_class >= 0)
 
 
 def single_student_dataset(y=(1,), m_v=0, m_u=0):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp as scipy_logsumexp
 
-from mlcirt import Parameterization, em
+from mlcirt import Parameterization, em, selection
 from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
 from mlcirt.likelihood import response_logprob_tables, stacked_loglik_terms
@@ -104,9 +104,10 @@ def independence_model_max_loglik(data):
 def block_item_objective(data, posteriors, spec, difficulty, discrimination,
                          abilities, lc_success=None):
     """Posterior-weighted sum of response log-probabilities."""
+    z_class = student_tables(data, posteriors)[1]
     total = 0.0
     for a, school in zip(data.starts, data.schools):
-        z = posteriors.class_posterior[a:a + school.n_students]
+        z = z_class[a:a + school.n_students]
         for i in range(school.n_students):
             for v in range(spec.n_classes):
                 for j in range(spec.item_bank.n_items):
@@ -125,9 +126,10 @@ def block_item_objective(data, posteriors, spec, difficulty, discrimination,
 
 def block_class_objective(data, posteriors, spec, class_intercepts, class_slopes):
     """Joint-posterior-weighted log membership weights of the classes."""
+    z_joint = student_tables(data, posteriors)[0]
     total = 0.0
     for a, school in zip(data.starts, data.schools):
-        zj = posteriors.joint_posterior[a:a + school.n_students]
+        zj = z_joint[a:a + school.n_students]
         for i in range(school.n_students):
             x = school.student_covariates[i]
             for u in range(spec.n_types):
@@ -154,9 +156,12 @@ def per_student_answer_masks(data):
 
 
 def per_student_e_step(data, params, spec):
-    """``(loglik, PosteriorTables)`` with every student's conditional
-    log-likelihood, class weights, joint tensor and log-sum-exp computed on
-    its own row: the E-step before it ran once per response pattern."""
+    """``(loglik, posteriors, z_joint)`` with every student's conditional
+    log-likelihood, class weights, conditional class posteriors and
+    log-sum-exp computed on its own row: the E-step before it ran once per
+    response pattern.  ``posteriors`` holds each pattern's conditional
+    posteriors as computed on its students' rows; ``z_joint`` is the
+    (n, k_U, k_V) joint posterior of every student."""
     is_one, is_zero = per_student_answer_masks(data)
     logp0, logp1 = response_logprob_tables(params, spec)
     cond = is_one @ logp1.T + is_zero @ logp0.T                     # (n, k_V)
@@ -167,25 +172,67 @@ def per_student_e_step(data, params, spec):
     evidence = log_type_weight_matrix(data.school_covariates, params) + log_rho
     school_ll = scipy_logsumexp(evidence, axis=1)
     z_hu = np.exp(evidence - school_ll[:, None])
-    z_joint = (np.exp(joint - log_mix[:, :, None])
-               * np.repeat(z_hu, data.sizes, axis=0)[:, :, None])
-    return float(school_ll.sum()), em.PosteriorTables(z_hu, z_joint,
-                                                      z_joint.sum(axis=1))
+    z_cond = np.exp(joint - log_mix[:, :, None])
+    cond_posterior = np.empty((data.patterns.n_patterns,) + z_cond.shape[1:])
+    cond_posterior[data.patterns.index] = z_cond
+    return (float(school_ll.sum()), em.PosteriorTables(z_hu, cond_posterior),
+            z_cond * np.repeat(z_hu, data.sizes, axis=0)[:, :, None])
 
 
-def per_student_m_step_statistics(data, posteriors, n_types):
-    """The M-step's statistics summed over students: the (k_V, r) posterior
-    counts of right answers and of answers, and the class-membership
-    regression's design rows and (type, covariate pattern) case weights."""
+def student_tables(data, posteriors):
+    """The (n, k_U, k_V) joint and (n, k_V) class posteriors of every
+    student, as ``em.e_step`` built them before it kept its tables on the
+    response patterns: each student's pattern row times its school's type
+    posterior, summed over types slice by slice."""
+    z_joint = (np.take(posteriors.cond_posterior, data.patterns.index, axis=0)
+               * np.repeat(posteriors.type_posterior, data.sizes, axis=0)[:, :, None])
+    return z_joint, em._sum_types(z_joint)
+
+
+def per_student_m_step_statistics(data, z_joint, n_types):
+    """The M-step's statistics summed over students, from their (n, k_U, k_V)
+    joint posteriors: the (k_V, r) posterior counts of right answers and of
+    answers, and the class-membership regression's design rows and (type,
+    covariate pattern) case weights."""
     is_one, is_zero = per_student_answer_masks(data)
-    z_class = posteriors.class_posterior
+    z_class = z_joint.sum(axis=1)
     succ = z_class.T @ is_one
     total = z_class.T @ (is_one + is_zero)
-    z_joint = posteriors.joint_posterior
     weights = np.zeros((data.x_patterns.shape[0],) + z_joint.shape[1:])
     np.add.at(weights, data.x_pattern_index, z_joint)
     return (succ, total, em._class_design_rows(data.x_patterns, n_types),
             weights.transpose(1, 0, 2).reshape(-1, z_joint.shape[2]))
+
+
+def average_class_weights(data, params, posteriors):
+    """``selection.average_class_weights`` with one (k_U, k_V) class-weight
+    table gathered per student and the mixture summed per school."""
+    z_hu = posteriors.type_posterior
+    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
+                                           params))[data.x_pattern_index]
+    mixed = np.einsum("nu,nuv->nv", np.repeat(z_hu, data.sizes, axis=0), w_mat)
+    total = np.add.reduceat(mixed, data.starts, axis=0).sum(axis=0)
+    return total / data.n_students, z_hu.mean(axis=0)
+
+
+def school_support_points(data, params, spec, posteriors):
+    """``selection.school_support_points`` with one (k_U, k_V) class-weight
+    table gathered per student."""
+    z_hu = posteriors.type_posterior
+    w_mat = np.exp(log_class_weight_matrix(data.x_patterns,
+                                           params))[data.x_pattern_index]
+    per_student = np.einsum("nuv,v->nu", w_mat, params.abilities.mean(axis=1))
+    school_mean = (np.add.reduceat(per_student, data.starts, axis=0)
+                   / data.sizes[:, None])
+    mass = z_hu.sum(axis=0)
+    defined = mass > selection._EMPTY_TYPE_MASS
+    raw = np.full(spec.n_types, np.nan)
+    raw[defined] = (z_hu[:, defined] * school_mean[:, defined]).sum(axis=0) / mass[defined]
+    std = np.full(spec.n_types, np.nan)
+    if defined.any():
+        w = z_hu.mean(axis=0)[defined]
+        std[defined] = selection.standardize_abilities(raw[defined], w / w.sum())
+    return selection.SupportPoints(raw=raw, standardized=std, defined=defined)
 
 
 def initial_item_logits(data):
@@ -525,7 +572,7 @@ def plain_em_fit(data, spec, controls, init):
         if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
             converged = True
             break
-        new_params = em._m_step(data, posteriors, params, spec, controls)
+        new_params = em.m_step(data, posteriors, params, spec, controls)
         delta = max_abs_change(params, new_params)
         params = new_params
         if delta < controls.tol_param:

@@ -1,6 +1,8 @@
 """EM estimator: E-step posteriors, M-step blocks, initialization, fits."""
 
+import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -21,6 +23,7 @@ from mlcirt import (
     m_step,
     multistart_fit,
     permute_parameters,
+    student_class_posteriors,
 )
 from mlcirt.model import max_abs_change
 
@@ -45,6 +48,19 @@ def test_fit_controls_reject_a_non_integer_count(name, value):
     cap would never hold."""
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
         FitControls(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["tol_loglik", "tol_param", "newton_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 0.0, -1e-8,
+                                   "1e-8"])
+def test_fit_controls_reject_a_tolerance_that_is_not_finite_and_positive(name,
+                                                                         value):
+    """An infinite tolerance stops a fit after one M-step as converged, and
+    a NaN one switches its stopping rule off."""
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, "
+                       f"got {re.escape(repr(value))}$"):
+        FitControls(**{name: value})
+    assert getattr(FitControls(**{name: 1}), name) == 1
 
 
 def test_fit_controls_reject_a_negative_seed():
@@ -132,15 +148,17 @@ class TestMStep:
         rng = np.random.default_rng(3)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=1, school_size=4)
-        resp = data.schools[0].responses
+        # Four distinct response rows, so that each student is a response
+        # pattern of its own and can be given a class of its own.
+        resp = np.array([[1, 1], [0, 1], [1, 0], [0, 0]], dtype=np.int8)
+        data = ResponseDataset.from_schools(
+            (dataclasses.replace(data.schools[0], responses=resp),))
         hard = np.zeros((4, 2))
         hard[:2, 0] = 1.0   # students 0-1 in class 0, students 2-3 in class 1
         hard[2:, 1] = 1.0
-        post = PosteriorTables(
-            type_posterior=np.ones((1, 1)),
-            joint_posterior=hard[:, None, :].copy(),
-            class_posterior=hard,
-        )
+        cond = np.empty((4, 1, 2))
+        cond[data.patterns.index] = hard[:, None, :]
+        post = PosteriorTables(type_posterior=np.ones((1, 1)), cond_posterior=cond)
         new = m_step(data, post, params, spec, QUICK)
         for v, rows in ((0, resp[:2]), (1, resp[2:])):
             np.testing.assert_allclose(
@@ -166,7 +184,7 @@ class TestMStep:
         data = random_dataset(spec, rng, n_schools=3, school_size=4)
         post = e_step(data, params, spec)
         new = m_step(data, post, params, spec, QUICK)
-        expected = post.class_posterior.mean(axis=0)
+        expected = student_class_posteriors(data, post).mean(axis=0)
         np.testing.assert_allclose(
             reference.class_probs(new.class_intercepts, new.class_slopes,
                                   np.zeros(0), 0), expected, atol=1e-8)

@@ -750,6 +750,27 @@ class TestInputErrorsBeforeFitting:
                 in capsys.readouterr().err.splitlines())
         assert not (tmp_path / "fit" / "report.json").exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("fit", ["--bic-n", "2.5"],
+         "--bic-n '2.5': expected students, schools or an integer"),
+        ("sweep", ["--ku", "abc"],
+         "--ku 'abc': expected a count N or a range LO..HI, e.g. 1..6"),
+        ("sweep", ["--ku", "1..x"],
+         "--ku '1..x': expected a count N or a range LO..HI, e.g. 1..6"),
+        ("sweep", ["--ku", "..3"],
+         "--ku '..3': expected a count N or a range LO..HI, e.g. 1..6"),
+        ("fit", ["--tol", "inf"], "tol_loglik must be a finite number > 0, got inf"),
+        ("fit", ["--tol", "nan"], "tol_loglik must be a finite number > 0, got nan"),
+    ], ids=["bic-n-2.5", "ku-abc", "ku-1..x", "ku-..3", "tol-inf", "tol-nan"])
+    def test_bad_flag_value_is_one_error_line(self, tmp_path, capsys, no_fitting,
+                                              command, flags, message):
+        students, schools, config_path = write_inputs(tmp_path)
+        assert main([command, "--students", str(students), "--schools", str(schools),
+                     "--config", str(config_path), "--out", str(tmp_path / "out"),
+                     "--starts", "1", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ku", ["0..1", "0"])
     def test_sweep_rejects_zero_school_types(self, tmp_path, capsys, no_fitting,
                                              ku):
@@ -797,6 +818,9 @@ class TestInputErrorsBeforeFitting:
     ("simulate", {"school_size": True}),
     ("fit", {"controls": {"seed": -1}}),
     ("simulate", {"seed": -1}),
+    ("fit", {"controls": {"tol_loglik": True}}),
+    ("fit", {"controls": {"tol_param": math.nan}}),
+    ("fit", {"controls": {"newton_tol": math.inf}}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):

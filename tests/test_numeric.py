@@ -20,9 +20,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import logsumexp
 
 from mlcirt._numeric import expit, log_expit, logit, logsumexp_last
-from mlcirt.em import e_step
+from mlcirt.em import e_step, student_class_posteriors
 from mlcirt.likelihood import stacked_loglik_terms
 
+import reference
 from helpers import make_spec, random_dataset, random_params
 
 
@@ -103,17 +104,18 @@ def test_e_step_equals_gather_and_axis_sum_bitwise(k_u, k_v):
     data = random_dataset(spec, rng, n_schools=7, school_size=(1, 9),
                           missing_rate=0.1)
     post = e_step(data, params, spec)
-    z_hu, z_joint, z_class = (post.type_posterior, post.joint_posterior,
-                              post.class_posterior)
+    z_joint, _ = reference.student_tables(data, post)
+    z_class = student_class_posteriors(data, post)
 
     _, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
         data, params, spec)
     old_hu = np.exp(evidence - school_ll[:, None])
+    old_cond = np.exp(joint - log_mix[:, :, None])
     school_index = np.repeat(np.arange(data.n_schools), data.sizes)
-    old_joint = (np.exp(joint - log_mix[:, :, None])[data.patterns.index]
-                 * old_hu[school_index][:, :, None])
+    old_joint = old_cond[data.patterns.index] * old_hu[school_index][:, :, None]
     old_class = old_joint.sum(axis=1)
-    np.testing.assert_array_equal(bits(z_hu), bits(old_hu))
+    np.testing.assert_array_equal(bits(post.type_posterior), bits(old_hu))
+    np.testing.assert_array_equal(bits(post.cond_posterior), bits(old_cond))
     np.testing.assert_array_equal(bits(z_joint), bits(old_joint))
     np.testing.assert_array_equal(bits(z_class), bits(old_class))
 

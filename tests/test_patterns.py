@@ -1,5 +1,5 @@
-"""The E-step and M-step statistics per response pattern against the
-per-student computations of ``reference``.
+"""The E-step, the M-step statistics and the classification summaries per
+response pattern against the per-student computations of ``reference``.
 
 Students with the same responses and covariate row share one response
 pattern (``ResponseDataset.patterns``): their conditional log-likelihood,
@@ -14,8 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlcirt import (FitControls, Parameterization, ResponseDataset, e_step, em,
-                    fit, initialize, m_step)
+from mlcirt import (FitControls, Parameterization, ResponseDataset,
+                    assign_students, average_class_weights, classify, e_step, em,
+                    fit, initialize, m_step, school_support_points,
+                    student_class_posteriors)
 from mlcirt._numeric import expit
 from mlcirt.simulate import desk_design, simulate_full
 
@@ -103,49 +105,104 @@ def test_patterns_are_the_distinct_pairs_for_any_item_count(n_items):
 def test_e_step_matches_per_student(name):
     spec, params, data = case(name)
     loglik, posteriors = em._e_step(data, params, spec)
-    ref_loglik, ref = reference.per_student_e_step(data, params, spec)
+    ref_loglik, ref, ref_joint = reference.per_student_e_step(data, params, spec)
     np.testing.assert_allclose(loglik, ref_loglik, rtol=RTOL)
-    np.testing.assert_allclose(posteriors.type_posterior, ref.type_posterior,
-                               rtol=RTOL)
-    ref_mass = np.zeros_like(posteriors.mass)
-    np.add.at(ref_mass, data.patterns.index, ref.joint_posterior)
-    np.testing.assert_allclose(posteriors.mass, ref_mass, rtol=RTOL)
-
-    tables = e_step(data, params, spec)
-    for field in ("type_posterior", "joint_posterior", "class_posterior"):
-        np.testing.assert_allclose(getattr(tables, field), getattr(ref, field),
+    for field in ("type_posterior", "cond_posterior"):
+        np.testing.assert_allclose(getattr(posteriors, field), getattr(ref, field),
                                    rtol=RTOL)
+    ref_mass = np.zeros(posteriors.cond_posterior.shape)
+    np.add.at(ref_mass, data.patterns.index, ref_joint)
+    np.testing.assert_allclose(em._pattern_mass(data, posteriors), ref_mass,
+                               rtol=RTOL)
+    np.testing.assert_allclose(student_class_posteriors(data, posteriors),
+                               ref_joint.sum(axis=1), rtol=RTOL)
+    assert e_step(data, params, spec).cond_posterior.tobytes() == \
+        posteriors.cond_posterior.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_m_step_statistics_match_per_student(name):
     spec, params, data = case(name)
     _, posteriors = em._e_step(data, params, spec)
+    mass = em._pattern_mass(data, posteriors)
     succ, total, design, weights = reference.per_student_m_step_statistics(
-        data, reference.per_student_e_step(data, params, spec)[1], spec.n_types)
-    ours = em._answer_counts(data.patterns, posteriors.mass)
+        data, reference.per_student_e_step(data, params, spec)[2], spec.n_types)
+    ours = em._answer_counts(data.patterns, mass)
     np.testing.assert_allclose(ours[0], succ, rtol=RTOL)
     np.testing.assert_allclose(ours[1], total, rtol=RTOL)
     our_design, our_weights = em._class_block_cases(
-        data.x_patterns, data.patterns.x_index, posteriors.mass, spec.n_types)
+        data.x_patterns, data.patterns.x_index, mass, spec.n_types)
     np.testing.assert_array_equal(our_design, design)
     np.testing.assert_allclose(our_weights, weights, rtol=RTOL)
 
 
 @pytest.mark.parametrize("name", [c for c in CASES if c != "all-identical"])
 def test_m_step_of_student_tables_equals_m_step_of_pattern_table(name):
-    """The public ``m_step`` sums hand-made per-student tables onto the
-    patterns; it lands where the fit's own pattern table lands.  (With one
-    response row for all, the item block has no finite maximum and its
-    Newton steps run off, so that case is left to the statistics above.)"""
+    """``m_step`` of the tables that the per-student E-step computes on each
+    student's row lands where ``m_step`` of the fit's own pattern tables
+    lands.  (With one response row for all, the item block has no finite
+    maximum and its Newton steps run off, so that case is left to the
+    statistics above.)"""
     spec, params, data = case(name)
     controls = FitControls()
     _, posteriors = em._e_step(data, params, spec)
-    _, tables = reference.per_student_e_step(data, params, spec)
+    _, tables, _ = reference.per_student_e_step(data, params, spec)
     np.testing.assert_allclose(
         em._pack(m_step(data, tables, params, spec, controls)),
-        em._pack(em._m_step(data, posteriors, params, spec, controls)),
+        em._pack(m_step(data, posteriors, params, spec, controls)),
         rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_class_posteriors_and_labels_equal_the_student_joint_bitwise(name):
+    """Contracting the pattern tables over types one slice at a time gives
+    bitwise the class posteriors summed from the (n, k_U, k_V) joint."""
+    spec, params, data = case(name)
+    posteriors = e_step(data, params, spec)
+    _, ref_class = reference.student_tables(data, posteriors)
+    assert student_class_posteriors(data, posteriors).tobytes() == ref_class.tobytes()
+    ours = assign_students(data, posteriors)
+    labels = np.argmax(ref_class, axis=1)
+    np.testing.assert_array_equal(ours.labels, labels)
+    assert ours.posteriors.tobytes() == \
+        ref_class[np.arange(data.n_students), labels].tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_summaries_equal_the_per_student_gathers(name):
+    spec, params, data = case(name)
+    posteriors = e_step(data, params, spec)
+    avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
+    ref_class, ref_type = reference.average_class_weights(data, params, posteriors)
+    np.testing.assert_allclose(avg_class, ref_class, rtol=1e-12, atol=1e-12)
+    assert avg_type.tobytes() == ref_type.tobytes()
+    ours = school_support_points(data, params, spec, posteriors)
+    ref = reference.school_support_points(data, params, spec, posteriors)
+    np.testing.assert_array_equal(ours.defined, ref.defined)
+    for field in ("raw", "standardized"):
+        np.testing.assert_allclose(getattr(ours, field), getattr(ref, field),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_classify_builds_no_per_student_joint():
+    """Classifying 20,000 desk students (9,525 response patterns) builds
+    no (n, k_U, k_V) table.
+
+    Its traced peak was 3,218,619 bytes with the per-student joint and
+    class-weight gathers and is 2,142,430 bytes on the patterns; building
+    the (n, k_U, k_V) joint (960,000 bytes) for the class posteriors alone
+    raises it to 2,781,726 bytes.
+    """
+    design = desk_design(seed=3, n_schools=1000, school_size=20)
+    data = simulate_full(design).dataset
+    assert data.patterns.n_patterns == 9525
+    tracemalloc.start()
+    try:
+        classify(data, design.truth, design.spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000, peak
 
 
 @pytest.mark.parametrize("parameterization", [Parameterization.TWO_PL,

@@ -12,6 +12,7 @@ from mlcirt import (
     FitControls,
     PosteriorTables,
     ResponseDataset,
+    SchoolGroup,
     assign_schools,
     assign_students,
     average_class_weights,
@@ -175,40 +176,53 @@ class TestSweep:
 
 
 def posterior_tables(z_hu, z_class_list):
-    """Build PosteriorTables from a type posterior and per-school class
-    posteriors, using the product joint (adequate for assignment tests)."""
-    return PosteriorTables(type_posterior=np.asarray(z_hu, dtype=float),
-                           joint_posterior=np.concatenate([
-                               np.asarray(z)[:, None, :] * z_hu[h][None, :, None]
-                               for h, z in enumerate(z_class_list)]),
-                           class_posterior=np.concatenate([
-                               np.asarray(z, dtype=float) for z in z_class_list]))
+    """A dataset with one school per entry of ``z_class_list`` and one
+    response pattern per student, and PosteriorTables whose class
+    posteriors given every type are the student's row of its school's
+    entry (so that, with type posteriors summing to 1, they are its class
+    posteriors)."""
+    z_hu = np.asarray(z_hu, dtype=float)
+    schools, first = [], 0
+    for h, z in enumerate(z_class_list):
+        n_h = len(z)
+        schools.append(SchoolGroup(
+            school_id=f"s{h}", covariates=np.zeros(0),
+            student_ids=tuple(f"s{h}-i{i}" for i in range(n_h)),
+            # A distinct covariate row per student: a pattern per student.
+            student_covariates=np.arange(first, first + n_h, dtype=float)[:, None],
+            responses=np.zeros((n_h, 1), dtype=np.int8)))
+        first += n_h
+    data = ResponseDataset.from_schools(schools)
+    z_class = np.concatenate([np.asarray(z, dtype=float) for z in z_class_list])
+    cond = np.empty((data.n_students, z_hu.shape[1], z_class.shape[1]))
+    cond[data.patterns.index] = z_class[:, None, :]
+    return data, PosteriorTables(type_posterior=z_hu, cond_posterior=cond)
 
 
 class TestAssignments:
 
     def test_student_argmax(self):
-        post = posterior_tables(np.array([[1.0]]),
-                                [np.array([[0.1, 0.7, 0.2]])])
-        out = assign_students(post)
+        data, post = posterior_tables(np.array([[1.0]]),
+                                      [np.array([[0.1, 0.7, 0.2]])])
+        out = assign_students(data, post)
         assert out.labels[0] == 1
         assert out.posteriors[0] == pytest.approx(0.7)
 
     def test_student_tie_breaks_low(self):
-        post = posterior_tables(np.array([[1.0]]),
-                                [np.array([[1 / 3, 1 / 3, 1 / 3]])])
-        assert assign_students(post).labels[0] == 0
+        data, post = posterior_tables(np.array([[1.0]]),
+                                      [np.array([[1 / 3, 1 / 3, 1 / 3]])])
+        assert assign_students(data, post).labels[0] == 0
 
     def test_student_degenerate(self):
-        post = posterior_tables(np.array([[1.0]]),
-                                [np.array([[1.0, 0.0, 0.0]])])
-        out = assign_students(post)
+        data, post = posterior_tables(np.array([[1.0]]),
+                                      [np.array([[1.0, 0.0, 0.0]])])
+        out = assign_students(data, post)
         assert out.labels[0] == 0
         assert out.posteriors[0] == 1.0
 
     def test_school_argmax_and_ties(self):
-        post = posterior_tables(np.array([[0.6, 0.4], [0.5, 0.5], [0.0, 1.0]]),
-                                [np.array([[1.0]])] * 3)
+        _, post = posterior_tables(np.array([[0.6, 0.4], [0.5, 0.5], [0.0, 1.0]]),
+                                   [np.array([[1.0]])] * 3)
         out = assign_schools(post)
         np.testing.assert_array_equal(out.labels, [0, 0, 1])
         np.testing.assert_allclose(out.posteriors, [0.6, 0.5, 1.0])
@@ -217,10 +231,10 @@ class TestAssignments:
         rng = np.random.default_rng(3)
         for _ in range(10):
             z = rng.dirichlet(np.ones(4), size=5)
-            post = posterior_tables(np.ones((5, 1)), [z])
-            base = assign_students(post).labels
-            post2 = posterior_tables(np.ones((5, 1)), [np.sqrt(z)])
-            np.testing.assert_array_equal(assign_students(post2).labels, base)
+            data, post = posterior_tables(np.ones((1, 1)), [z])
+            base = assign_students(data, post).labels
+            data2, post2 = posterior_tables(np.ones((1, 1)), [np.sqrt(z)])
+            np.testing.assert_array_equal(assign_students(data2, post2).labels, base)
 
 
 def with_repeated_rows(data, rng):
@@ -400,10 +414,7 @@ class TestSummaries:
         post = e_step(data, params, spec)
         starved = PosteriorTables(
             type_posterior=np.array([[1.0, 0.0], [1.0, 0.0]]),
-            joint_posterior=np.concatenate([post.joint_posterior[:, :1, :],
-                                            0.0 * post.joint_posterior[:, 1:, :]],
-                                           axis=1),
-            class_posterior=post.class_posterior,
+            cond_posterior=post.cond_posterior,
         )
         points = school_support_points(data, params, spec, starved)
         assert points.defined[0]
