@@ -1,9 +1,9 @@
 """Command-line interface: fit, sweep, simulate, classify.
 
-Exit codes: 0 success, 1 input/validation error (including a file that
-cannot be read or written), 2 the estimator did not converge (reports
-are still written).  A Python warning raised during a command is printed
-as one ``warning: <message>`` line on stderr.
+Exit codes: 0 success, 1 input/validation error (including a usage error
+and a file that cannot be read or written), 2 the estimator did not
+converge (reports are still written).  An error is one ``error: <message>``
+line on stderr, and so is a Python warning: ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -33,17 +33,12 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
     def given(value, default):
         return default if value is None else value
 
-    spec, controls, bic_n = config.spec, config.controls, given(args.bic_n, config.bic_n)
-    if bic_n not in ("students", "schools"):
-        try:
-            bic_n = int(bic_n)
-        except ValueError:
-            raise _flag_error("--bic-n", bic_n, "students, schools or an integer") from None
+    spec, controls = config.spec, config.controls
     return dataclasses.replace(
         config,
         spec=spec.replace(
             n_classes=given(args.kv, spec.n_classes),
-            n_types=args.ku if isinstance(args.ku, int) else spec.n_types,
+            n_types=given(args.ku, spec.n_types),
             parameterization=Parameterization(args.parameterization
                                               or spec.parameterization)),
         controls=controls.replace(
@@ -51,12 +46,7 @@ def _apply_overrides(config: mio.ModelConfig, args) -> mio.ModelConfig:
             n_starts=given(args.starts, controls.n_starts),
             max_iter=given(args.max_iter, controls.max_iter),
             tol_loglik=given(args.tol, controls.tol_loglik)),
-        bic_n=bic_n)
-
-
-def _flag_error(flag: str, value: str, accepted: str) -> mio.DataFormatError:
-    """The input error of a flag value that is none of the ``accepted`` forms."""
-    return mio.DataFormatError(f"{flag} {value!r}: expected {accepted}")
+        bic_n=given(args.bic_n, config.bic_n))
 
 
 def _load_inputs(args):
@@ -112,26 +102,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _parse_ku_range(value: str):
-    lo, dots, hi = value.partition("..")
-    try:
-        ks = list(range(int(lo), int(hi) + 1)) if dots else [int(value)]
-    except ValueError:
-        raise _flag_error("--ku", value, "a count N or a range LO..HI, e.g. 1..6") from None
-    if not ks:
-        raise mio.DataFormatError(f"--ku range {value!r} is empty")
-    if ks[0] < 1:
-        raise mio.DataFormatError(f"--ku {value!r}: the number of school "
-                                  "types must be >= 1")
-    return ks
-
-
 def cmd_sweep(args) -> int:
-    ks = _parse_ku_range(args.ku)
     config, spec, data = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = sweep_school_types(data, spec, ks, config.controls,
+    result = sweep_school_types(data, spec, args.ku_range, config.controls,
                                 bic_n=config.bic_n)
     mio.write_sweep(out / "sweep.json", result)
     for row in result.rows:
@@ -178,8 +153,37 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors."""
+
+    def error(self, message):
+        raise mio.DataFormatError(message)
+
+
+def _bic_n(value: str):
+    """``--bic-n``: students, schools or an integer."""
+    try:
+        return value if value in ("students", "schools") else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected students, schools or an integer, got {value!r}") from None
+
+
+def _ku_range(value: str) -> list[int]:
+    """``sweep --ku``: the school-type counts N or LO..HI."""
+    lo, dots, hi = value.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1)) if dots else [int(value)]
+    except ValueError:
+        ks = []
+    if not ks or ks[0] < 1:
+        raise argparse.ArgumentTypeError("expected a count N >= 1 or a range LO..HI "
+                                         f"with 1 <= LO <= HI, e.g. 1..6, got {value!r}")
+    return ks
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlcirt",
         description="Multilevel latent-class IRT: fit, model selection, "
                     "simulation, and classification for binary test data.")
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="log-likelihood change tolerance")
         p.add_argument("--parameterization", choices=["lc", "1pl", "2pl"])
         p.add_argument("--kv", type=int, help="number of student classes")
-        p.add_argument("--bic-n",
+        p.add_argument("--bic-n", type=_bic_n,
                        help="BIC sample size: students, schools, or an integer")
 
     p_fit = sub.add_parser("fit", help="fit one model and write a report")
@@ -210,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="BIC sweep over school-type counts")
     add_data_flags(p_sweep)
     add_fit_flags(p_sweep)
-    p_sweep.add_argument("--ku", required=True,
+    p_sweep.add_argument("--ku", dest="ku_range", type=_ku_range, required=True,
                          help="range of school-type counts, e.g. 1..6")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, ku=None)   # rows set their own n_types
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset")
     p_sim.add_argument("--design", required=True, help="design JSON file")
@@ -229,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                              file=sys.stderr)

@@ -33,7 +33,6 @@ and the trace count M-steps, as they would for plain EM.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +50,16 @@ from .model import (
     ParameterSet,
     Parameterization,
     apply_identifiability,
+    check_integer,
+    check_number,
     max_abs_change,
     validate_params,
 )
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
+# A Newton block stops once its step moves every unknown by less than this.
+_NEWTON_TOL = 1e-9
 
 
 class MStepError(RuntimeError):
@@ -99,31 +102,24 @@ class FitControls:
     ``tol_loglik``, or once an M-step changes no parameter by ``tol_param``
     or more.
 
-    ``newton_max_iter`` and ``newton_tol`` bound the Newton steps of every
-    M-step block (item/ability, class membership, type membership): a
-    block stops after that many steps, or once a step moves no unknown by
-    ``newton_tol`` or more.
+    ``newton_max_iter`` bounds the Newton steps of every M-step block
+    (item/ability, class membership, type membership): a block stops after
+    that many steps, or once a step moves no unknown by 1e-9 or more.
+    Construction raises ``ValueError`` naming a field of the wrong type or range.
     """
 
     max_iter: int = 5000
     tol_loglik: float = 1e-8
     tol_param: float = 1e-6
     newton_max_iter: int = 50
-    newton_tol: float = 1e-9
     n_starts: int = 10
     seed: int = 0
 
     def __post_init__(self):
         for name in ("max_iter", "newton_max_iter", "n_starts", "seed"):
-            if not isinstance(value := getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            lowest = 0 if name == "seed" else 1
-            if value < lowest:
-                raise ValueError(f"{name} must be >= {lowest}, got {value}")
-        for name in ("tol_loglik", "tol_param", "newton_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0 < value < np.inf):
+            check_integer(getattr(self, name), name, 0 if name == "seed" else 1)
+        for name in ("tol_loglik", "tol_param"):
+            if not 0 < (value := check_number(getattr(self, name), name)) < np.inf:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def replace(self, **changes) -> "FitControls":
@@ -310,7 +306,7 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 
     x0 = np.concatenate([slope0[slope_items], inter0[free],
                          params.abilities.reshape(-1)])
-    x = _damped_newton(value, newton_step, x0, controls.newton_tol,
+    x = _damped_newton(value, newton_step, x0, _NEWTON_TOL,
                        controls.newton_max_iter, "item-ability")
     slope, inter, abilities = unpack(x)
     difficulty = np.where(is_free, -inter / slope, 0.0)
@@ -446,17 +442,15 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
                                          mass, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
-        coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_tol,
-                                          controls.newton_max_iter,
-                                          "class-membership")
+        coef = _maximize_weighted_mnlogit(design, wts, coef0, _NEWTON_TOL,
+                                          controls.newton_max_iter, "class-membership")
         new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
                                         class_slopes=coef[:, k_u:].copy())
     if k_u > 1:
         design = np.hstack([np.ones((data.n_schools, 1)), data.school_covariates])
         coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
         coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
-                                          controls.newton_tol,
-                                          controls.newton_max_iter,
+                                          _NEWTON_TOL, controls.newton_max_iter,
                                           "type-membership")
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
                                         type_slopes=coef[:, 1:].copy())
@@ -474,9 +468,8 @@ def _ability_grid(n_classes: int) -> np.ndarray:
 
 
 def initialize(data: ResponseDataset, spec: ModelSpec,
-               strategy: str = "deterministic",
                seed: int | None = None) -> ParameterSet:
-    """Starting values for the EM loop.
+    """Starting values for the EM loop: deterministic, or random given a ``seed``.
 
     Deterministic: difficulties are the negated empirical item logits
     (clamped to +-5 for items with 0% or 100% correct), re-anchored so each
@@ -488,8 +481,6 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
     +-1, non-reference difficulties +-0.5, membership intercepts +-1) drawn
     in that order from a generator seeded with ``seed``.
     """
-    if strategy not in ("deterministic", "random"):
-        raise ValueError(f"unknown initialization strategy {strategy!r}")
     bank = spec.item_bank
     patterns = data.patterns
     # Sums of whole numbers, exact in floating point.
@@ -500,7 +491,7 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
         raw = -(np.log(phat) - np.log1p(-phat))
     raw = np.clip(raw, -5.0, 5.0)
 
-    rng = np.random.default_rng(seed) if strategy == "random" else None
+    rng = None if seed is None else np.random.default_rng(seed)
     grid = _ability_grid(spec.n_classes)
 
     if spec.parameterization is Parameterization.LC:
@@ -699,11 +690,8 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     best: FitResult | None = None
     failures: list[str] = []
     for start in range(controls.n_starts):
-        if start == 0:
-            init = initialize(data, spec, "deterministic")
-        else:
-            init = initialize(data, spec, "random",
-                              seed=_child_seed(controls.seed, start))
+        init = initialize(data, spec,
+                          None if start == 0 else _child_seed(controls.seed, start))
         try:
             result = fit(data, spec, controls, init)
         except (NonFiniteLikelihoodError, MStepError, FloatingPointError,

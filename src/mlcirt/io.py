@@ -35,6 +35,7 @@ from .model import (
     ModelSpec,
     ParameterSet,
     Parameterization,
+    check_integer,
     count_free_parameters,
     parameter_shapes,
     validate_params,
@@ -71,18 +72,11 @@ def _read_input(path, what: str, build):
     raise DataFormatError(f"{path}: {message}")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` if it is a JSON integer (not ``2.5``, ``2.0`` or ``true``)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _zero_based(values, name: str) -> list[int]:
     """0-based indices of a file's list of 1-based item or dimension numbers."""
     if not isinstance(values, list):
         raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    return [_integer(v, f"{name} entry") - 1 for v in values]
+    return [check_integer(v, f"{name} entry") - 1 for v in values]
 
 
 def _bank_from_json(raw: dict) -> ItemBank:
@@ -93,7 +87,7 @@ def _bank_from_json(raw: dict) -> ItemBank:
                                 None if refs is None
                                 else _zero_based(refs, "reference_items"))
     for name, value in (("n_items", bank.n_items), ("n_dims", bank.n_dims)):
-        if name in raw and _integer(raw[name], name) != value:
+        if name in raw and check_integer(raw[name], name) != value:
             raise ValueError(f"{name} is {raw[name]}, but dim_of gives {value}")
     return bank
 
@@ -177,13 +171,13 @@ def parse_config(path) -> ModelConfig:
     def build(raw):
         bic_n = raw.get("bic_n", "students")
         if bic_n not in ("students", "schools"):
-            bic_n = _integer(bic_n, "bic_n, if not 'students' or 'schools',")
+            bic_n = check_integer(bic_n, "bic_n, if not 'students' or 'schools',")
         student_covariates = _parse_covariate_decls(raw, "student_covariates")
         school_covariates = _parse_covariate_decls(raw, "school_covariates")
         spec = ModelSpec(
             item_bank=_bank_from_json(raw),
-            n_classes=_integer(raw.get("n_classes", 1), "n_classes"),
-            n_types=_integer(raw.get("n_types", 1), "n_types"),
+            n_classes=raw.get("n_classes", 1),
+            n_types=raw.get("n_types", 1),
             parameterization=Parameterization(
                 str(raw.get("parameterization", "2pl")).lower()),
             n_student_covariates=sum(d.n_columns for d in student_covariates),
@@ -214,18 +208,15 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
     def build(raw):
         spec = spec_from_dict(raw["spec"])
         size = raw["school_size"]
-        many = isinstance(size, list)
-        sizes = tuple(_integer(s, "school_size") for s in (size if many else [size]))
-        seed = raw.get("seed", 0) if seed_override is None else seed_override
         return SimulationDesign(
             spec=spec,
             truth=params_from_dict(raw["truth"], spec),
-            n_schools=_integer(raw["n_schools"], "n_schools"),
-            school_size=sizes if many else sizes[0],
+            n_schools=raw["n_schools"],
+            school_size=tuple(size) if isinstance(size, list) else size,
             student_covariates=_covariate_generators(raw, "student_covariates"),
             school_covariates=_covariate_generators(raw, "school_covariates"),
-            seed=_integer(seed, "seed"),
-            missing_rate=float(raw.get("missing_rate", 0.0)),
+            seed=raw.get("seed", 0) if seed_override is None else seed_override,
+            missing_rate=raw.get("missing_rate", 0.0),
         )
     return _read_input(path, "design", build)
 
@@ -607,7 +598,7 @@ def spec_from_dict(raw: dict) -> ModelSpec:
     counts = ("n_classes", "n_types", "n_student_covariates", "n_school_covariates")
     return ModelSpec(item_bank=_bank_from_json(raw),
                      parameterization=Parameterization(raw["parameterization"]),
-                     **{name: _integer(raw[name], name) for name in counts})
+                     **{name: raw[name] for name in counts})
 
 
 def build_report(spec: ModelSpec, config: ModelConfig, result: FitResult,

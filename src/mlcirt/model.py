@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,23 @@ import numpy as np
 # and of the packed parameter vector).
 PARAM_BLOCKS = ("difficulty", "discrimination", "abilities", "class_intercepts",
                 "class_slopes", "type_intercepts", "type_slopes")
+
+
+def check_integer(value, name: str, lowest: int | None = None):
+    """``value`` if it is an integer (``numbers.Integral``, not bool) and not
+    below ``lowest``; otherwise ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lowest is not None and value < lowest:
+        raise ValueError(f"{name} must be >= {lowest}, got {value}")
+    return value
+
+
+def check_number(value, name: str):
+    """``value`` if it is a number (``numbers.Real``, not bool), else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 class Parameterization(enum.Enum):
@@ -114,14 +132,12 @@ class ModelSpec:
     def __post_init__(self):
         problems: list[str] = []
         bank = self.item_bank
-        if self.n_classes < 1:
-            problems.append(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.n_types < 1:
-            problems.append(f"n_types must be >= 1, got {self.n_types}")
-        if self.n_student_covariates < 0:
-            problems.append("n_student_covariates must be >= 0")
-        if self.n_school_covariates < 0:
-            problems.append("n_school_covariates must be >= 0")
+        for name, lowest in (("n_classes", 1), ("n_types", 1),
+                             ("n_student_covariates", 0), ("n_school_covariates", 0)):
+            try:
+                check_integer(getattr(self, name), name, lowest)
+            except ValueError as exc:
+                problems.append(str(exc))
         if len(bank.dim_of) != bank.n_items:
             problems.append(f"dim_of has length {len(bank.dim_of)}, expected {bank.n_items}")
         if bank.n_items < 1:

@@ -13,6 +13,7 @@ from .data import ResponseDataset
 from .em import (
     FitControls,
     FitResult,
+    MultistartError,
     PosteriorTables,
     _child_seed,
     _sum_by,
@@ -20,7 +21,8 @@ from .em import (
     multistart_fit,
     student_class_posteriors,
 )
-from .model import ModelSpec, ParameterSet, Parameterization, count_free_parameters
+from .model import (ModelSpec, ParameterSet, Parameterization, check_integer,
+                    count_free_parameters)
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 _EMPTY_TYPE_MASS = 1e-12
@@ -41,10 +43,7 @@ def resolve_bic_n(data: ResponseDataset, bic_n) -> int:
         return data.n_students
     if bic_n == "schools":
         return data.n_schools
-    n = int(bic_n)
-    if n < 1:
-        raise ValueError("explicit BIC sample size must be >= 1")
-    return n
+    return check_integer(bic_n, "bic_n", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +69,11 @@ def sweep_school_types(data: ResponseDataset, spec: ModelSpec, n_types_values,
     """Fit the model for increasing numbers of school types and pick by BIC.
 
     Stops at the first BIC increase; the previous (smaller) value wins.  A
-    failed fit is recorded in its row and the sweep moves on.  Per-row
-    seeds derive deterministically from (controls.seed, n_types).
+    multistart whose every start failed (``MultistartError``) is recorded
+    in its row and the sweep moves on.  Per-row seeds derive
+    deterministically from (controls.seed, n_types).
     """
-    values = [int(k) for k in n_types_values]
+    values = [check_integer(k, "n_types") for k in n_types_values]
     if values != sorted(values):
         raise ValueError("n_types values must be ascending")
     n = resolve_bic_n(data, bic_n)
@@ -90,7 +90,7 @@ def sweep_school_types(data: ResponseDataset, spec: ModelSpec, n_types_values,
         n_par = count_free_parameters(row_spec)
         try:
             result = multistart_fit(data, row_spec, row_controls)
-        except Exception as exc:  # record and continue with the next k
+        except MultistartError as exc:
             rows.append(SweepRow(k, None, n_par, None, None, error=str(exc)))
             continue
         row = SweepRow(k, result.loglik, n_par,

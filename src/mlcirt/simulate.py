@@ -13,7 +13,6 @@ turns the columns back into CSV tokens through covariate declarations.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,8 @@ from .model import (
     ModelSpec,
     ParameterSet,
     Parameterization,
+    check_integer,
+    check_number,
     validate_params,
 )
 from .selection import assign_schools, assign_students
@@ -48,7 +49,7 @@ class CategoricalCovariate:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        p = tuple(float(v) for v in self.probs)
+        p = tuple(float(check_number(v, "probs entry")) for v in self.probs)
         if (len(p) < 2 or not np.isfinite(p).all() or min(p) < 0
                 or abs(sum(p) - 1.0) > 1e-9):
             raise ValueError("level probabilities must be finite, >= 0 and sum to 1, "
@@ -77,7 +78,7 @@ class CyclicCovariate:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(float(check_number(v, "values entry")) for v in self.values)
         if not values or not np.isfinite(values).all():
             raise ValueError("cyclic covariates need at least one value, all "
                              f"finite, got {list(values)}")
@@ -98,7 +99,8 @@ def covariate_width(generators) -> int:
 
 @dataclass(frozen=True)
 class SimulationDesign:
-    """Everything needed to draw a synthetic hierarchical dataset."""
+    """Everything needed to draw a synthetic hierarchical dataset, checked on
+    construction."""
 
     spec: ModelSpec
     truth: ParameterSet
@@ -110,18 +112,18 @@ class SimulationDesign:
     missing_rate: float = 0.0
 
     def __post_init__(self):
-        if self.n_schools < 1:
-            raise ValueError("n_schools must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer(self.n_schools, "n_schools", 1)
+        check_integer(self.seed, "seed", 0)
         size = self.school_size
         bounds = size if isinstance(size, tuple) else (size, size)
-        if (len(bounds) != 2 or not all(isinstance(b, numbers.Integral) for b in bounds)
-                or not 1 <= bounds[0] <= bounds[1]):
+        for b in bounds:
+            check_integer(b, "school_size")
+        if len(bounds) != 2 or not 1 <= bounds[0] <= bounds[1]:
             raise ValueError("school_size must be an integer >= 1 or [lo, hi] with "
                              f"integers 1 <= lo <= hi, got {size}")
-        if not 0.0 <= self.missing_rate < 1.0:
+        if not 0.0 <= check_number(self.missing_rate, "missing_rate") < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
+        object.__setattr__(self, "missing_rate", float(self.missing_rate))
         problems = validate_params(self.truth, self.spec)
         if covariate_width(self.student_covariates) != self.spec.n_student_covariates:
             problems.append("student covariate generators produce "

@@ -124,7 +124,7 @@ def instrumented_runs(desk_datasets):
     traces = []
     for seed, (design, data, labels) in enumerate(desk_datasets):
         spec = design.spec
-        params = initialize(data, spec, "random", seed=seed)
+        params = initialize(data, spec, seed=seed)
         trace = [marginal_loglik(data, params, spec)]
         for _ in range(60):
             posteriors = e_step(data, params, spec)

@@ -42,22 +42,24 @@ def params_with(spec, seed=0, **blocks):
 
 
 @pytest.mark.parametrize("name", ["max_iter", "newton_max_iter", "n_starts", "seed"])
-@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", True, False])
 def test_fit_controls_reject_a_non_integer_count(name, value):
     """A fractional ``max_iter`` would never equal the trace length, so the
-    cap would never hold."""
+    cap would never hold; a bool is not a count."""
     with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
         FitControls(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["tol_loglik", "tol_param", "newton_tol"])
+@pytest.mark.parametrize("name", ["tol_loglik", "tol_param"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, 0.0, -1e-8,
                                    "1e-8"])
 def test_fit_controls_reject_a_tolerance_that_is_not_finite_and_positive(name,
                                                                          value):
     """An infinite tolerance stops a fit after one M-step as converged, and
-    a NaN one switches its stopping rule off."""
-    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, "
+    a NaN one switches its stopping rule off.  A bool or a string is not a
+    number at all."""
+    rule = "a number" if isinstance(value, (bool, str)) else "a finite number > 0"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, "
                        f"got {re.escape(repr(value))}$"):
         FitControls(**{name: value})
     assert getattr(FitControls(**{name: 1}), name) == 1
@@ -433,17 +435,11 @@ class TestInitialize:
     def test_same_seed_same_params(self):
         rng = np.random.default_rng(9)
         spec, params, data = random_instance(rng)
-        a = initialize(data, spec, "random", seed=123)
-        b = initialize(data, spec, "random", seed=123)
+        a = initialize(data, spec, seed=123)
+        b = initialize(data, spec, seed=123)
         assert max_abs_change(a, b) == 0.0
-        c = initialize(data, spec, "random", seed=124)
+        c = initialize(data, spec, seed=124)
         assert max_abs_change(a, c) > 0.0
-
-    def test_unknown_strategy(self):
-        rng = np.random.default_rng(10)
-        spec, params, data = random_instance(rng)
-        with pytest.raises(ValueError):
-            initialize(data, spec, "fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ class TestFit:
         spec = make_spec(n_items=4, n_classes=3, n_types=1, m_v=0, m_u=0)
         data = random_dataset(spec, rng, n_schools=3, school_size=8)
         controls = FitControls(max_iter=250, tol_loglik=1e-8, n_starts=1)
-        init = initialize(data, spec, "random", seed=7)
+        init = initialize(data, spec, seed=7)
         base = fit(data, spec, controls, init)
         perm = np.array([2, 0, 1])
         permuted_init = permute_parameters(init, spec, perm, np.array([0]))

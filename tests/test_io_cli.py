@@ -66,6 +66,10 @@ REPEATED_LEVELS = (
 )
 
 
+# The accepted forms that a bad ``sweep --ku`` value's error lists.
+KU_ACCEPTS = "expected a count N >= 1 or a range LO..HI with 1 <= LO <= HI, e.g. 1..6"
+
+
 def write_inputs(tmp_path, students=STUDENTS_CSV, schools=SCHOOLS_CSV,
                  config=None):
     (tmp_path / "students.csv").write_text(students)
@@ -711,9 +715,14 @@ class TestOverParameterisedWarning:
         assert "warning:" not in capsys.readouterr().err
 
 
+# A fit call on the files of ``write_inputs``, formatted with their paths.
+FIT_ARGV = ["fit", "--students", "{students}", "--schools", "{schools}",
+            "--config", "{config}", "--out", "{out}"]
+
+
 class TestInputErrorsBeforeFitting:
-    """A bad --bic-n, --ku or --seed value exits 1 before any start is
-    fitted or any dataset simulated."""
+    """A bad --bic-n, --ku or --seed value, or any other usage error, exits
+    1 before any start is fitted or any dataset simulated."""
 
     @pytest.fixture
     def no_fitting(self, monkeypatch):
@@ -746,19 +755,15 @@ class TestInputErrorsBeforeFitting:
                      "--config", str(config_path), "--out", str(tmp_path / "fit"),
                      "--starts", "1", "--bic-n", "0"])
         assert code == 1
-        assert ("error: explicit BIC sample size must be >= 1"
-                in capsys.readouterr().err.splitlines())
+        assert capsys.readouterr().err.splitlines() == ["error: bic_n must be >= 1, got 0"]
         assert not (tmp_path / "fit" / "report.json").exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         ("fit", ["--bic-n", "2.5"],
-         "--bic-n '2.5': expected students, schools or an integer"),
-        ("sweep", ["--ku", "abc"],
-         "--ku 'abc': expected a count N or a range LO..HI, e.g. 1..6"),
-        ("sweep", ["--ku", "1..x"],
-         "--ku '1..x': expected a count N or a range LO..HI, e.g. 1..6"),
-        ("sweep", ["--ku", "..3"],
-         "--ku '..3': expected a count N or a range LO..HI, e.g. 1..6"),
+         "argument --bic-n: expected students, schools or an integer, got '2.5'"),
+        ("sweep", ["--ku", "abc"], f"argument --ku: {KU_ACCEPTS}, got 'abc'"),
+        ("sweep", ["--ku", "1..x"], f"argument --ku: {KU_ACCEPTS}, got '1..x'"),
+        ("sweep", ["--ku", "..3"], f"argument --ku: {KU_ACCEPTS}, got '..3'"),
         ("fit", ["--tol", "inf"], "tol_loglik must be a finite number > 0, got inf"),
         ("fit", ["--tol", "nan"], "tol_loglik must be a finite number > 0, got nan"),
     ], ids=["bic-n-2.5", "ku-abc", "ku-1..x", "ku-..3", "tol-inf", "tol-nan"])
@@ -769,6 +774,29 @@ class TestInputErrorsBeforeFitting:
                      "--config", str(config_path), "--out", str(tmp_path / "out"),
                      "--starts", "1", *flags]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("template", [
+        [*FIT_ARGV, "--seed", "abc"], [*FIT_ARGV, "--starts", "abc"],
+        [*FIT_ARGV, "--max-iter", "abc"], [*FIT_ARGV, "--kv", "abc"],
+        [*FIT_ARGV, "--ku", "abc"], [*FIT_ARGV, "--tol", "abc"],
+        [*FIT_ARGV, "--parameterization", "3pl"],
+        ["fit", "--students", "{students}", "--config", "{config}", "--out", "{out}"],
+        [*FIT_ARGV, "--no-such-flag"], ["nosuchcommand"], []],
+        ids=["seed-abc", "starts-abc", "max-iter-abc", "kv-abc", "ku-abc", "tol-abc",
+             "parameterization-3pl", "no-schools", "unknown-flag", "unknown-command",
+             "no-command"])
+    def test_usage_error_is_one_error_line(self, tmp_path, capsys, no_fitting,
+                                           template):
+        """A usage error is an input error: exit 1, not argparse's exit 2
+        after a usage block."""
+        students, schools, config_path = write_inputs(tmp_path)
+        argv = [arg.format(students=students, schools=schools, config=config_path,
+                           out=tmp_path / "out") for arg in template]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("error: ") and captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("ku", ["0..1", "0"])
@@ -821,6 +849,7 @@ class TestInputErrorsBeforeFitting:
     ("fit", {"controls": {"tol_loglik": True}}),
     ("fit", {"controls": {"tol_param": math.nan}}),
     ("fit", {"controls": {"newton_tol": math.inf}}),
+    ("simulate", {"missing_rate": "0.1"}),
 ])
 def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
                                                               command, entry):
@@ -883,7 +912,8 @@ def _without(raw: dict, key: str) -> dict:
     ("design", lambda d: dict(d, n_schools=2.5), "n_schools must be an integer, got 2.5"),
     ("design", lambda d: dict(d, spec=dict(d["spec"], n_items=9, n_dims=3)),
      "n_items is 9, but dim_of gives 4"),
-    ("config", lambda c: dict(c, n_classes=2.5), "n_classes must be an integer, got 2.5"),
+    ("config", lambda c: dict(c, n_classes=2.5),
+     "invalid model spec: n_classes must be an integer, got 2.5"),
     ("config", lambda c: dict(c, reference_items=[1.7]),
      "reference_items entry must be an integer, got 1.7"),
     ("config", lambda c: dict(c, controls={"seed": 1.5}),
@@ -985,7 +1015,7 @@ def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
      "invalid model spec: reference item 99 of dimension 1 out of range"),
     (lambda report: report.pop("parameters"), "missing key 'parameters'"),
     (lambda report: report["model"].update(n_classes=2.9),
-     "n_classes must be an integer, got 2.9"),
+     "invalid model spec: n_classes must be an integer, got 2.9"),
     (lambda report: report["model"].update(n_items=7), "n_items is 7, but dim_of gives 4"),
 ], ids=["reference-99", "no-parameters", "n-classes-2.9", "n-items-7"])
 def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,

@@ -1,19 +1,25 @@
-"""Core model types: success curve, identifiability, parameter counts."""
+"""Core model types: success curve, identifiability, parameter counts, and
+the number rule of every settings type."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mlcirt import (
+    FitControls,
     ItemBank,
     ModelSpec,
     Parameterization,
     apply_identifiability,
     count_free_parameters,
+    sweep_school_types,
     validate_params,
 )
 from mlcirt.likelihood import success_prob_table
+from mlcirt.selection import resolve_bic_n
+from mlcirt.simulate import CategoricalCovariate, desk_design, simulate_full
 
 from helpers import make_spec, random_params
 
@@ -284,3 +290,44 @@ class TestValidateSpec:
         assert validate_params(params, spec) == [
             f"reference item {j} not constrained to difficulty 0, discrimination 1"
             for j in (1, 3)]
+
+
+# ---------------------------------------------------------------------------
+# The number rule: each settings type takes a count only as an integer and a
+# rate only as a number, never as a bool or a string
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_design_and_data():
+    design = desk_design(n_schools=4, school_size=3)
+    return design, simulate_full(design).dataset
+
+
+NUMBER_RULE_CASES = {
+    "spec-n_classes-2.5": ("n_classes", lambda d, _: d.spec.replace(n_classes=2.5)),
+    "spec-n_types-True": ("n_types", lambda d, _: d.spec.replace(n_types=True)),
+    "spec-n_student_covariates-1.5": (
+        "n_student_covariates", lambda d, _: d.spec.replace(n_student_covariates=1.5)),
+    "design-n_schools-2.5": ("n_schools",
+                             lambda d, _: dataclasses.replace(d, n_schools=2.5)),
+    "design-seed-True": ("seed", lambda d, _: dataclasses.replace(d, seed=True)),
+    "design-seed-1.5": ("seed", lambda d, _: dataclasses.replace(d, seed=1.5)),
+    "design-school_size-True": (
+        "school_size", lambda d, _: dataclasses.replace(d, school_size=True)),
+    "design-missing_rate-str": (
+        "missing_rate", lambda d, _: dataclasses.replace(d, missing_rate="0.1")),
+    "categorical-probs-str": ("probs", lambda d, _: CategoricalCovariate(("0.5", "0.5"))),
+    "bic_n-2.5": ("bic_n", lambda _, data: resolve_bic_n(data, 2.5)),
+    "bic_n-True": ("bic_n", lambda _, data: resolve_bic_n(data, True)),
+    "sweep-n_types-1.5": ("n_types", lambda d, data: sweep_school_types(
+        data, d.spec, [1.5], FitControls(n_starts=1, max_iter=5))),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMBER_RULE_CASES))
+def test_number_rule_error_names_the_field(small_design_and_data, case):
+    """A count that is not an integer or a rate that is not a number is a
+    ``ValueError`` naming its field (``FitControls`` in ``test_em.py``)."""
+    field, build = NUMBER_RULE_CASES[case]
+    with pytest.raises(ValueError, match=f"{field}[^,]* must be "):
+        build(*small_design_and_data)

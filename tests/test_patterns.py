@@ -219,7 +219,7 @@ def test_initial_values_equal_a_scan_of_every_response(parameterization):
                      parameterization=parameterization)
     raw = reference.initial_item_logits(data)
     assert raw[1] == 0.0 and raw[2] == -5.0 and raw[3] == 5.0
-    start = initialize(data, spec, "deterministic")
+    start = initialize(data, spec)
     if parameterization is Parameterization.LC:
         grid = em._ability_grid(spec.n_classes)
         expected = np.clip(expit(grid[:, None] - raw[None, :]), 1e-8, 1 - 1e-8)
@@ -239,7 +239,7 @@ def test_fit_keeps_no_per_student_answer_masks():
     design = desk_design(seed=2, n_schools=1000, school_size=20)
     data = simulate_full(design).dataset
     controls = FitControls(max_iter=12, tol_loglik=1e-7)
-    init = initialize(data, design.spec, "random", seed=4)
+    init = initialize(data, design.spec, seed=4)
     fresh = dataclasses.replace(data)      # builds its patterns in the fit
     tracemalloc.start()
     try:

@@ -23,8 +23,9 @@ from mlcirt import (
     sweep_school_types,
     type_probabilities_by_profile,
 )
-from mlcirt.em import FitResult
+from mlcirt.em import FitResult, MultistartError
 from mlcirt.model import count_free_parameters
+from mlcirt.simulate import desk_design, simulate_full
 
 import reference
 from helpers import make_spec, random_dataset, random_params
@@ -148,19 +149,29 @@ class TestSweep:
 
         def flaky(_data, row_spec, _controls):
             if row_spec.n_types == 2:
-                raise mlcirt.em.MStepError("type-membership", "boom")
+                raise MultistartError(["start 0: boom"])
             ll = {1: -480.0, 3: -479.0}[row_spec.n_types]
             return FitResult(params=random_params(row_spec,
                                                   np.random.default_rng(0)),
                              loglik=ll, trace=(ll,), n_iter=1, converged=True)
 
-        import mlcirt.em
         monkeypatch.setattr(mlcirt.selection, "multistart_fit", flaky)
         result = sweep_school_types(data, spec, [1, 2, 3],
                                     FitControls(n_starts=1))
         assert result.rows[1].error is not None
         assert result.rows[1].loglik is None
         assert len(result.rows) == 3
+
+    @pytest.mark.filterwarnings("ignore:n_types=")
+    def test_invalid_fit_inputs_are_raised_not_recorded(self):
+        """Only a failed multistart becomes a row: inputs that no row can fit
+        raise the ``ValueError`` that ``multistart_fit`` raises."""
+        design = desk_design(n_schools=4, school_size=3)
+        data = simulate_full(design).dataset
+        spec = design.spec.replace(n_student_covariates=2)
+        with pytest.raises(ValueError, match="student covariates have 1 columns, "
+                                             "expected 2"):
+            sweep_school_types(data, spec, [1, 2], FitControls(n_starts=1))
 
     def test_warns_when_types_below_classes(self, small):
         spec, data = small

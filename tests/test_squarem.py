@@ -23,10 +23,8 @@ DESK = FitControls(max_iter=400, tol_loglik=1e-7, n_starts=4)
 
 def start_values(data, spec, controls, start):
     """The starting point ``multistart_fit`` uses for start ``start``."""
-    if start == 0:
-        return initialize(data, spec, "deterministic")
-    return initialize(data, spec, "random",
-                      seed=mlcirt.em._child_seed(controls.seed, start))
+    return initialize(data, spec,
+                      None if start == 0 else mlcirt.em._child_seed(controls.seed, start))
 
 
 def small_fits():
@@ -48,7 +46,7 @@ def small_fits():
         data = random_dataset(spec, rng, n_schools=6, school_size=10,
                               missing_rate=0.1)
         cases.append((data, spec, controls,
-                      initialize(data, spec, "random", seed=3)))
+                      initialize(data, spec, seed=3)))
     return cases
 
 
@@ -169,7 +167,7 @@ def test_peak_memory_no_higher_than_plain_em(monkeypatch, reject):
     design = desk_design(seed=2, n_schools=1000, school_size=20)
     data = simulate_full(design).dataset
     controls = FitControls(max_iter=12, tol_loglik=1e-7)
-    init = initialize(data, design.spec, "random", seed=4)
+    init = initialize(data, design.spec, seed=4)
     ours_data, plain_data = dataclasses.replace(data), dataclasses.replace(data)
     ours = traced_peak(fit, ours_data, design.spec, controls, init)
     plain = traced_peak(reference.plain_em_fit, plain_data, design.spec, controls,
