@@ -83,7 +83,7 @@ class ItemBank:
     def from_dim_of(cls, dim_of, reference_items=None) -> "ItemBank":
         """Build a bank from a dimension map; reference defaults to the
         first item of each dimension."""
-        dim_of = tuple(int(d) for d in dim_of)
+        dim_of = tuple(int(check_integer(d, "dim_of entry")) for d in dim_of)
         n_items = len(dim_of)
         n_dims = max(dim_of) + 1 if dim_of else 0
         if reference_items is None:
@@ -93,7 +93,9 @@ class ItemBank:
                 if not members:
                     raise ValueError(f"dimension {d + 1} has no items")
                 reference_items.append(members[0])
-        return cls(n_items, n_dims, dim_of, tuple(int(j) for j in reference_items))
+        return cls(n_items, n_dims, dim_of,
+                   tuple(int(check_integer(j, "reference_items entry"))
+                         for j in reference_items))
 
     @classmethod
     def single_dimension(cls, n_items: int) -> "ItemBank":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MISSING, ResponseDataset
+from .data import MISSING, ResponseDataset, unique_rows
 from .likelihood import marginal_loglik, success_prob_table
 from .model import (
     ItemBank,
@@ -60,9 +60,9 @@ class CategoricalCovariate:
     def n_columns(self) -> int:
         return len(self.probs) - 1
 
-    def draw_levels(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        return np.searchsorted(cum, rng.random(size), side="right")
+    def levels(self, uniforms: np.ndarray) -> np.ndarray:
+        """The level of each unit, drawn by inverse CDF from its uniform."""
+        return np.searchsorted(np.cumsum(self.probs), uniforms, side="right")
 
     def expand(self, levels: np.ndarray) -> np.ndarray:
         out = np.zeros((len(levels), self.n_columns))
@@ -89,8 +89,7 @@ class CyclicCovariate:
         return 1
 
     def assign(self, start: int, size: int) -> np.ndarray:
-        reps = [self.values[(start + t) % len(self.values)] for t in range(size)]
-        return np.asarray(reps)
+        return np.asarray(self.values)[(start + np.arange(size)) % len(self.values)]
 
 
 def covariate_width(generators) -> int:
@@ -153,41 +152,49 @@ class SimulatedData:
     labels: LatentLabels
 
 
-def _draw_covariates(generators, rng: np.random.Generator, size: int,
-                     cycle_start: int) -> np.ndarray:
-    """(size, columns) covariate matrix of ``size`` units."""
+def _covariate_uniforms(generators, rng: np.random.Generator, size: int) -> list:
+    """The uniforms that the categorical generators draw for ``size`` units."""
+    return [rng.random(size) for gen in generators
+            if isinstance(gen, CategoricalCovariate)]
+
+
+def _covariates(generators, uniforms: list, size: int) -> np.ndarray:
+    """(size, columns) covariate matrix of ``size`` units in draw order, from
+    one array of ``size`` uniforms per categorical generator."""
     columns = [np.zeros((size, 0))]
+    uniforms = iter(uniforms)
     for gen in generators:
         if isinstance(gen, CategoricalCovariate):
-            columns.append(gen.expand(gen.draw_levels(rng, size)))
+            columns.append(gen.expand(gen.levels(next(uniforms))))
         elif isinstance(gen, CyclicCovariate):
-            columns.append(gen.assign(cycle_start, size)[:, None])
+            columns.append(gen.assign(0, size)[:, None])
         else:
             raise TypeError(f"unknown covariate generator {type(gen).__name__}")
     return np.hstack(columns)
 
 
-def _draw_categories(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row of (n, k) log weights, from ``rng.random(n)``."""
+def _draw_categories(log_weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of (n, k) log weights from (n,) uniforms."""
     cum = np.cumsum(np.exp(log_weights), axis=1)
-    return (cum <= rng.random(cum.shape[0])[:, None]).sum(axis=1)
+    return (cum <= uniforms[:, None]).sum(axis=1)
 
 
 def simulate_full(design: SimulationDesign) -> SimulatedData:
     """Draw a dataset and its latent labels.
 
     Per-school draw order (one substream per school, seeded with
-    (seed, school index)): school size, school covariates, school type,
-    then all student covariates, all student classes, the response matrix,
-    and finally the missing-response mask.  The schools' draws are joined
-    into the dataset's arrays at the end.
+    (seed, school index)): school size, school covariates, the uniform of
+    the school type, then all student covariates, the uniforms of all
+    student classes, the response uniforms, and finally the uniforms of
+    the missing-response mask.  No uniform depends on the weights, so the
+    types and classes are drawn for all schools at once from their
+    uniforms, and the class weights once per distinct covariate row,
+    between a first pass over the schools' substreams and a second that
+    resumes each substream from its saved state to draw the responses.
     """
     spec, truth = design.spec, design.truth
     r = spec.item_bank.n_items
-    prob_table = success_prob_table(truth, spec)
-    types = np.zeros(design.n_schools, dtype=int)
-    draws, student_ids = [], []
-    student_cycle = 0
+    states, sizes, w, x, type_uniforms, class_uniforms = [], [], [], [], [], []
     for h in range(design.n_schools):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((design.seed, h))))
@@ -196,23 +203,44 @@ def simulate_full(design: SimulationDesign) -> SimulatedData:
             n_h = int(rng.integers(lo, hi + 1))
         else:
             n_h = int(design.school_size)
-        w = _draw_covariates(design.school_covariates, rng, 1, h)
-        u = int(_draw_categories(rng, log_type_weight_matrix(w, truth))[0])
-        x = _draw_covariates(design.student_covariates, rng, n_h, student_cycle)
-        student_cycle += n_h
-        v = _draw_categories(rng, log_class_weight_matrix(x, truth)[:, u, :])
-        responses = (rng.random((n_h, r)) < prob_table[v]).astype(np.int8)
+        w.append(_covariate_uniforms(design.school_covariates, rng, 1))
+        type_uniforms.append(rng.random(1))
+        x.append(_covariate_uniforms(design.student_covariates, rng, n_h))
+        class_uniforms.append(rng.random(n_h))
+        states.append(rng.bit_generator.state)
+        sizes.append(n_h)
+    n = sum(sizes)
+    w = _covariates(design.school_covariates, list(map(np.concatenate, zip(*w))),
+                    design.n_schools)
+    x = _covariates(design.student_covariates, list(map(np.concatenate, zip(*x))), n)
+    types = _draw_categories(log_type_weight_matrix(w, truth),
+                             np.concatenate(type_uniforms))
+    x_patterns, x_index = unique_rows(x)
+    log_class = log_class_weight_matrix(x_patterns, truth)[x_index, np.repeat(types, sizes)]
+    classes = _draw_categories(log_class, np.concatenate(class_uniforms))
+    del log_class, class_uniforms
+
+    prob_table = success_prob_table(truth, spec)
+    responses = np.empty((n, r), dtype=np.int8)
+    starts = np.cumsum(sizes) - sizes
+    for state, a, n_h in zip(states, starts.tolist(), sizes):
+        rng.bit_generator.state = state
+        block = (rng.random((n_h, r)) < prob_table[classes[a:a + n_h]]).astype(np.int8)
         if design.missing_rate > 0:
-            mask = rng.random((n_h, r)) < design.missing_rate
-            responses = np.where(mask, np.int8(MISSING), responses)
-        types[h] = u
-        draws.append((w, x, responses, v))
-        student_ids.extend(f"sch{h + 1:04d}-stu{i + 1:04d}" for i in range(n_h))
-    w, x, responses, classes = map(np.concatenate, zip(*draws))
+            block[rng.random((n_h, r)) < design.missing_rate] = MISSING
+        responses[a:a + n_h] = block
+
+    # Student i of school h is "sch<h + 1>-stu<i + 1>", numbers zero-padded
+    # to four digits: each school's and each position's part is formatted once.
+    school_ids = np.array([f"sch{h + 1:04d}" for h in range(design.n_schools)],
+                          dtype=object)
+    numbers = np.array([f"-stu{i + 1:04d}" for i in range(max(sizes))], dtype=object)
+    student_ids = map(str.__add__, np.repeat(school_ids, sizes).tolist(),
+                      numbers[np.arange(n) - np.repeat(starts, sizes)].tolist())
     dataset = ResponseDataset(
-        school_ids=[f"sch{h + 1:04d}" for h in range(design.n_schools)],
-        school_covariates=w, sizes=[len(v) for _, _, _, v in draws],
-        student_ids=student_ids, student_covariates=x, responses=responses)
+        school_ids=school_ids, school_covariates=w, sizes=sizes,
+        student_ids=np.fromiter(student_ids, dtype=object, count=n),
+        student_covariates=x, responses=responses)
     return SimulatedData(dataset=dataset,
                          labels=LatentLabels(types=types, classes=classes))
 

@@ -567,7 +567,23 @@ class TestClassifyCommand:
         code = self.classify_with_report(fitted, tmp_path, null_difficulty)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite parameter values" in err
+        assert err.startswith("error:")
+        assert "bad report (difficulty entry must be a number, got None)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("block, value", [("difficulty", "0.5"),
+                                              ("discrimination", True)])
+    def test_report_non_number_parameter_exits_one(self, fitted, tmp_path, capsys,
+                                                   block, value):
+        """A string or bool entry is not read as the number it resembles."""
+        def edit(report):
+            report["parameters"][block][1] = value
+
+        code = self.classify_with_report(fitted, tmp_path, edit)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"bad report ({block} entry must be a number, got {value!r})" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_report_misshaped_abilities_exits_one(self, fitted, tmp_path,

@@ -283,6 +283,14 @@ class TestValidateSpec:
                 ({"n_classes": 0}, ["n_classes must be >= 1, got 0"])):
             assert spec_problems(lambda: good.replace(**changes)) == expected
 
+    @pytest.mark.parametrize("dim_of, refs, message", [
+        ([0, 0.7, 1.9], None, "dim_of entry must be an integer, got 0.7"),
+        ([0, 1], [0, 1.0], "reference_items entry must be an integer, got 1.0"),
+        ([0, True], None, "dim_of entry must be an integer, got True")])
+    def test_bank_entries_are_integers_not_truncated(self, dim_of, refs, message):
+        with pytest.raises(ValueError, match=message):
+            ItemBank.from_dim_of(dim_of, refs)
+
     def test_unconstrained_reference_item_is_numbered_from_one(self):
         spec = make_spec(dim_of=[0, 0, 1], n_classes=2, n_types=1)
         params = random_params(spec, np.random.default_rng(0))

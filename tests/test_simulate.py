@@ -143,11 +143,12 @@ class TestGenerateDataset:
         assert hits / total > 0.5
 
     def test_batched_draws_equal_scalar_draws(self):
-        """One draw over n rows consumes the stream of n scalar draws."""
+        """One draw over n rows from n uniforms equals n scalar draws from
+        the same stream."""
         from mlcirt.simulate import _draw_categories
 
         weights = np.random.default_rng(3).dirichlet(np.ones(4), size=50)
-        batched = _draw_categories(np.random.default_rng(8), np.log(weights))
+        batched = _draw_categories(np.log(weights), np.random.default_rng(8).random(50))
         rng = np.random.default_rng(8)
         scalar = [np.searchsorted(np.cumsum(w), rng.random(), side="right")
                   for w in weights]
