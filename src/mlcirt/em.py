@@ -382,12 +382,8 @@ def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
 
 def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
     """Design rows [type one-hot | student covariates], type-major order."""
-    n, m_v = x.shape
-    design = np.zeros((n_types * n, n_types + m_v))
-    for u in range(n_types):
-        design[u * n:(u + 1) * n, u] = 1.0
-        design[u * n:(u + 1) * n, n_types:] = x
-    return design
+    return np.hstack([np.repeat(np.eye(n_types), len(x), axis=0),
+                      np.tile(x, (n_types, 1))])
 
 
 def _class_block_cases(x_patterns: np.ndarray, x_index: np.ndarray,
@@ -471,15 +467,15 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
                seed: int | None = None) -> ParameterSet:
     """Starting values for the EM loop: deterministic, or random given a ``seed``.
 
-    Deterministic: difficulties are the negated empirical item logits
-    (clamped to +-5 for items with 0% or 100% correct), re-anchored so each
-    dimension's reference item sits at 0; discriminations 1; abilities an
-    equally spaced grid spanning [-k_V/2, k_V/2] in every dimension; all
-    membership coefficients 0.
-
-    Random: the deterministic values plus uniform perturbations (abilities
-    +-1, non-reference difficulties +-0.5, membership intercepts +-1) drawn
-    in that order from a generator seeded with ``seed``.
+    Difficulties are the negated empirical item logits (clamped to +-5 for
+    items with 0% or 100% correct), re-anchored so each dimension's
+    reference item sits at 0; discriminations 1; abilities an equally
+    spaced grid spanning [-k_V/2, k_V/2] in every dimension; membership
+    slopes 0.  Uniform noise is added to the abilities (+-1; under "lc", to
+    the grid), the non-reference difficulties (+-0.5; under "lc", to the
+    logits that set the success table) and the membership intercepts
+    (+-1), drawn in that order from a generator seeded with ``seed``.  The
+    deterministic start is the same recipe with zero noise.
     """
     bank = spec.item_bank
     patterns = data.patterns
@@ -492,50 +488,34 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
     raw = np.clip(raw, -5.0, 5.0)
 
     rng = None if seed is None else np.random.default_rng(seed)
-    grid = _ability_grid(spec.n_classes)
 
+    def noise(half_width, shape):
+        return (np.zeros(shape) if seed is None
+                else rng.uniform(-half_width, half_width, size=shape))
+
+    k_v, k_u, n_items = spec.n_classes, spec.n_types, bank.n_items
+    grid = _ability_grid(k_v)
+    abilities = np.tile(grid[:, None], (1, bank.n_dims))
+    lc = None
     if spec.parameterization is Parameterization.LC:
-        grid_pert = grid.copy()
-        beta_pert = raw.copy()
-        if rng is not None:
-            grid_pert = grid_pert + rng.uniform(-1.0, 1.0, size=spec.n_classes)
-            beta_pert = beta_pert + rng.uniform(-0.5, 0.5, size=bank.n_items)
-        lc = expit(grid_pert[:, None] - beta_pert[None, :])
-        lc = np.clip(lc, _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
-        difficulty = np.zeros(bank.n_items)
-        discrimination = np.ones(bank.n_items)
-        abilities = np.tile(grid[:, None], (1, bank.n_dims))
+        grid_pert = grid + noise(1.0, k_v)
+        raw_pert = raw + noise(0.5, n_items)
+        lc = np.clip(expit(grid_pert[:, None] - raw_pert[None, :]),
+                     _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
+        difficulty = np.zeros(n_items)
     else:
-        lc = None
-        abilities = np.tile(grid[:, None], (1, bank.n_dims))
-        difficulty = raw.copy()
-        for d in range(bank.n_dims):
-            members = bank.items_in_dim(d)
-            difficulty[members] -= raw[bank.reference_items[d]]
-        if rng is not None:
-            abilities = abilities + rng.uniform(-1.0, 1.0,
-                                                size=(spec.n_classes, bank.n_dims))
-            beta_noise = rng.uniform(-0.5, 0.5, size=bank.n_items)
-            beta_noise[list(bank.reference_items)] = 0.0
-            difficulty = difficulty + beta_noise
-        discrimination = np.ones(bank.n_items)
-
-    class_intercepts = np.zeros((spec.n_types, spec.n_classes - 1))
-    type_intercepts = np.zeros(spec.n_types - 1)
-    if rng is not None:
-        class_intercepts = class_intercepts + rng.uniform(
-            -1.0, 1.0, size=class_intercepts.shape)
-        type_intercepts = type_intercepts + rng.uniform(
-            -1.0, 1.0, size=type_intercepts.shape)
+        abilities = abilities + noise(1.0, abilities.shape)
+        difficulty = (raw - raw[list(bank.reference_items)][bank.dim_index]
+                      + np.where(bank.is_reference, 0.0, noise(0.5, n_items)))
 
     return ParameterSet(
         difficulty=difficulty,
-        discrimination=discrimination,
+        discrimination=np.ones(n_items),
         abilities=abilities,
-        class_intercepts=class_intercepts,
-        class_slopes=np.zeros((spec.n_classes - 1, spec.n_student_covariates)),
-        type_intercepts=type_intercepts,
-        type_slopes=np.zeros((spec.n_types - 1, spec.n_school_covariates)),
+        class_intercepts=noise(1.0, (k_u, k_v - 1)),
+        class_slopes=np.zeros((k_v - 1, spec.n_student_covariates)),
+        type_intercepts=noise(1.0, k_u - 1),
+        type_slopes=np.zeros((k_u - 1, spec.n_school_covariates)),
         lc_success=lc,
     )
 

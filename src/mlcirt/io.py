@@ -1012,7 +1012,10 @@ def write_simulation(out_dir, design: SimulationDesign, sim) -> None:
         "classes": [(school + 1).tolist() for school in
                     np.split(sim.labels.classes, sim.dataset.starts[1:])],
     }
-    write_report(out_dir / "truth.json", truth)
+    # One line: large designs have hundreds of thousands of labels.
+    (out_dir / "truth.json").write_text(
+        json.dumps(truth, separators=(",", ":"), allow_nan=False) + "\n",
+        encoding="utf-8")
 
 
 def write_assignments(out_dir, data: ResponseDataset, classification) -> None:

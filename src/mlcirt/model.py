@@ -87,12 +87,10 @@ class ItemBank:
         n_items = len(dim_of)
         n_dims = max(dim_of) + 1 if dim_of else 0
         if reference_items is None:
-            reference_items = []
-            for d in range(n_dims):
-                members = [j for j, dj in enumerate(dim_of) if dj == d]
-                if not members:
-                    raise ValueError(f"dimension {d + 1} has no items")
-                reference_items.append(members[0])
+            empty = [d for d in range(n_dims) if d not in dim_of]
+            if empty:
+                raise ValueError(f"dimension {empty[0] + 1} has no items")
+            reference_items = [dim_of.index(d) for d in range(n_dims)]
         return cls(n_items, n_dims, dim_of,
                    tuple(int(check_integer(j, "reference_items entry"))
                          for j in reference_items))
@@ -100,9 +98,6 @@ class ItemBank:
     @classmethod
     def single_dimension(cls, n_items: int) -> "ItemBank":
         return cls.from_dim_of([0] * n_items)
-
-    def items_in_dim(self, d: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.dim_of) == d)
 
     @property
     def dim_index(self) -> np.ndarray:
@@ -246,21 +241,16 @@ def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
     The map is the identity on already-constrained parameters, and on the
     "lc" success table.
     """
-    diff = np.array(params.difficulty)
-    disc = np.array(params.discrimination)
-    abil = np.array(params.abilities)
-    for d in range(bank.n_dims):
-        ref = bank.reference_items[d]
-        scale = disc[ref]
-        if scale == 0:
-            raise ValueError(f"reference item {ref} has zero discrimination; "
-                             f"scale of dimension {d} undefined")
-        loc = diff[ref]
-        members = bank.items_in_dim(d)
-        abil[:, d] = scale * (abil[:, d] - loc)
-        diff[members] = scale * (diff[members] - loc)
-        disc[members] = disc[members] / scale
-    return params.replace(difficulty=diff, discrimination=disc, abilities=abil)
+    refs = np.asarray(bank.reference_items)
+    scale, loc = params.discrimination[refs], params.difficulty[refs]    # (s,)
+    if not scale.all():
+        d = np.flatnonzero(scale == 0)[0]
+        raise ValueError(f"reference item {refs[d] + 1} has zero discrimination; "
+                         f"scale of dimension {d + 1} undefined")
+    item_scale, item_loc = scale[bank.dim_index], loc[bank.dim_index]   # (r,)
+    return params.replace(difficulty=item_scale * (params.difficulty - item_loc),
+                          discrimination=params.discrimination / item_scale,
+                          abilities=scale * (params.abilities - loc))
 
 
 def count_free_parameters(spec: ModelSpec) -> int:

@@ -126,7 +126,8 @@ class SchoolAssignments:
 @dataclass(frozen=True, eq=False)
 class SupportPoints:
     """School-type ability summaries, raw and standardized; ``defined`` is
-    False for types that received essentially no posterior mass."""
+    False (and the summaries NaN) for types that received essentially no
+    posterior mass, and for every type under "lc" (see ``classify``)."""
 
     raw: np.ndarray
     standardized: np.ndarray
@@ -247,13 +248,21 @@ def classify(data: ResponseDataset, params: ParameterSet, spec: ModelSpec,
     if posteriors is None:
         posteriors = e_step(data, params, spec)
     avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
+    if spec.parameterization is Parameterization.LC:
+        # "lc" never estimates the class abilities (they stay the start
+        # grid), so no type support point is defined.
+        support = SupportPoints(raw=np.full(spec.n_types, np.nan),
+                                standardized=np.full(spec.n_types, np.nan),
+                                defined=np.zeros(spec.n_types, dtype=bool))
+        abilities_std = np.zeros_like(params.abilities)
+    else:
+        support = school_support_points(data, params, spec, posteriors)
+        abilities_std = standardize_abilities(params.abilities, avg_class)
     return ClassificationResult(
         student_assignments=assign_students(data, posteriors),
         school_assignments=assign_schools(posteriors),
         avg_class_weights=avg_class,
         avg_type_weights=avg_type,
-        support_points=school_support_points(data, params, spec, posteriors),
-        abilities_std=(standardize_abilities(params.abilities, avg_class)
-                       if spec.parameterization is not Parameterization.LC
-                       else np.zeros_like(params.abilities)),
+        support_points=support,
+        abilities_std=abilities_std,
     )

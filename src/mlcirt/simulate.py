@@ -88,8 +88,8 @@ class CyclicCovariate:
     def n_columns(self) -> int:
         return 1
 
-    def assign(self, start: int, size: int) -> np.ndarray:
-        return np.asarray(self.values)[(start + np.arange(size)) % len(self.values)]
+    def assign(self, size: int) -> np.ndarray:
+        return np.asarray(self.values)[np.arange(size) % len(self.values)]
 
 
 def covariate_width(generators) -> int:
@@ -167,7 +167,7 @@ def _covariates(generators, uniforms: list, size: int) -> np.ndarray:
         if isinstance(gen, CategoricalCovariate):
             columns.append(gen.expand(gen.levels(next(uniforms))))
         elif isinstance(gen, CyclicCovariate):
-            columns.append(gen.assign(0, size)[:, None])
+            columns.append(gen.assign(size)[:, None])
         else:
             raise TypeError(f"unknown covariate generator {type(gen).__name__}")
     return np.hstack(columns)

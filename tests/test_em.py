@@ -1,6 +1,7 @@
 """EM estimator: E-step posteriors, M-step blocks, initialization, fits."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -25,7 +26,7 @@ from mlcirt import (
     permute_parameters,
     student_class_posteriors,
 )
-from mlcirt.model import max_abs_change
+from mlcirt.model import PARAM_BLOCKS, ItemBank, ModelSpec, max_abs_change
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
@@ -351,6 +352,14 @@ class TestClassBlockCases:
         np.testing.assert_array_equal(
             design, mlcirt.em._class_design_rows(data.x_patterns, 2))
 
+    def test_class_design_rows_are_type_major(self):
+        x = np.array([[0.5, -1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(mlcirt.em._class_design_rows(x, 3), [
+            [1, 0, 0, 0.5, -1.0], [1, 0, 0, 2.0, 3.0],
+            [0, 1, 0, 0.5, -1.0], [0, 1, 0, 2.0, 3.0],
+            [0, 0, 1, 0.5, -1.0], [0, 0, 1, 2.0, 3.0]])
+        assert mlcirt.em._class_design_rows(np.zeros((2, 0)), 3).shape == (6, 3)
+
     @pytest.mark.parametrize("n_patterns", [400, 1200])
     def test_merged_cases_match_per_student_cases(self, n_patterns):
         """1,200 students with 400 distinct covariate rows, or all distinct:
@@ -440,6 +449,45 @@ class TestInitialize:
         assert max_abs_change(a, b) == 0.0
         c = initialize(data, spec, seed=124)
         assert max_abs_change(a, c) > 0.0
+
+    # SHA-256 of every start block's bytes, recorded from the code that
+    # wrote one start path per (deterministic or random) x (lc or IRT)
+    # case.  A start that moves by one bit, or turns a -0.0 into 0.0,
+    # changes its digest.
+    START_DIGESTS = {
+        ("2pl", None):
+            "8c9eedd0fe98c563ad18ed957fc89bf967c91fd1e0a3c4f71428ca1b29e8ad00",
+        ("2pl", 5):
+            "aa1968dd6c4d1dc419d27c6bf2767a69ad7494aa0ca6c061b59ad54722aab395",
+        ("1pl", None):
+            "8c9eedd0fe98c563ad18ed957fc89bf967c91fd1e0a3c4f71428ca1b29e8ad00",
+        ("1pl", 5):
+            "aa1968dd6c4d1dc419d27c6bf2767a69ad7494aa0ca6c061b59ad54722aab395",
+        ("lc", None):
+            "86c6498335aae9009c524038fc3442bccf2d74ab68922bf8b45be9081a0e242b",
+        ("lc", 5):
+            "aad0c31dd5ab82465725876cbb3a718b31486ea064269f11a69c81dba6069fa0",
+    }
+
+    @pytest.mark.parametrize("parameterization, seed", list(START_DIGESTS))
+    def test_start_values_are_pinned(self, parameterization, seed):
+        """Two dimensions whose reference items are not their first; items
+        2 (the reference of dimension 1) and 6 are right exactly half the
+        time, so their raw item logit is -0.0."""
+        bank = ItemBank.from_dim_of([0, 0, 0, 1, 1, 1, 1], reference_items=[1, 4])
+        spec = ModelSpec(bank, n_classes=3, n_types=3,
+                         parameterization=Parameterization(parameterization),
+                         n_student_covariates=1, n_school_covariates=1)
+        data = random_dataset(spec, np.random.default_rng(24), n_schools=6,
+                              school_size=5, missing_rate=0.1)
+        raw = reference.initial_item_logits(data)
+        assert np.signbit(raw[[1, 5]]).all() and not raw[[1, 5]].any()
+        start = initialize(data, spec, seed)
+        digest = hashlib.sha256()
+        for name in PARAM_BLOCKS + ("lc_success",):
+            block = getattr(start, name)
+            digest.update(name.encode() + (b"-" if block is None else block.tobytes()))
+        assert digest.hexdigest() == self.START_DIGESTS[parameterization, seed]
 
 
 # ---------------------------------------------------------------------------

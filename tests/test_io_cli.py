@@ -281,7 +281,9 @@ class TestSimulateCommand:
         schools = (out / "schools.csv").read_text().strip().splitlines()
         assert len(schools) == 1 + 6
         assert (out / "config.json").exists()
-        truth = json.loads((out / "truth.json").read_text())
+        text = (out / "truth.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        truth = json.loads(text)
         assert len(truth["labels"]["types"]) == 6
 
     def test_byte_identical_across_runs(self, tmp_path):
@@ -350,6 +352,21 @@ class TestFitCommand:
         assert len(lines) == 1 + 30
         lines = (fit_out / "schools_assign.csv").read_text().splitlines()
         assert len(lines) == 1 + 6
+
+    def test_lc_report_has_null_support_points(self, sim_dir):
+        """"lc" never estimates the class abilities (they stay the start
+        grid), so the report gives no school-type support point."""
+        tmp_path, out = sim_dir
+        code = main(["fit", "--students", str(out / "students.csv"),
+                     "--schools", str(out / "schools.csv"),
+                     "--config", str(out / "config.json"),
+                     "--out", str(tmp_path / "fit_lc"),
+                     "--parameterization", "lc", "--starts", "2"])
+        assert code == 0
+        summary = read_report(tmp_path / "fit_lc" / "report.json")["summary"]
+        assert summary["support_points_raw"] == [None, None]
+        assert summary["support_points_std"] == [None, None]
+        assert summary["abilities_std"] == [[0.0], [0.0]]
 
     def test_report_round_trip_is_byte_identical(self, sim_dir):
         tmp_path, out = sim_dir

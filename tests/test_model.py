@@ -140,7 +140,8 @@ class TestApplyIdentifiability:
         params = random_params(spec, np.random.default_rng(3))
         disc = params.discrimination.copy()
         disc[spec.item_bank.reference_items[1]] = 0.0
-        with pytest.raises(ValueError, match="scale of dimension 1 undefined"):
+        with pytest.raises(ValueError, match="^reference item 3 has zero discrimination; "
+                           "scale of dimension 2 undefined$"):
             apply_identifiability(params.replace(discrimination=disc),
                                   spec.item_bank)
 
