@@ -45,7 +45,6 @@ from .likelihood import (
     stacked_loglik_terms,
 )
 from .model import (
-    PARAM_BLOCKS,
     ModelSpec,
     ParameterSet,
     Parameterization,
@@ -467,15 +466,17 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
                seed: int | None = None) -> ParameterSet:
     """Starting values for the EM loop: deterministic, or random given a ``seed``.
 
-    Difficulties are the negated empirical item logits (clamped to +-5 for
-    items with 0% or 100% correct), re-anchored so each dimension's
-    reference item sits at 0; discriminations 1; abilities an equally
-    spaced grid spanning [-k_V/2, k_V/2] in every dimension; membership
-    slopes 0.  Uniform noise is added to the abilities (+-1; under "lc", to
-    the grid), the non-reference difficulties (+-0.5; under "lc", to the
-    logits that set the success table) and the membership intercepts
-    (+-1), drawn in that order from a generator seeded with ``seed``.  The
-    deterministic start is the same recipe with zero noise.
+    Under "2pl" and "1pl": difficulties are the negated empirical item
+    logits (clamped to +-5 for items with 0% or 100% correct), re-anchored
+    so each dimension's reference item sits at 0; discriminations 1;
+    abilities an equally spaced grid spanning [-k_V/2, k_V/2] in every
+    dimension.  Under "lc", the success table is the logistic curve of that
+    grid minus the item logits.  Membership slopes start at 0.  Uniform
+    noise is added to the abilities (+-1; under "lc", to the grid that sets
+    the success table), the non-reference difficulties (+-0.5; under "lc",
+    to the item logits) and the membership intercepts (+-1), drawn in that
+    order from a generator seeded with ``seed``.  The deterministic start
+    is the same recipe with zero noise.
     """
     bank = spec.item_bank
     patterns = data.patterns
@@ -495,28 +496,27 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
 
     k_v, k_u, n_items = spec.n_classes, spec.n_types, bank.n_items
     grid = _ability_grid(k_v)
-    abilities = np.tile(grid[:, None], (1, bank.n_dims))
-    lc = None
     if spec.parameterization is Parameterization.LC:
         grid_pert = grid + noise(1.0, k_v)
         raw_pert = raw + noise(0.5, n_items)
-        lc = np.clip(expit(grid_pert[:, None] - raw_pert[None, :]),
-                     _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
-        difficulty = np.zeros(n_items)
+        item_blocks = {"lc_success": np.clip(
+            expit(grid_pert[:, None] - raw_pert[None, :]),
+            _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)}
     else:
-        abilities = abilities + noise(1.0, abilities.shape)
-        difficulty = (raw - raw[list(bank.reference_items)][bank.dim_index]
-                      + np.where(bank.is_reference, 0.0, noise(0.5, n_items)))
+        abilities = np.tile(grid[:, None], (1, bank.n_dims))
+        item_blocks = {
+            "abilities": abilities + noise(1.0, abilities.shape),
+            "difficulty": (raw - raw[list(bank.reference_items)][bank.dim_index]
+                           + np.where(bank.is_reference, 0.0, noise(0.5, n_items))),
+            "discrimination": np.ones(n_items),
+        }
 
     return ParameterSet(
-        difficulty=difficulty,
-        discrimination=np.ones(n_items),
-        abilities=abilities,
         class_intercepts=noise(1.0, (k_u, k_v - 1)),
         class_slopes=np.zeros((k_v - 1, spec.n_student_covariates)),
         type_intercepts=noise(1.0, k_u - 1),
         type_slopes=np.zeros((k_u - 1, spec.n_school_covariates)),
-        lc_success=lc,
+        **item_blocks,
     )
 
 
@@ -530,23 +530,19 @@ def _raise_if_invalid(problems: list[str]) -> None:
 
 
 def _pack(params: ParameterSet) -> np.ndarray:
-    """All parameters as one vector in ``PARAM_BLOCKS`` order, followed
-    under the "lc" parameterization by ``lc_success`` on the logit scale."""
-    parts = [getattr(params, name).reshape(-1) for name in PARAM_BLOCKS]
-    if params.lc_success is not None:
-        parts.append(logit(params.lc_success).reshape(-1))
-    return np.concatenate(parts)
+    """The blocks of ``params`` as one vector in ``PARAM_BLOCKS`` order,
+    ``lc_success`` on the logit scale."""
+    return np.concatenate([(logit(block) if name == "lc_success" else block).reshape(-1)
+                           for name, block in params.blocks().items()])
 
 
 def _unpack(x: np.ndarray, like: ParameterSet) -> ParameterSet:
     """The inverse of ``_pack``, shaped like ``like``."""
-    names = PARAM_BLOCKS + (() if like.lc_success is None else ("lc_success",))
     blocks, start = {}, 0
-    for name in names:
-        block = getattr(like, name)
+    for name, block in like.blocks().items():
         blocks[name] = x[start:start + block.size].reshape(block.shape)
         start += block.size
-    if like.lc_success is not None:
+    if "lc_success" in blocks:
         blocks["lc_success"] = np.clip(expit(blocks["lc_success"]),
                                        _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
     return like.replace(**blocks)

@@ -847,25 +847,24 @@ def round12(obj):
 
 
 def params_to_dict(params: ParameterSet) -> dict:
-    lc = params.lc_success
-    return {**{name: getattr(params, name).tolist() for name in PARAM_BLOCKS},
-            "lc_success": None if lc is None else lc.tolist()}
+    """Every block of ``PARAM_BLOCKS`` as nested lists, ``None`` if absent."""
+    return {name: None if (block := getattr(params, name)) is None else block.tolist()
+            for name in PARAM_BLOCKS}
 
 
 def params_from_dict(raw: dict, spec: ModelSpec | None = None) -> ParameterSet:
-    """Inverse of ``params_to_dict``.
+    """Inverse of ``params_to_dict``; an absent or ``None`` block is ``None``.
 
     JSON writes an empty (0, m) block as ``[]``; given the ``spec``, such a
     block gets its (0, m) shape back.  Other blocks keep the shape they were
     written with, for ``validate_params`` to check.
     """
-    blocks = {name: _numbers(raw[name], name) for name in PARAM_BLOCKS}
+    blocks = {name: None if (value := raw.get(name)) is None else _numbers(value, name)
+              for name in PARAM_BLOCKS}
     for name, shape in (parameter_shapes(spec) if spec is not None else {}).items():
-        if blocks[name].size == 0 and 0 in shape:
+        if blocks[name] is not None and blocks[name].size == 0 and 0 in shape:
             blocks[name] = blocks[name].reshape(shape)
-    lc = raw.get("lc_success")
-    return ParameterSet(**blocks,
-                        lc_success=None if lc is None else _numbers(lc, "lc_success"))
+    return ParameterSet(**blocks)
 
 
 def _numbers(value, name: str) -> np.ndarray:
@@ -934,11 +933,11 @@ def build_report(spec: ModelSpec, config: ModelConfig, result: FitResult,
         },
         "parameters": params_to_dict(result.params),
         "summary": {
-            "avg_class_weights": classification.avg_class_weights.tolist(),
-            "avg_type_weights": classification.avg_type_weights.tolist(),
-            "support_points_raw": classification.support_points.raw.tolist(),
-            "support_points_std": classification.support_points.standardized.tolist(),
-            "abilities_std": classification.abilities_std.tolist(),
+            "avg_class_weights": classification.avg_class_weights,
+            "avg_type_weights": classification.avg_type_weights,
+            "support_points_raw": classification.support_points.raw,
+            "support_points_std": classification.support_points.standardized,
+            "abilities_std": classification.abilities_std,
             "type_probabilities_by_profile": {
                 "profiles": [list(p) for p in profile_matrix],
                 "probabilities": [list(p) for p in profile_probs],

@@ -12,7 +12,8 @@ with a reference item per dimension pinned to difficulty 0 and
 discrimination 1 so the latent scale is identified.  The Rasch variant
 ("1pl") fixes all discriminations to 1; the plain latent-class variant
 ("lc") replaces the curve by a free success probability per (class, item)
-cell and ignores the dimension structure.
+cell and ignores the dimension structure, so its parameter sets have no
+item parameters and no abilities.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Every parameter block of a ``ParameterSet`` but ``lc_success``, which only
-# the "lc" parameterization has, in field order (also the order of reports
-# and of the packed parameter vector).
+# Every parameter block of a ``ParameterSet``, in field order (also the order
+# of reports and of the packed parameter vector).  A set holds the blocks of
+# its parameterization (``parameter_shapes``); the others are None.
 PARAM_BLOCKS = ("difficulty", "discrimination", "abilities", "class_intercepts",
-                "class_slopes", "type_intercepts", "type_slopes")
+                "class_slopes", "type_intercepts", "type_slopes", "lc_success")
 
 
 def check_integer(value, name: str, lowest: int | None = None):
@@ -164,16 +165,19 @@ class ModelSpec:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ParameterSet:
     """All free parameters of a fitted or hypothesised model.
 
-    Arrays are copied on construction and frozen (non-writeable).  Shapes,
-    with k_V classes, k_U types, r items, s dimensions:
+    Arrays are copied on construction and frozen (non-writeable).  A set
+    holds exactly the blocks its parameterization estimates and None in
+    place of the others: the item parameters and abilities under "2pl" and
+    "1pl", the success table under "lc".  Shapes, with k_V classes, k_U
+    types, r items, s dimensions:
 
-    - ``difficulty``: (r,)
-    - ``discrimination``: (r,)
-    - ``abilities``: (k_V, s) class ability support points
+    - ``difficulty``: (r,), not under "lc"
+    - ``discrimination``: (r,), not under "lc"
+    - ``abilities``: (k_V, s) class ability support points, not under "lc"
     - ``class_intercepts``: (k_U, k_V - 1) membership logit intercepts,
       one row per school type; class 0 is the reference
     - ``class_slopes``: (k_V - 1, m_V) student covariate effects, shared
@@ -181,13 +185,12 @@ class ParameterSet:
     - ``type_intercepts``: (k_U - 1,) school-type logit intercepts;
       type 0 is the reference
     - ``type_slopes``: (k_U - 1, m_U) school covariate effects
-    - ``lc_success``: (k_V, r) success probabilities, only under the "lc"
-      parameterization (otherwise None)
+    - ``lc_success``: (k_V, r) success probabilities, only under "lc"
     """
 
-    difficulty: np.ndarray
-    discrimination: np.ndarray
-    abilities: np.ndarray
+    difficulty: np.ndarray | None = None
+    discrimination: np.ndarray | None = None
+    abilities: np.ndarray | None = None
     class_intercepts: np.ndarray
     class_slopes: np.ndarray
     type_intercepts: np.ndarray
@@ -195,26 +198,20 @@ class ParameterSet:
     lc_success: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in PARAM_BLOCKS + ("lc_success",):
-            value = getattr(self, name)
-            if value is None:
-                continue
+        for name, value in self.blocks().items():
             arr = np.array(value, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def blocks(self) -> dict:
+        """The blocks that are not None, by name in ``PARAM_BLOCKS`` order."""
+        return {name: value for name in PARAM_BLOCKS
+                if (value := getattr(self, name)) is not None}
+
     # Shape accessors used throughout the package.
     @property
-    def n_items(self) -> int:
-        return self.difficulty.shape[0]
-
-    @property
     def n_classes(self) -> int:
-        return self.abilities.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.abilities.shape[1]
+        return self.class_intercepts.shape[1] + 1
 
     @property
     def n_types(self) -> int:
@@ -238,9 +235,11 @@ def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
     For every dimension the reference item ends with difficulty 0 and
     discrimination 1; remaining items and the class abilities are shifted
     and rescaled so that all implied response probabilities are unchanged.
-    The map is the identity on already-constrained parameters, and on the
-    "lc" success table.
+    The map is the identity on already-constrained parameters, and on a set
+    without item parameters ("lc").
     """
+    if params.abilities is None:
+        return params
     refs = np.asarray(bank.reference_items)
     scale, loc = params.discrimination[refs], params.difficulty[refs]    # (s,)
     if not scale.all():
@@ -268,50 +267,53 @@ def count_free_parameters(spec: ModelSpec) -> int:
 
 
 def parameter_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Shape of each parameter block except ``lc_success`` under a spec."""
+    """Shape of each parameter block that a spec estimates, in
+    ``PARAM_BLOCKS`` order; the blocks it leaves out are None in its sets."""
     bank = spec.item_bank
+    kv, ku = spec.n_classes, spec.n_types
+    lc = spec.parameterization is Parameterization.LC
     return {
-        "difficulty": (bank.n_items,),
-        "discrimination": (bank.n_items,),
-        "abilities": (spec.n_classes, bank.n_dims),
-        "class_intercepts": (spec.n_types, spec.n_classes - 1),
-        "class_slopes": (spec.n_classes - 1, spec.n_student_covariates),
-        "type_intercepts": (spec.n_types - 1,),
-        "type_slopes": (spec.n_types - 1, spec.n_school_covariates),
+        **({} if lc else {"difficulty": (bank.n_items,),
+                          "discrimination": (bank.n_items,),
+                          "abilities": (kv, bank.n_dims)}),
+        "class_intercepts": (ku, kv - 1),
+        "class_slopes": (kv - 1, spec.n_student_covariates),
+        "type_intercepts": (ku - 1,),
+        "type_slopes": (ku - 1, spec.n_school_covariates),
+        **({"lc_success": (kv, bank.n_items)} if lc else {}),
     }
 
 
 def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
-    """Check parameter shapes and constraints against a spec."""
+    """Check parameter shapes and constraints against a spec: every block
+    of ``parameter_shapes`` present with its shape, every other one None."""
     problems: list[str] = []
-    bank = spec.item_bank
-    for name, shape in parameter_shapes(spec).items():
-        arr = getattr(params, name)
-        if arr.shape != shape:
-            problems.append(f"{name} has shape {arr.shape}, expected {shape}")
-    if spec.parameterization is Parameterization.LC:
-        if params.lc_success is None:
-            problems.append("lc parameterization requires an lc_success table")
-        elif params.lc_success.shape != (spec.n_classes, bank.n_items):
-            problems.append(f"lc_success has shape {params.lc_success.shape}, "
-                            f"expected {(spec.n_classes, bank.n_items)}")
-        elif not (np.all(params.lc_success > 0) and np.all(params.lc_success < 1)):
-            problems.append("lc_success entries must lie strictly inside (0, 1)")
-    else:
-        # Reference entries can only be read from item blocks of the right shape.
-        if params.difficulty.shape == params.discrimination.shape == (bank.n_items,):
-            for ref in bank.reference_items:
-                if params.difficulty[ref] != 0.0 or params.discrimination[ref] != 1.0:
-                    problems.append(f"reference item {ref + 1} not constrained to "
-                                    "difficulty 0, discrimination 1")
-        if spec.parameterization is Parameterization.ONE_PL:
-            if params.discrimination.shape == (bank.n_items,) and \
-                    not np.all(params.discrimination == 1.0):
-                problems.append("1pl parameterization requires all discriminations = 1")
-    all_arrays = [getattr(params, name) for name in PARAM_BLOCKS]
-    if params.lc_success is not None:
-        all_arrays.append(params.lc_success)
-    if any(not np.all(np.isfinite(a)) for a in all_arrays if a.size):
+    shapes = parameter_shapes(spec)
+    blocks = params.blocks()
+    for name in PARAM_BLOCKS:
+        if name not in shapes:
+            if name in blocks:
+                problems.append(f"{name} is not a parameter of the "
+                                f"{spec.parameterization.value} parameterization")
+        elif name not in blocks:
+            problems.append(f"{name} is missing")
+        elif blocks[name].shape != shapes[name]:
+            problems.append(f"{name} has shape {blocks[name].shape}, "
+                            f"expected {shapes[name]}")
+    # Constraints are only read from the blocks of the right shape.
+    shaped = {name: a for name, a in blocks.items() if a.shape == shapes.get(name)}
+    if "lc_success" in shaped and not (np.all(shaped["lc_success"] > 0)
+                                       and np.all(shaped["lc_success"] < 1)):
+        problems.append("lc_success entries must lie strictly inside (0, 1)")
+    if "difficulty" in shaped and "discrimination" in shaped:
+        for ref in spec.item_bank.reference_items:
+            if shaped["difficulty"][ref] != 0.0 or shaped["discrimination"][ref] != 1.0:
+                problems.append(f"reference item {ref + 1} not constrained to "
+                                "difficulty 0, discrimination 1")
+    if spec.parameterization is Parameterization.ONE_PL and \
+            "discrimination" in shaped and not np.all(shaped["discrimination"] == 1.0):
+        problems.append("1pl parameterization requires all discriminations = 1")
+    if any(not np.all(np.isfinite(a)) for a in blocks.values() if a.size):
         problems.append("non-finite parameter values")
     return problems
 
@@ -319,10 +321,7 @@ def validate_params(params: ParameterSet, spec: ModelSpec) -> list[str]:
 def max_abs_change(old: ParameterSet, new: ParameterSet) -> float:
     """Largest absolute entry-wise change between two parameter sets."""
     delta = 0.0
-    for name in PARAM_BLOCKS + ("lc_success",):
-        a, b = getattr(old, name), getattr(new, name)
-        if a is None or b is None:
-            continue
+    for name, a in old.blocks().items():
         if a.size:
-            delta = max(delta, float(np.max(np.abs(a - b))))
+            delta = max(delta, float(np.max(np.abs(a - getattr(new, name)))))
     return delta

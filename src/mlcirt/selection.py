@@ -21,8 +21,7 @@ from .em import (
     multistart_fit,
     student_class_posteriors,
 )
-from .model import (ModelSpec, ParameterSet, Parameterization, check_integer,
-                    count_free_parameters)
+from .model import ModelSpec, ParameterSet, check_integer, count_free_parameters
 from .weights import log_class_weight_matrix, log_type_weight_matrix
 
 _EMPTY_TYPE_MASS = 1e-12
@@ -127,7 +126,8 @@ class SchoolAssignments:
 class SupportPoints:
     """School-type ability summaries, raw and standardized; ``defined`` is
     False (and the summaries NaN) for types that received essentially no
-    posterior mass, and for every type under "lc" (see ``classify``)."""
+    posterior mass, and for every type of a model without class abilities
+    ("lc")."""
 
     raw: np.ndarray
     standardized: np.ndarray
@@ -141,7 +141,7 @@ class ClassificationResult:
     avg_class_weights: np.ndarray
     avg_type_weights: np.ndarray
     support_points: SupportPoints
-    abilities_std: np.ndarray
+    abilities_std: np.ndarray | None
 
 
 def _map_rows(z: np.ndarray):
@@ -206,11 +206,15 @@ def school_support_points(data: ResponseDataset, params: ParameterSet,
     Each school's expected ability under type u is the mean, over its
     students and over dimensions, of the class-weight-weighted class
     abilities; the type's support point is the type-posterior-weighted
-    average of these school values.  Types carrying no posterior mass are
-    flagged undefined (NaN) rather than fabricated.
+    average of these school values.  Types carrying no posterior mass, and
+    every type when the model has no class abilities ("lc"), are flagged
+    undefined (NaN) rather than fabricated.
     """
-    z_hu = posteriors.type_posterior
     k_u = spec.n_types
+    if params.abilities is None:
+        return SupportPoints(raw=np.full(k_u, np.nan), standardized=np.full(k_u, np.nan),
+                             defined=np.zeros(k_u, dtype=bool))
+    z_hu = posteriors.type_posterior
     w_mat = np.exp(log_class_weight_matrix(data.x_patterns, params))
     # (X, k_U, k_V) x (k_V,) mean ability per class over dimensions
     class_mean = params.abilities.mean(axis=1)
@@ -244,25 +248,17 @@ def type_probabilities_by_profile(params: ParameterSet, profiles) -> np.ndarray:
 
 def classify(data: ResponseDataset, params: ParameterSet, spec: ModelSpec,
              posteriors: PosteriorTables | None = None) -> ClassificationResult:
-    """MAP assignments plus summary quantities for one fitted model."""
+    """MAP assignments plus summary quantities for one fitted model;
+    ``abilities_std`` is None when the model has no class abilities."""
     if posteriors is None:
         posteriors = e_step(data, params, spec)
     avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
-    if spec.parameterization is Parameterization.LC:
-        # "lc" never estimates the class abilities (they stay the start
-        # grid), so no type support point is defined.
-        support = SupportPoints(raw=np.full(spec.n_types, np.nan),
-                                standardized=np.full(spec.n_types, np.nan),
-                                defined=np.zeros(spec.n_types, dtype=bool))
-        abilities_std = np.zeros_like(params.abilities)
-    else:
-        support = school_support_points(data, params, spec, posteriors)
-        abilities_std = standardize_abilities(params.abilities, avg_class)
     return ClassificationResult(
         student_assignments=assign_students(data, posteriors),
         school_assignments=assign_schools(posteriors),
         avg_class_weights=avg_class,
         avg_type_weights=avg_type,
-        support_points=support,
-        abilities_std=abilities_std,
+        support_points=school_support_points(data, params, spec, posteriors),
+        abilities_std=(None if params.abilities is None
+                       else standardize_abilities(params.abilities, avg_class)),
     )

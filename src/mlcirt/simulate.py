@@ -303,8 +303,9 @@ def permute_parameters(params: ParameterSet, spec: ModelSpec, class_perm,
     if sorted(type_perm.tolist()) != list(range(k_u)):
         raise ValueError("type_perm is not a permutation")
 
-    abilities = params.abilities[class_perm]
-    lc = params.lc_success[class_perm] if params.lc_success is not None else None
+    # The class-indexed blocks the set has: abilities, or the "lc" table.
+    class_rows = {name: block[class_perm] for name, block in params.blocks().items()
+                  if name in ("abilities", "lc_success")}
 
     # Class logits: embed the implicit zero column for the reference class,
     # permute, and re-reference against the new class 0.
@@ -324,8 +325,7 @@ def permute_parameters(params: ParameterSet, spec: ModelSpec, class_perm,
                              params.type_slopes])[type_perm]
     type_slopes = tslope_full[1:] - tslope_full[[0]]
 
-    return params.replace(abilities=abilities, lc_success=lc,
-                          class_intercepts=class_intercepts,
+    return params.replace(**class_rows, class_intercepts=class_intercepts,
                           class_slopes=class_slopes,
                           type_intercepts=type_intercepts,
                           type_slopes=type_slopes)

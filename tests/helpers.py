@@ -25,7 +25,8 @@ def make_spec(n_items=4, dim_of=None, n_classes=2, n_types=2,
 
 
 def random_params(spec, rng, scale=0.8):
-    """A valid, identifiability-constrained random parameter set."""
+    """A valid, identifiability-constrained random parameter set.  Under
+    "lc" the item and ability draws are made as under "2pl" and dropped."""
     bank = spec.item_bank
     difficulty = scale * rng.normal(size=bank.n_items)
     discrimination = np.exp(0.3 * rng.normal(size=bank.n_items))
@@ -36,14 +37,14 @@ def random_params(spec, rng, scale=0.8):
         discrimination = np.ones(bank.n_items)
     lc = None
     if spec.parameterization is Parameterization.LC:
-        difficulty = np.zeros(bank.n_items)
-        discrimination = np.ones(bank.n_items)
         lc = rng.uniform(0.15, 0.85, size=(spec.n_classes, bank.n_items))
+    abilities = np.sort(scale * rng.normal(size=(spec.n_classes, bank.n_dims)), axis=0)
+    if lc is not None:
+        difficulty = discrimination = abilities = None
     return ParameterSet(
         difficulty=difficulty,
         discrimination=discrimination,
-        abilities=np.sort(scale * rng.normal(size=(spec.n_classes, bank.n_dims)),
-                          axis=0),
+        abilities=abilities,
         class_intercepts=scale * rng.normal(size=(spec.n_types, spec.n_classes - 1)),
         class_slopes=scale * rng.normal(size=(spec.n_classes - 1,
                                               spec.n_student_covariates)),

@@ -354,8 +354,9 @@ class TestFitCommand:
         assert len(lines) == 1 + 6
 
     def test_lc_report_has_null_support_points(self, sim_dir):
-        """"lc" never estimates the class abilities (they stay the start
-        grid), so the report gives no school-type support point."""
+        """"lc" has no item parameters and no class abilities, so the report
+        writes them, and every summary of the abilities, as null; such a
+        report reads back and writes the same bytes."""
         tmp_path, out = sim_dir
         code = main(["fit", "--students", str(out / "students.csv"),
                      "--schools", str(out / "schools.csv"),
@@ -363,10 +364,16 @@ class TestFitCommand:
                      "--out", str(tmp_path / "fit_lc"),
                      "--parameterization", "lc", "--starts", "2"])
         assert code == 0
-        summary = read_report(tmp_path / "fit_lc" / "report.json")["summary"]
+        path = tmp_path / "fit_lc" / "report.json"
+        report = read_report(path)
+        summary = report["summary"]
         assert summary["support_points_raw"] == [None, None]
         assert summary["support_points_std"] == [None, None]
-        assert summary["abilities_std"] == [[0.0], [0.0]]
+        assert summary["abilities_std"] is None
+        for block in ("difficulty", "discrimination", "abilities"):
+            assert report["parameters"][block] is None
+        write_report(tmp_path / "copy.json", report)
+        assert path.read_bytes() == (tmp_path / "copy.json").read_bytes()
 
     def test_report_round_trip_is_byte_identical(self, sim_dir):
         tmp_path, out = sim_dir
@@ -1043,14 +1050,29 @@ def test_malformed_reference_items_are_an_input_error(fitted, tmp_path, capsys,
         assert "reference item 9 " in err, err
 
 
+def as_old_lc_report(report):
+    """The 2PL ``report`` turned into an "lc" report as written before
+    "lc" sets lost their item and ability blocks: those blocks still hold
+    numbers next to the success table."""
+    report["model"]["parameterization"] = "lc"
+    report["parameters"]["lc_success"] = [[0.5] * 4] * 2
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda report: report["model"].update(reference_items=[99]),
-     "invalid model spec: reference item 99 of dimension 1 out of range"),
-    (lambda report: report.pop("parameters"), "missing key 'parameters'"),
+     "bad report (invalid model spec: reference item 99 of dimension 1 out of range)"),
+    (lambda report: report.pop("parameters"), "bad report (missing key 'parameters')"),
     (lambda report: report["model"].update(n_classes=2.9),
-     "invalid model spec: n_classes must be an integer, got 2.9"),
-    (lambda report: report["model"].update(n_items=7), "n_items is 7, but dim_of gives 4"),
-], ids=["reference-99", "no-parameters", "n-classes-2.9", "n-items-7"])
+     "bad report (invalid model spec: n_classes must be an integer, got 2.9)"),
+    (lambda report: report["model"].update(n_items=7),
+     "bad report (n_items is 7, but dim_of gives 4)"),
+    (lambda report: report["parameters"].update(lc_success=[[0.5] * 4] * 2),
+     "lc_success is not a parameter of the 2pl parameterization"),
+    (as_old_lc_report,
+     "; ".join(f"{block} is not a parameter of the lc parameterization"
+               for block in ("difficulty", "discrimination", "abilities"))),
+], ids=["reference-99", "no-parameters", "n-classes-2.9", "n-items-7",
+        "lc-table-in-2pl", "old-lc-report"])
 def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,
                                             message):
     path = tmp_path / "report.json"
@@ -1058,8 +1080,7 @@ def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,
     edit(report)
     path.write_text(json.dumps(report))
     assert main(classify_argv(fitted, tmp_path / "out", report=path)) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {path}: bad report ({message})"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
 
 
 @pytest.mark.parametrize("flag", ["config", "students", "schools", "report",

@@ -10,6 +10,7 @@ import pytest
 import mlcirt.selection
 from mlcirt import (
     FitControls,
+    Parameterization,
     PosteriorTables,
     ResponseDataset,
     SchoolGroup,
@@ -17,7 +18,9 @@ from mlcirt import (
     assign_students,
     average_class_weights,
     bic,
+    classify,
     e_step,
+    multistart_fit,
     school_support_points,
     standardize_abilities,
     sweep_school_types,
@@ -431,6 +434,19 @@ class TestSummaries:
         assert points.defined[0]
         assert not points.defined[1]
         assert np.isnan(points.raw[1])
+
+    def test_support_points_undefined_without_abilities(self):
+        """An "lc" fit has no class abilities to average: every type's
+        support point is undefined, and there are no standardized abilities."""
+        design = desk_design(seed=1, n_schools=20, school_size=10)
+        data = simulate_full(design).dataset
+        spec = design.spec.replace(parameterization=Parameterization.LC)
+        params = multistart_fit(data, spec, FitControls(max_iter=50, n_starts=2)).params
+        assert params.abilities is None
+        points = school_support_points(data, params, spec, e_step(data, params, spec))
+        assert not points.defined.any()
+        assert np.isnan(points.raw).all() and np.isnan(points.standardized).all()
+        assert classify(data, params, spec).abilities_std is None
 
     def test_profile_probabilities(self):
         spec = make_spec(n_items=2, n_classes=1, n_types=2, m_v=0, m_u=1)
