@@ -14,10 +14,8 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import io as mio
-from .data import validate_dataset
+from .data import unique_rows, validate_dataset
 from .em import MultistartError, e_step, multistart_fit
 from .model import Parameterization, count_free_parameters
 from .selection import classify, resolve_bic_n, sweep_school_types, type_probabilities_by_profile
@@ -63,15 +61,6 @@ def _load_inputs(args):
     return config, spec, data
 
 
-def _profile_table(data, params, spec):
-    """Type-weight rows for each distinct observed school covariate profile."""
-    if spec.n_school_covariates == 0:
-        profiles = np.zeros((1, 0))
-    else:
-        profiles = np.unique(data.school_covariates, axis=0)
-    return profiles, type_probabilities_by_profile(params, profiles)
-
-
 def _warn_if_overparameterised(n_par: int, n_students: int) -> None:
     if n_par > n_students:
         print(f"warning: {n_par} free parameters for {n_students} students",
@@ -90,9 +79,9 @@ def cmd_fit(args) -> int:
     stored = mio.stored_params(result.params, spec)
     result = dataclasses.replace(result, params=stored)
     classification = classify(data, stored, spec, e_step(data, stored, spec))
-    profiles, probs = _profile_table(data, stored, spec)
-    report = mio.build_report(spec, config, result, classification, n_bic,
-                              profiles, probs)
+    profiles = unique_rows(data.school_covariates)[0]
+    report = mio.build_report(spec, config, result, classification, n_bic, profiles,
+                              type_probabilities_by_profile(stored, profiles))
     mio.write_report(out / "report.json", report)
     mio.write_assignments(out, data, classification)
     print(f"fit: loglik={result.loglik:.6f} n_par={count_free_parameters(spec)} "

@@ -19,9 +19,10 @@ expected complete log-likelihood block by block:
 (c) type-membership block: the same solver with the school-type
     posteriors as case weights.
 
-Every block runs its steps through one loop, ``_damped_newton``, which
-halves a step until the block objective does not fall; this keeps the EM
-iteration monotone in the marginal log-likelihood.
+Each block supplies its objective, gradient and information matrix; one
+loop, ``_damped_newton``, solves every Newton step and halves it until the
+block objective does not fall, which keeps the EM iteration monotone in
+the marginal log-likelihood.
 
 ``fit`` accelerates the EM map with safeguarded SQUAREM (Varadhan and
 Roland 2008): every two EM steps it tries an extrapolation along them and
@@ -33,6 +34,7 @@ and the trace count M-steps, as they would for plain EM.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,34 +208,40 @@ def student_class_posteriors(data: ResponseDataset,
 # The safeguarded Newton loop shared by every M-step block
 # ---------------------------------------------------------------------------
 
-def _damped_newton(value, newton_step, x, tol, max_iter, block: str):
+def _damped_newton(value, derivatives, x, max_iter, block: str):
     """Maximize ``value`` from ``x`` by damped Newton steps.
 
-    ``newton_step(x)`` returns the full step at ``x``.  A step is halved
-    until the objective is finite and no lower than before (up to
-    rounding), at most ``_MAX_HALVINGS`` times.  If no halving qualifies,
-    the loop stops at the current point, or raises ``MStepError`` when the
-    last candidate's objective is not finite.  Otherwise it stops once
-    the accepted step is below ``tol`` or after ``max_iter`` steps.
+    ``derivatives(x)`` returns the flattened gradient and the positive
+    semi-definite information; the step solves ``info @ step = grad`` by LU,
+    or by minimum-norm least squares where LU finds ``info`` singular (a
+    class with no mass).  A step is halved until the objective is finite and
+    no lower than before (up to rounding), at most ``_MAX_HALVINGS`` times;
+    if none qualifies, the loop stops, or raises ``MStepError`` when the last
+    objective is not finite.  It stops once a step moves no unknown by
+    ``_NEWTON_TOL``, or after ``max_iter`` steps.  Floating-point warnings
+    are off: an extreme trial point is judged by its objective alone.
     """
-    f0 = value(x)
-    for _ in range(max_iter):
-        step = newton_step(x)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            f1 = value(x + t * step)
-            if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
+    with np.errstate(all="ignore"):
+        f0 = value(x)
+        for _ in range(max_iter):
+            grad, info = derivatives(x)
+            try:
+                step = np.linalg.solve(info, grad).reshape(x.shape)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(info, grad, rcond=None)[0].reshape(x.shape)
+            t = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                f1 = value(x + t * step)
+                if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
+                    break
+                t *= 0.5
+            else:
+                if not np.isfinite(f1):
+                    raise MStepError(block, "non-finite objective after step halving")
                 break
-            t *= 0.5
-        else:
-            if not np.isfinite(f1):
-                raise MStepError(block, "non-finite objective after step halving")
-            break
-        delta = float(np.max(np.abs(t * step)))
-        x = x + t * step
-        f0 = f1
-        if delta < tol:
-            break
+            x, f0 = x + t * step, f1
+            if np.max(np.abs(t * step)) < _NEWTON_TOL:
+                break
     return x
 
 
@@ -241,18 +249,12 @@ def _damped_newton(value, newton_step, x, tol, max_iter, block: str):
 # M-step block (a): item parameters and class abilities
 # ---------------------------------------------------------------------------
 
-def _bernoulli_logit_value(succ, total, z):
-    """sum of succ*log(sigmoid(z)) + (total-succ)*log(sigmoid(-z)), stable."""
-    return succ * log_expit(z) + (total - succ) * log_expit(-z)
-
-
 def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
                          controls: FitControls) -> ParameterSet:
     if spec.parameterization is Parameterization.LC:
-        denom = np.maximum(total, 1e-300)
-        lc = np.where(total > 0, succ / denom, params.lc_success)
-        lc = np.clip(lc, _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)
-        return params.replace(lc_success=lc)
+        lc = np.where(total > 0, succ / np.maximum(total, 1e-300), params.lc_success)
+        return params.replace(lc_success=np.clip(lc, _LC_PROB_FLOOR,
+                                                 1.0 - _LC_PROB_FLOOR))
 
     bank = spec.item_bank
     dim_idx = bank.dim_index
@@ -275,39 +277,38 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
         slope[slope_items] = x[:n_slope]
         inter = inter0.copy()
         inter[free] = x[inter_cols]
-        return slope, inter, x[n_slope + n_free:].reshape(k_v, n_dims)
+        abilities = x[n_slope + n_free:].reshape(k_v, n_dims)
+        return slope, inter, abilities, abilities[:, dim_idx]
 
     def value(x):
-        slope, inter, abilities = unpack(x)
+        slope, inter, _, x_tab = unpack(x)
         # A discrimination collapsing to 0 leaves the difficulty -c/a
         # unidentified; scoring such points -inf makes step halving
         # reject them.
         if np.any(np.abs(slope[free]) < 1e-8):
             return -np.inf
-        z = slope * abilities[:, dim_idx] + inter
-        return float(_bernoulli_logit_value(succ, total, z).sum())
+        z = slope * x_tab + inter
+        return float((succ * log_expit(z) + (total - succ) * log_expit(-z)).sum())
 
-    def newton_step(x):
+    def derivatives(x):
         """Fisher scoring: the information J'diag(total p (1-p))J is
-        positive semi-definite; the minimum-norm solution handles its
-        singular directions (e.g. two classes at the same ability)."""
-        slope, inter, abilities = unpack(x)
-        x_tab = abilities[:, dim_idx]
+        positive semi-definite, and singular where a class has no mass or
+        two classes share an ability."""
+        slope, inter, _, x_tab = unpack(x)
         p = expit(slope * x_tab + inter)
         jac = np.zeros((k_v, bank.n_items, x.size))
         jac[:, slope_items, np.arange(n_slope)] = x_tab[:, slope_items]
         jac[:, free, inter_cols] = 1.0
         jac[np.arange(k_v)[:, None], np.arange(bank.n_items), ability_cols] = slope
         jac = jac.reshape(-1, x.size)
-        grad = jac.T @ (succ - total * p).reshape(-1)
-        info = jac.T @ ((total * p * (1.0 - p)).reshape(-1, 1) * jac)
-        return np.linalg.lstsq(info, grad, rcond=None)[0]
+        return (jac.T @ (succ - total * p).reshape(-1),
+                jac.T @ ((total * p * (1.0 - p)).reshape(-1, 1) * jac))
 
     x0 = np.concatenate([slope0[slope_items], inter0[free],
                          params.abilities.reshape(-1)])
-    x = _damped_newton(value, newton_step, x0, _NEWTON_TOL,
-                       controls.newton_max_iter, "item-ability")
-    slope, inter, abilities = unpack(x)
+    x = _damped_newton(value, derivatives, x0, controls.newton_max_iter,
+                       "item-ability")
+    slope, inter, abilities, _ = unpack(x)
     difficulty = np.where(is_free, -inter / slope, 0.0)
     return params.replace(difficulty=difficulty, discrimination=slope,
                           abilities=abilities)
@@ -317,21 +318,19 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 # M-step blocks (b)/(c): weighted multinomial logistic regressions
 # ---------------------------------------------------------------------------
 
+def _mnlogit_logits(design, coef):
+    """(N, K) category logits, 0 for category 0, and their log-sum-exp."""
+    full = np.concatenate([np.zeros((design.shape[0], 1)), design @ coef.T], axis=1)
+    return full, logsumexp_last(full)
+
+
 def _mnlogit_value(design, weights, total_w, coef) -> float:
-    """The block objective at ``coef``; -inf where it is not finite.
-
-    A category with no mass drives its coefficients towards -inf, and a
-    trial step there can overflow; the -inf makes step halving reject it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = design @ coef.T                             # (N, K-1)
-        full = np.concatenate([np.zeros((design.shape[0], 1)), logits], axis=1)
-        lse = logsumexp_last(full)
-        value = float((weights[:, 1:] * logits).sum() - total_w @ lse)
-    return value if np.isfinite(value) else -np.inf
+    """The block objective at ``coef``."""
+    full, lse = _mnlogit_logits(design, coef)
+    return float((weights[:, 1:] * full[:, 1:]).sum() - total_w @ lse)
 
 
-def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
+def _maximize_weighted_mnlogit(design, weights, coef0, max_iter,
                                block: str) -> np.ndarray:
     """Damped Newton ascent for a weighted multinomial logit.
 
@@ -339,44 +338,31 @@ def _maximize_weighted_mnlogit(design, weights, coef0, tol, max_iter,
     category masses, ``coef0`` (K-1, p); category 0 is the reference with
     all coefficients fixed to 0.
     """
-    n_cases, n_cat = weights.shape
-    n_feat = design.shape[1]
-    coef = np.array(coef0, dtype=float)
-    if n_cat == 1 or n_feat == 0 or coef.size == 0:
-        return coef
+    (n_cases, n_cat), n_feat = weights.shape, design.shape[1]
+    if coef0.size == 0:
+        return coef0
     total_w = weights[:, 0].copy()
     for k in range(1, n_cat):
         total_w += weights[:, k]
 
-    def newton_step(coef):
-        logits = design @ coef.T
-        full = np.concatenate([np.zeros((n_cases, 1)), logits], axis=1)
-        lse = logsumexp_last(full)
-        prob = np.exp(full - lse[:, None])                   # (N, K)
-        resid = weights[:, 1:] - total_w[:, None] * prob[:, 1:]
-        grad = resid.T @ design                              # (K-1, p)
-        wp = total_w[:, None] * prob[:, 1:]                  # (N, K-1)
-        # Negative Hessian, assembled blockwise from BLAS products:
-        # block (a, b) = sum_n wp[n, a] (delta_ab - prob[n, 1+b]) d_n d_n'.
-        dim = (n_cat - 1) * n_feat
-        curv_mat = np.empty((dim, dim))
-        for a in range(n_cat - 1):
-            da = design * wp[:, [a]]
-            for b in range(n_cat - 1):
-                part = -(da * prob[:, [1 + b]]).T @ design
-                if a == b:
-                    part += da.T @ design
-                curv_mat[a * n_feat:(a + 1) * n_feat,
-                         b * n_feat:(b + 1) * n_feat] = part
-        g = grad.reshape(-1)
-        try:
-            step = np.linalg.solve(curv_mat, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(curv_mat, g, rcond=None)[0]
-        return step.reshape(n_cat - 1, n_feat)
+    def derivatives(coef):
+        full, lse = _mnlogit_logits(design, coef)
+        prob = np.exp(full[:, 1:] - lse[:, None])                # (N, K-1)
+        wp = total_w[:, None] * prob
+        grad = (weights[:, 1:] - wp).T @ design                  # (K-1, p)
+        # Negative Hessian: block (a, b) is
+        # sum_n wp[n, a] (delta_ab - prob[n, b]) d_n d_n'.  Row n of ``z``
+        # holds prob[n, a] d_n for every a, and of ``wz`` wp[n, a] d_n.
+        z = (prob[:, :, None] * design[:, None, :]).reshape(n_cases, -1)
+        wz = (wp[:, :, None] * design[:, None, :]).reshape(n_cases, -1)
+        info = -(wz.T @ z)
+        diag = np.arange(n_cat - 1)
+        info.reshape(n_cat - 1, n_feat, n_cat - 1, n_feat)[diag, :, diag] += (
+            (design.T @ wz).reshape(n_feat, n_cat - 1, n_feat).transpose(1, 0, 2))
+        return grad.reshape(-1), info
 
     return _damped_newton(lambda c: _mnlogit_value(design, weights, total_w, c),
-                          newton_step, coef, tol, max_iter, block)
+                          derivatives, coef0, max_iter, block)
 
 
 def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
@@ -437,16 +423,15 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
                                          mass, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
-        coef = _maximize_weighted_mnlogit(design, wts, coef0, _NEWTON_TOL,
-                                          controls.newton_max_iter, "class-membership")
+        coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_max_iter,
+                                          "class-membership")
         new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
                                         class_slopes=coef[:, k_u:].copy())
     if k_u > 1:
         design = np.hstack([np.ones((data.n_schools, 1)), data.school_covariates])
         coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
         coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
-                                          _NEWTON_TOL, controls.newton_max_iter,
-                                          "type-membership")
+                                          controls.newton_max_iter, "type-membership")
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
                                         type_slopes=coef[:, 1:].copy())
     return new_params
@@ -479,11 +464,10 @@ def initialize(data: ResponseDataset, spec: ModelSpec,
     is the same recipe with zero noise.
     """
     bank = spec.item_bank
-    patterns = data.patterns
     # Sums of whole numbers, exact in floating point.
-    n_correct = patterns.counts @ patterns.is_one
-    n_answered = n_correct + patterns.counts @ patterns.is_zero
-    phat = np.where(n_answered > 0, n_correct / np.maximum(n_answered, 1.0), 0.5)
+    n_correct, n_answered = _answer_counts(data.patterns,
+                                           data.patterns.counts[:, None, None])
+    phat = np.where(n_answered > 0, n_correct / np.maximum(n_answered, 1.0), 0.5)[0]
     with np.errstate(divide="ignore"):
         raw = -(np.log(phat) - np.log1p(-phat))
     raw = np.clip(raw, -5.0, 5.0)
@@ -653,6 +637,20 @@ def _child_seed(base_seed: int, start_index: int) -> int:
     return int(np.random.SeedSequence((base_seed, start_index)).generate_state(1)[0])
 
 
+def _warn_if_unanchored(data: ResponseDataset, spec: ModelSpec) -> None:
+    """Warn once, naming each reference item without a right or without a
+    wrong answer: its logit is each class's ability, so the abilities and
+    difficulties of its dimension have no finite maximum."""
+    right, answered = _answer_counts(data.patterns, data.patterns.counts[:, None, None])
+    unanchored = [f"reference item {j + 1} of dimension {d + 1} has no "
+                  f"{'wrong' if right[0, j] else 'right'} answer"
+                  for d, j in enumerate(spec.item_bank.reference_items)
+                  if right[0, j] in (0, answered[0, j])]
+    if unanchored and spec.parameterization is not Parameterization.LC:
+        warnings.warn("; ".join(unanchored) + ", so the abilities and difficulties "
+                      "of its dimension have no finite estimate", stacklevel=3)
+
+
 def multistart_fit(data: ResponseDataset, spec: ModelSpec,
                    controls: FitControls) -> FitResult:
     """Best of one deterministic and n_starts - 1 random initializations.
@@ -662,6 +660,7 @@ def multistart_fit(data: ResponseDataset, spec: ModelSpec,
     start fails is a ``MultistartError`` raised.
     """
     _raise_if_invalid(validate_dataset(data, spec))
+    _warn_if_unanchored(data, spec)
     stack_dataset(data)
     best: FitResult | None = None
     failures: list[str] = []

@@ -162,7 +162,7 @@ def assign_schools(posteriors: PosteriorTables) -> SchoolAssignments:
 
 
 def average_class_weights(data: ResponseDataset, params: ParameterSet,
-                          spec: ModelSpec, posteriors: PosteriorTables):
+                          posteriors: PosteriorTables):
     """Average membership weights at both levels.
 
     The class average mixes each student's model-implied class weights over
@@ -252,7 +252,7 @@ def classify(data: ResponseDataset, params: ParameterSet, spec: ModelSpec,
     ``abilities_std`` is None when the model has no class abilities."""
     if posteriors is None:
         posteriors = e_step(data, params, spec)
-    avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
+    avg_class, avg_type = average_class_weights(data, params, posteriors)
     return ClassificationResult(
         student_assignments=assign_students(data, posteriors),
         school_assignments=assign_schools(posteriors),

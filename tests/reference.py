@@ -149,6 +149,24 @@ def per_student_class_block_cases(student_covariates, z_joint, n_types):
             z_joint.transpose(1, 0, 2).reshape(n_types * n, k_v))
 
 
+def mnlogit_derivatives(design, weights, coef):
+    """Gradient and negative Hessian of the weighted multinomial logit
+    objective of ``em._mnlogit_value``, case by case and block by block:
+    block (a, b) is sum_n w_n p_na (delta_ab - p_nb) d_n d_n'."""
+    n_cat, n_feat = weights.shape[1], design.shape[1]
+    grad = np.zeros((n_cat - 1, n_feat))
+    info = np.zeros(((n_cat - 1) * n_feat,) * 2)
+    for d, w in zip(design, weights):
+        logits = np.concatenate([[0.0], coef @ d])
+        p = np.exp(logits - scipy_logsumexp(logits))
+        for a in range(1, n_cat):
+            grad[a - 1] += (w[a] - w.sum() * p[a]) * d
+            for b in range(1, n_cat):
+                info[(a - 1) * n_feat:a * n_feat, (b - 1) * n_feat:b * n_feat] += (
+                    w.sum() * p[a] * ((a == b) - p[b]) * np.outer(d, d))
+    return grad.reshape(-1), info
+
+
 def per_student_answer_masks(data):
     """(n, r) float masks of right and wrong answers, one row per student."""
     return ((data.responses == 1).astype(float),

@@ -142,6 +142,20 @@ class TestEStep:
 # M-step
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The arguments of every ``np.linalg.lstsq`` call, which still runs."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
 class TestMStep:
 
     def test_lc_degenerate_posteriors_give_class_means(self):
@@ -167,6 +181,39 @@ class TestMStep:
             np.testing.assert_allclose(
                 new.lc_success[v],
                 np.clip(rows.mean(axis=0), 1e-8, 1 - 1e-8), atol=1e-12)
+
+    def test_desk_m_step_never_calls_least_squares(self, lstsq_calls):
+        """Every block's information is regular on the desk design, so each
+        Newton step is one LU solve."""
+        from mlcirt.simulate import desk_design, simulate_full
+
+        design = desk_design(seed=1)
+        data = simulate_full(design).dataset
+        for seed in (None, 1):
+            params = initialize(data, design.spec, seed)
+            m_step(data, e_step(data, params, design.spec), params, design.spec)
+        assert lstsq_calls == []
+
+    def test_empty_class_takes_the_least_squares_step(self, lstsq_calls):
+        """A class with no posterior mass leaves the item block's information
+        singular: the step falls back to least squares, the block objective
+        does not fall, and the empty class's abilities stay put."""
+        spec = make_spec(n_items=4, n_classes=3, n_types=1, m_v=0, m_u=0)
+        rng = np.random.default_rng(41)
+        params = random_params(spec, rng)
+        data = random_dataset(spec, rng, n_schools=4, school_size=6)
+        post = e_step(data, params, spec)
+        cond = post.cond_posterior.copy()
+        cond[:, :, 2] = 0.0
+        cond /= cond.sum(axis=2, keepdims=True)
+        post = PosteriorTables(type_posterior=post.type_posterior,
+                               cond_posterior=cond)
+        new = m_step(data, post, params, spec, QUICK)
+        assert lstsq_calls
+        obj = lambda p: reference.item_block_objective_vec(
+            data, post, spec, params, reference.pack_item_block(spec, p))
+        assert obj(new) >= obj(params) - 1e-9
+        np.testing.assert_array_equal(new.abilities[2], params.abilities[2])
 
     def test_fixed_point_after_convergence(self):
         """At a converged solution another M-step barely moves."""
@@ -291,12 +338,12 @@ class TestDampedNewton:
             values.append(x)
             return -float(((x - center) ** 2).sum())
 
-        def newton_step(x):
+        def derivatives(x):
             steps.append(x)
-            return np.array([1e6, -1e6])
+            return np.array([1e6, -1e6]), np.eye(2)
 
-        out = mlcirt.em._damped_newton(value, newton_step, center.copy(),
-                                       1e-9, 50, "item-ability")
+        out = mlcirt.em._damped_newton(value, derivatives, center.copy(), 50,
+                                       "item-ability")
         np.testing.assert_array_equal(out, center)
         assert len(steps) == 1
         assert len(values) == 1 + mlcirt.em._MAX_HALVINGS + 1
@@ -314,11 +361,39 @@ class TestDampedNewton:
             return -np.inf if len(calls) % 2 else np.nan
 
         with pytest.raises(mlcirt.em.MStepError) as err:
-            mlcirt.em._damped_newton(value, lambda x: np.ones_like(x),
-                                     np.zeros(3), 1e-9, 50, block)
+            mlcirt.em._damped_newton(value, lambda x: (np.ones(3), np.eye(3)),
+                                     np.zeros(3), 50, block)
         assert err.value.block == block
         assert str(err.value).startswith(f"[{block}] non-finite objective")
         assert len(calls) == 1 + mlcirt.em._MAX_HALVINGS + 1
+
+    def test_steps_solve_the_information_system(self):
+        """On a concave quadratic with Hessian -A the first full step lands
+        on the maximum, and a matrix-shaped unknown keeps its shape."""
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        top = np.array([[1.0, -2.0]])
+
+        def value(x):
+            d = (x - top).reshape(-1)
+            return -0.5 * float(d @ a @ d)
+
+        out = mlcirt.em._damped_newton(
+            value, lambda x: (-a @ (x - top).reshape(-1), a), np.zeros((1, 2)),
+            50, "class-membership")
+        assert out.shape == (1, 2)
+        np.testing.assert_allclose(out, top, atol=1e-12)
+
+    def test_singular_information_takes_the_minimum_norm_step(self, lstsq_calls):
+        """An unknown the objective ignores gives the information a zero row
+        and column: LU reports it singular, and the least-squares step
+        leaves that unknown where it was."""
+        out = mlcirt.em._damped_newton(
+            lambda x: -float((x[0] - 3.0) ** 2),
+            lambda x: (np.array([-2.0 * (x[0] - 3.0), 0.0]), np.diag([2.0, 0.0])),
+            np.array([0.0, 7.0]), 50, "item-ability")
+        np.testing.assert_allclose(out, [3.0, 7.0], atol=1e-12)
+        assert out[1] == 7.0
+        assert lstsq_calls
 
 
 def _pattern_dataset(n_schools, school_size, n_patterns, rng):
@@ -381,9 +456,27 @@ class TestClassBlockCases:
                       for d, w in (merged, per_student)]
             np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
         optima = [mlcirt.em._maximize_weighted_mnlogit(
-            d, w, np.zeros((2, 3)), 1e-12, 100, "class-membership")
+            d, w, np.zeros((2, 3)), 100, "class-membership")
             for d, w in (merged, per_student)]
         np.testing.assert_allclose(optima[0], optima[1], rtol=0, atol=1e-8)
+
+    def test_membership_derivatives_match_the_blockwise_sums(self, monkeypatch):
+        """The gradient and the information the class-membership block hands
+        the Newton loop equal the case-by-case, block-by-block sums."""
+        seen = []
+        monkeypatch.setattr(mlcirt.em, "_damped_newton",
+                            lambda value, derivatives, x, max_iter, block:
+                            seen.append(derivatives(x)) or x)
+        rng = np.random.default_rng(34)
+        for n_cat, n_feat in ((2, 1), (3, 2), (5, 4)):
+            design = rng.normal(size=(30, n_feat))
+            weights = rng.dirichlet(np.ones(n_cat), size=30) * rng.uniform(0, 3, (30, 1))
+            coef = rng.normal(size=(n_cat - 1, n_feat))
+            mlcirt.em._maximize_weighted_mnlogit(design, weights, coef, 1,
+                                                 "class-membership")
+            for ours, ref in zip(seen.pop(), reference.mnlogit_derivatives(
+                    design, weights, coef)):
+                np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
     def test_pattern_aggregate_allocates_no_student_by_pattern_array(self):
         rng = np.random.default_rng(32)
@@ -623,6 +716,35 @@ class TestMultistart:
         best = multistart_fit(data, spec,
                               controls.replace(n_starts=5, seed=5))
         assert best.loglik >= single.loglik - 1e-8
+
+    @pytest.mark.parametrize("parameterization", list(Parameterization))
+    def test_unanchored_reference_item_warns_once(self, parameterization):
+        """The reference item of dimension 2 answered right by every student
+        who answered it: one UserWarning names it under 2pl and 1pl; lc has
+        no reference items and warns of none."""
+        spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=2, n_types=1, m_v=0,
+                         m_u=0, parameterization=parameterization)
+        data = random_dataset(spec, np.random.default_rng(21), n_schools=3,
+                              school_size=6, missing_rate=0.1)
+        schools = []
+        for school in data.schools:
+            y = school.responses.copy()
+            y[y[:, 2] == 0, 2] = 1
+            schools.append(dataclasses.replace(school, responses=y))
+        data = ResponseDataset.from_schools(schools)
+        controls = FitControls(max_iter=20, n_starts=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            multistart_fit(data, spec, controls)
+        messages = [str(w.message) for w in caught]
+        if parameterization is Parameterization.LC:
+            assert messages == []
+        else:
+            assert [w.category for w in caught] == [UserWarning]
+            assert messages == [
+                "reference item 3 of dimension 2 has no wrong answer, so the "
+                "abilities and difficulties of its dimension have no finite "
+                "estimate"]
 
     def test_all_starts_failed(self, monkeypatch):
         rng = np.random.default_rng(20)

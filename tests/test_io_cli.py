@@ -755,6 +755,58 @@ class TestOverParameterisedWarning:
         assert "warning:" not in capsys.readouterr().err
 
 
+def edit_desk_students(files, tmp_path, edit):
+    """``files`` with the students file replaced by a copy whose data rows,
+    split into fields, went through ``edit(index, fields)``."""
+    lines = Path(files[1]).read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for i, fields in enumerate(rows):
+        edit(i, fields)
+    path = tmp_path / "edited_students.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(f) for f in rows]) + "\n")
+    return ["--students", str(path)] + files[2:]
+
+
+class TestDegenerateDeskInputs:
+    """The seed-1 desk data made degenerate: one stderr line, and the exit
+    code says how the fit ended."""
+
+    def test_extreme_covariate_is_one_error_line(self, tmp_path, capsys):
+        """``x1`` read as a number, one student's value 1e200: every
+        class-membership step overflows, and the failed starts are one
+        ``error:`` line with no numpy warning before it."""
+        files = desk_inputs(tmp_path)
+        config = json.loads(Path(files[5]).read_text())
+        config["student_covariates"] = [{"name": "x1", "type": "numeric"}]
+        (tmp_path / "numeric.json").write_text(json.dumps(config))
+        files[5] = str(tmp_path / "numeric.json")
+
+        def numeric_x1(i, fields):
+            fields[-1] = "1e200" if i == 0 else {"L0": "0", "L1": "1"}[fields[-1]]
+
+        files = edit_desk_students(files, tmp_path, numeric_x1)
+        capsys.readouterr()
+        code = main(["fit", *files, "--out", str(tmp_path / "fit"), "--starts", "2"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: all starts failed: ")
+        assert "[class-membership] non-finite objective" in err[0]
+
+    def test_unanchored_reference_item_is_one_warning_line(self, tmp_path, capsys):
+        """Item 1, the reference item, answered wrong by every student: one
+        ``warning:`` line names it, and the fit still exits 0."""
+        def all_wrong(i, fields):
+            fields[2] = "0"
+
+        files = edit_desk_students(desk_inputs(tmp_path), tmp_path, all_wrong)
+        capsys.readouterr()
+        code = main(["fit", *files, "--out", str(tmp_path / "fit"), "--starts", "1"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: reference item 1 of dimension 1 has no right answer, so the "
+            "abilities and difficulties of its dimension have no finite estimate"]
+
+
 # A fit call on the files of ``write_inputs``, formatted with their paths.
 FIT_ARGV = ["fit", "--students", "{students}", "--schools", "{schools}",
             "--config", "{config}", "--out", "{out}"]

@@ -172,7 +172,7 @@ def test_class_posteriors_and_labels_equal_the_student_joint_bitwise(name):
 def test_summaries_equal_the_per_student_gathers(name):
     spec, params, data = case(name)
     posteriors = e_step(data, params, spec)
-    avg_class, avg_type = average_class_weights(data, params, spec, posteriors)
+    avg_class, avg_type = average_class_weights(data, params, posteriors)
     ref_class, ref_type = reference.average_class_weights(data, params, posteriors)
     np.testing.assert_allclose(avg_class, ref_class, rtol=1e-12, atol=1e-12)
     assert avg_type.tobytes() == ref_type.tobytes()

@@ -267,7 +267,7 @@ class TestSummaries:
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=2, school_size=3)
         post = e_step(data, params, spec)
-        avg_class, avg_type = average_class_weights(data, params, spec, post)
+        avg_class, avg_type = average_class_weights(data, params, post)
         np.testing.assert_allclose(avg_class, [1.0])
         np.testing.assert_allclose(avg_type, [1.0])
 
@@ -283,7 +283,7 @@ class TestSummaries:
         school = dataclasses.replace(data.schools[0], student_covariates=x)
         data = ResponseDataset.from_schools((school,))
         post = e_step(data, params, spec)
-        avg_class, _ = average_class_weights(data, params, spec, post)
+        avg_class, _ = average_class_weights(data, params, post)
         np.testing.assert_allclose(avg_class, [(0.2 + 0.6) / 2, (0.8 + 0.4) / 2],
                                    atol=1e-12)
 
@@ -303,7 +303,7 @@ class TestSummaries:
                     total += post.type_posterior[h, u] * np.array(
                         reference.class_probs(params.class_intercepts,
                                               params.class_slopes, x, u))
-            avg_class, _ = average_class_weights(data, params, spec, post)
+            avg_class, _ = average_class_weights(data, params, post)
             np.testing.assert_allclose(avg_class, total / data.n_students,
                                        atol=1e-12)
 
@@ -313,7 +313,7 @@ class TestSummaries:
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=4, school_size=3)
         post = e_step(data, params, spec)
-        avg_class, avg_type = average_class_weights(data, params, spec, post)
+        avg_class, avg_type = average_class_weights(data, params, post)
         assert abs(avg_class.sum() - 1.0) <= 1e-10
         assert abs(avg_type.sum() - 1.0) <= 1e-10
 
