@@ -34,6 +34,8 @@ from helpers import check_posterior_invariants, make_spec, random_dataset, \
 
 
 QUICK = FitControls(max_iter=400, tol_loglik=1e-9, tol_param=1e-8, n_starts=1)
+# A Newton budget that runs every block to its maximum.
+STATIONARY = QUICK.replace(newton_max_iter=50)
 # A small Newton budget: each block must still reach its maximum.
 SHORT_NEWTON = QUICK.replace(newton_max_iter=10)
 
@@ -156,6 +158,29 @@ def lstsq_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def newton_blocks(monkeypatch):
+    """What each M-step block hands the Newton loop, which still runs: its
+    ``derivatives``, the start, the number of ``derivatives`` calls the
+    loop made and the point it returned."""
+    blocks = {}
+    loop = mlcirt.em._damped_newton
+
+    def spy(value, derivatives, x, max_iter, block):
+        entry = blocks[block] = {"derivatives": derivatives, "x0": x.copy(),
+                                 "calls": 0}
+
+        def counted(y):
+            entry["calls"] += 1
+            return derivatives(y)
+
+        entry["x"] = loop(value, counted, x, max_iter, block)
+        return entry["x"]
+
+    monkeypatch.setattr(mlcirt.em, "_damped_newton", spy)
+    return blocks
+
+
 class TestMStep:
 
     def test_lc_degenerate_posteriors_give_class_means(self):
@@ -193,6 +218,19 @@ class TestMStep:
             params = initialize(data, design.spec, seed)
             m_step(data, e_step(data, params, design.spec), params, design.spec)
         assert lstsq_calls == []
+
+    def test_default_budget_evaluates_each_block_once(self, newton_blocks):
+        """Under the default controls an M-step is one Newton step per
+        block: each block's derivatives are evaluated exactly once."""
+        from mlcirt.simulate import desk_design, simulate_full
+
+        design = desk_design(seed=1)
+        data = simulate_full(design).dataset
+        for seed in (None, 1):
+            params = initialize(data, design.spec, seed)
+            m_step(data, e_step(data, params, design.spec), params, design.spec)
+            assert {block: entry["calls"] for block, entry in newton_blocks.items()} == {
+                "item-ability": 1, "class-membership": 1, "type-membership": 1}
 
     def test_empty_class_takes_the_least_squares_step(self, lstsq_calls):
         """A class with no posterior mass leaves the item block's information
@@ -233,7 +271,7 @@ class TestMStep:
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=3, school_size=4)
         post = e_step(data, params, spec)
-        new = m_step(data, post, params, spec, QUICK)
+        new = m_step(data, post, params, spec, STATIONARY)
         expected = student_class_posteriors(data, post).mean(axis=0)
         np.testing.assert_allclose(
             reference.class_probs(new.class_intercepts, new.class_slopes,
@@ -265,13 +303,13 @@ class TestMStep:
 
     def test_blocks_match_generic_maximizer(self):
         """Each block's solution ties scipy's optimizer on the same block,
-        at the default Newton budget and at a small one."""
+        at a Newton budget of 50 and at a small one."""
         rng = np.random.default_rng(7)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=3, school_size=3)
         post = e_step(data, params, spec)
-        for controls in (QUICK, SHORT_NEWTON):
+        for controls in (STATIONARY, SHORT_NEWTON):
             new = m_step(data, post, params, spec, controls)
 
             obj = lambda v: reference.item_block_objective_vec(data, post, spec,
@@ -301,13 +339,13 @@ class TestMStep:
 
     def test_gradient_vanishes_at_block_solutions(self):
         """Central finite differences at the returned solutions are < 1e-4,
-        at the default Newton budget and at a small one."""
+        at a Newton budget of 50 and at a small one."""
         rng = np.random.default_rng(8)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=2, school_size=3)
         post = e_step(data, params, spec)
-        for controls in (QUICK, SHORT_NEWTON):
+        for controls in (STATIONARY, SHORT_NEWTON):
             new = m_step(data, post, params, spec, controls)
             grad = reference.finite_difference_gradient(
                 lambda v: reference.item_block_objective_vec(data, post, spec,
@@ -323,6 +361,137 @@ class TestMStep:
                 lambda v: reference.type_block_objective_vec(data, post, spec, v),
                 np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
             assert np.max(np.abs(grad)) < 1e-4
+
+
+def _item_unknowns(spec, params):
+    """The item block's unknowns at ``params``, in the order of the Newton
+    loop: free slopes (2PL only), free intercepts, abilities."""
+    free = ~spec.item_bank.is_reference
+    slopes = params.discrimination[free]
+    return np.concatenate([
+        slopes if spec.parameterization is Parameterization.TWO_PL else [],
+        -slopes * params.difficulty[free], params.abilities.reshape(-1)])
+
+
+def _item_parts(spec, params, x):
+    """The (r,) slopes and intercepts and the (k_V, D) abilities at the
+    item-block unknowns ``x``; fixed entries are taken from ``params``."""
+    free = np.flatnonzero(~spec.item_bank.is_reference)
+    n_slope = free.size if spec.parameterization is Parameterization.TWO_PL else 0
+    slope = params.discrimination.copy()
+    slope[free[:n_slope]] = x[:n_slope]
+    inter = -params.discrimination * params.difficulty
+    inter[free] = x[n_slope:n_slope + free.size]
+    return slope, inter, x[n_slope + free.size:].reshape(params.abilities.shape)
+
+
+def _item_logits(spec, params, x):
+    """(k_V, r) response logits at the item-block unknowns ``x``."""
+    slope, inter, abilities = _item_parts(spec, params, x)
+    return slope * abilities[:, spec.item_bank.dim_index] + inter
+
+
+def _item_objective(data, post, spec, params):
+    """``reference.item_block_objective_vec`` as a function of the Newton
+    loop's unknowns, each difficulty being -intercept / slope."""
+    free = ~spec.item_bank.is_reference
+    two_pl = spec.parameterization is Parameterization.TWO_PL
+
+    def objective(x):
+        slope, inter, abilities = _item_parts(spec, params, x)
+        return reference.item_block_objective_vec(
+            data, post, spec, params,
+            np.concatenate([-inter[free] / slope[free],
+                            slope[free] if two_pl else [], abilities.reshape(-1)]))
+
+    return objective
+
+
+def _second_differences(objective, x, step=1e-4):
+    """Central second differences of ``objective`` at ``x``."""
+    n, e = x.size, np.eye(x.size) * step
+    hess = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            hess[i, j] = hess[j, i] = (
+                objective(x + e[i] + e[j]) - objective(x + e[i] - e[j])
+                - objective(x - e[i] + e[j]) + objective(x - e[i] - e[j])) / (4 * step**2)
+    return hess
+
+
+def _fisher_information(data, post, spec, params, x, step=1e-4):
+    """J'diag(total p (1-p))J, with J the Jacobian of the response logits
+    in the unknowns: exact by central differences, the logits being
+    bilinear."""
+    _, total = mlcirt.em._answer_counts(data.patterns,
+                                        mlcirt.em._pattern_mass(data, post))
+    e = np.eye(x.size) * step
+    jac = np.stack([(_item_logits(spec, params, x + e[k])
+                     - _item_logits(spec, params, x - e[k])).reshape(-1) / (2 * step)
+                    for k in range(x.size)], axis=1)
+    p = 1.0 / (1.0 + np.exp(-_item_logits(spec, params, x).reshape(-1)))
+    return jac.T @ ((total.reshape(-1) * p * (1.0 - p))[:, None] * jac)
+
+
+def _item_case(parameterization):
+    """A small two-dimensional instance with one type, its posteriors, and
+    its item-block objective in the Newton loop's unknowns."""
+    spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=3, n_types=1, m_v=0, m_u=0,
+                     parameterization=parameterization)
+    rng = np.random.default_rng(0)
+    params = random_params(spec, rng)
+    data = random_dataset(spec, rng, n_schools=4, school_size=6)
+    post = e_step(data, params, spec)
+    return spec, params, data, post, _item_objective(data, post, spec, params)
+
+
+class TestItemInformation:
+    """The item block's Newton step uses the observed information, the
+    exact negative Hessian of the block objective, where it is positive
+    definite, and the Fisher information elsewhere."""
+
+    @pytest.mark.parametrize("parameterization", [Parameterization.TWO_PL,
+                                                  Parameterization.ONE_PL])
+    def test_positive_definite_information_is_the_negative_hessian(
+            self, parameterization, newton_blocks):
+        """At the block maximum the observed information is positive
+        definite, and it equals minus the second differences of the
+        reference objective; under 2PL it is not the Fisher information,
+        under 1PL it is."""
+        spec, params, data, post, objective = _item_case(parameterization)
+        top = m_step(data, post, params, spec, STATIONARY)
+        x = _item_unknowns(spec, top)
+        np.testing.assert_allclose(x, newton_blocks["item-ability"]["x"],
+                                   rtol=1e-12, atol=1e-12)
+        _, info = newton_blocks["item-ability"]["derivatives"](x)
+        hessian = _second_differences(objective, x)
+        assert np.linalg.eigvalsh(-hessian).min() > 1e-3
+        np.testing.assert_allclose(info, -hessian, atol=2e-5)
+        fisher = _fisher_information(data, post, spec, params, x)
+        if parameterization is Parameterization.TWO_PL:
+            assert np.max(np.abs(info - fisher)) > 1e-2
+        else:
+            np.testing.assert_allclose(info, fisher, atol=1e-6)
+
+    def test_indefinite_information_falls_back_to_fisher(self, newton_blocks):
+        """At a random start the observed information has a negative
+        eigenvalue: the step solves the Fisher system instead, and the
+        block objective does not fall."""
+        spec, params, data, post, objective = _item_case(Parameterization.TWO_PL)
+        new = m_step(data, post, params, spec)
+        block = newton_blocks["item-ability"]
+        x0 = _item_unknowns(spec, params)
+        np.testing.assert_array_equal(block["x0"], x0)
+        assert np.linalg.eigvalsh(-_second_differences(objective, x0)).min() < -0.1
+        grad, info = block["derivatives"](x0)
+        fisher = _fisher_information(data, post, spec, params, x0)
+        np.testing.assert_allclose(info, fisher, atol=1e-6)
+        step = _item_unknowns(spec, new) - x0
+        direction = np.linalg.solve(info, grad)
+        t = step @ direction / (direction @ direction)
+        assert t > 0
+        np.testing.assert_allclose(step, t * direction, atol=1e-9)
+        assert objective(_item_unknowns(spec, new)) >= objective(x0) - 1e-9
 
 
 class TestDampedNewton:
