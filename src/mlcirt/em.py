@@ -21,14 +21,14 @@ expected complete log-likelihood block by block:
 (c) type-membership block: the same solver with the school-type
     posteriors as case weights.
 
-Each block supplies its objective, gradient and information matrix; one
-loop, ``_damped_newton``, solves every Newton step and halves it until the
-block objective does not fall, which keeps the EM iteration monotone in
-the marginal log-likelihood.  By default the fit takes one such step per
-block per M-step: a generalized EM step (Meng and Rubin 1993), and with
-the exact item-block Hessian Lange's (1995) EM gradient algorithm, which
-converges locally at the rate of EM.  A larger ``newton_max_iter`` runs
-every block to its maximum.
+Each block supplies its objective, gradient and information matrix, and
+the M-step takes one Newton step per block: ``_newton_step`` solves it
+and halves it until the block objective does not fall, which keeps the EM
+iteration monotone in the marginal log-likelihood.  That makes the fit a
+generalized EM (Meng and Rubin 1993), and with the exact item-block
+Hessian Lange's (1995) EM gradient algorithm, which converges locally at
+the rate of EM.  The blocks are separate given the posteriors, so
+repeating ``m_step`` on fixed posteriors runs every block to its maximum.
 
 ``fit`` accelerates the EM map with safeguarded SQUAREM (Varadhan and
 Roland 2008): every two EM steps it tries an extrapolation along them and
@@ -65,8 +65,6 @@ from .model import (
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
-# A Newton block stops once its step moves every unknown by less than this.
-_NEWTON_TOL = 1e-9
 
 
 class MStepError(RuntimeError):
@@ -102,30 +100,24 @@ class PosteriorTables:
 
 @dataclass(frozen=True)
 class FitControls:
-    """Stopping rules and iteration caps for the EM loop.
+    """Stopping rules, iteration cap and starts of an EM fit.
 
     ``max_iter`` caps the M-steps of one fit.  A fit has converged once
     two consecutive log-likelihoods of its trace differ by less than
     ``tol_loglik``, or once an M-step changes no parameter by ``tol_param``
-    or more.
-
-    ``newton_max_iter`` bounds the Newton steps of every M-step block
-    (item/ability, class membership, type membership): a block stops after
-    that many steps, or once a step moves no unknown by 1e-9 or more.  The
-    default, 1, makes each M-step one Newton step per block, which raises
-    every block objective; a budget of about 50 maximizes them.
+    or more.  ``multistart_fit`` runs ``n_starts`` starts, the random ones
+    seeded from ``seed``.
     Construction raises ``ValueError`` naming a field of the wrong type or range.
     """
 
     max_iter: int = 5000
     tol_loglik: float = 1e-8
     tol_param: float = 1e-6
-    newton_max_iter: int = 1
     n_starts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "newton_max_iter", "n_starts", "seed"):
+        for name in ("max_iter", "n_starts", "seed"):
             check_integer(getattr(self, name), name, 0 if name == "seed" else 1)
         for name in ("tol_loglik", "tol_param"):
             if not 0 < (value := check_number(getattr(self, name), name)) < np.inf:
@@ -213,43 +205,36 @@ def student_class_posteriors(data: ResponseDataset,
 
 
 # ---------------------------------------------------------------------------
-# The safeguarded Newton loop shared by every M-step block
+# The safeguarded Newton step shared by every M-step block
 # ---------------------------------------------------------------------------
 
-def _damped_newton(value, derivatives, x, max_iter, block: str):
-    """Maximize ``value`` from ``x`` by damped Newton steps.
+def _newton_step(value, derivatives, x, block: str):
+    """One damped Newton step that raises ``value`` from ``x``.
 
     ``derivatives(x)`` returns the flattened gradient and the positive
     semi-definite information; the step solves ``info @ step = grad`` by LU,
     or by minimum-norm least squares where LU finds ``info`` singular (a
-    class with no mass).  A step is halved until the objective is finite and
-    no lower than before (up to rounding), at most ``_MAX_HALVINGS`` times;
-    if none qualifies, the loop stops, or raises ``MStepError`` when the last
-    objective is not finite.  It stops once a step moves no unknown by
-    ``_NEWTON_TOL``, or after ``max_iter`` steps.  Floating-point warnings
-    are off: an extreme trial point is judged by its objective alone.
+    class with no mass).  The step is halved until the objective is finite
+    and no lower than at ``x`` (up to rounding), at most ``_MAX_HALVINGS``
+    times; if none qualifies, ``x`` is returned, or ``MStepError`` raised
+    when the last objective is not finite.  Floating-point warnings are
+    off: an extreme trial point is judged by its objective alone.
     """
     with np.errstate(all="ignore"):
         f0 = value(x)
-        for _ in range(max_iter):
-            grad, info = derivatives(x)
-            try:
-                step = np.linalg.solve(info, grad).reshape(x.shape)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(info, grad, rcond=None)[0].reshape(x.shape)
-            t = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
-                f1 = value(x + t * step)
-                if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
-                    break
-                t *= 0.5
-            else:
-                if not np.isfinite(f1):
-                    raise MStepError(block, "non-finite objective after step halving")
-                break
-            x, f0 = x + t * step, f1
-            if np.max(np.abs(t * step)) < _NEWTON_TOL:
-                break
+        grad, info = derivatives(x)
+        try:
+            step = np.linalg.solve(info, grad).reshape(x.shape)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(info, grad, rcond=None)[0].reshape(x.shape)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            f1 = value(x + t * step)
+            if np.isfinite(f1) and f1 >= f0 - 1e-12 * (1.0 + abs(f0)):
+                return x + t * step
+            t *= 0.5
+    if not np.isfinite(f1):
+        raise MStepError(block, "non-finite objective after step halving")
     return x
 
 
@@ -257,8 +242,8 @@ def _damped_newton(value, derivatives, x, max_iter, block: str):
 # M-step block (a): item parameters and class abilities
 # ---------------------------------------------------------------------------
 
-def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
-                         controls: FitControls) -> ParameterSet:
+def _item_block_step(succ, total, params: ParameterSet,
+                     spec: ModelSpec) -> ParameterSet:
     if spec.parameterization is Parameterization.LC:
         lc = np.where(total > 0, succ / np.maximum(total, 1e-300), params.lc_success)
         return params.replace(lc_success=np.clip(lc, _LC_PROB_FLOOR,
@@ -331,8 +316,7 @@ def _maximize_item_block(succ, total, params: ParameterSet, spec: ModelSpec,
 
     x0 = np.concatenate([slope0[slope_items], inter0[free],
                          params.abilities.reshape(-1)])
-    x = _damped_newton(value, derivatives, x0, controls.newton_max_iter,
-                       "item-ability")
+    x = _newton_step(value, derivatives, x0, "item-ability")
     slope, inter, abilities, _ = unpack(x)
     difficulty = np.where(is_free, -inter / slope, 0.0)
     return params.replace(difficulty=difficulty, discrimination=slope,
@@ -355,17 +339,14 @@ def _mnlogit_value(design, weights, total_w, coef) -> float:
     return float((weights[:, 1:] * full[:, 1:]).sum() - total_w @ lse)
 
 
-def _maximize_weighted_mnlogit(design, weights, coef0, max_iter,
-                               block: str) -> np.ndarray:
-    """Damped Newton ascent for a weighted multinomial logit.
+def _mnlogit_step(design, weights, coef0, block: str) -> np.ndarray:
+    """One damped Newton step up a weighted multinomial logit.
 
     ``design`` is (N, p), ``weights`` (N, K) nonnegative with fractional
     category masses, ``coef0`` (K-1, p); category 0 is the reference with
     all coefficients fixed to 0.
     """
     (n_cases, n_cat), n_feat = weights.shape, design.shape[1]
-    if coef0.size == 0:
-        return coef0
     total_w = weights[:, 0].copy()
     for k in range(1, n_cat):
         total_w += weights[:, k]
@@ -386,8 +367,8 @@ def _maximize_weighted_mnlogit(design, weights, coef0, max_iter,
             (design.T @ wz).reshape(n_feat, n_cat - 1, n_feat).transpose(1, 0, 2))
         return grad.reshape(-1), info
 
-    return _damped_newton(lambda c: _mnlogit_value(design, weights, total_w, c),
-                          derivatives, coef0, max_iter, block)
+    return _newton_step(lambda c: _mnlogit_value(design, weights, total_w, c),
+                        derivatives, coef0, block)
 
 
 def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
@@ -436,29 +417,30 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
            controls: FitControls | None = None) -> ParameterSet:
     """Raise the expected complete log-likelihood given E-step posteriors.
 
-    Each block takes at most ``controls.newton_max_iter`` damped Newton
-    steps (one under the default controls), none of which decreases its
-    objective relative to ``params``; a large budget maximizes every block.
+    Each block takes one damped Newton step from ``params``, which raises
+    its objective or leaves it where it was.  Given the posteriors the
+    block objectives are separate, so repeating ``m_step`` on fixed
+    posteriors reaches each block's maximum.  ``controls`` is unused:
+    nothing in an M-step is configurable, and the argument is kept only
+    for callers that still pass a fit's controls (``perfbench/run.py``).
     """
-    controls = controls or FitControls()
     mass = _pattern_mass(data, posteriors)
     succ, total = _answer_counts(data.patterns, mass)
-    new_params = _maximize_item_block(succ, total, params, spec, controls)
+    new_params = _item_block_step(succ, total, params, spec)
 
     k_u, k_v = spec.n_types, spec.n_classes
     if k_v > 1:
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
                                          mass, k_u)
         coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
-        coef = _maximize_weighted_mnlogit(design, wts, coef0, controls.newton_max_iter,
-                                          "class-membership")
+        coef = _mnlogit_step(design, wts, coef0, "class-membership")
         new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
                                         class_slopes=coef[:, k_u:].copy())
     if k_u > 1:
         design = np.hstack([np.ones((data.n_schools, 1)), data.school_covariates])
         coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
-        coef = _maximize_weighted_mnlogit(design, posteriors.type_posterior, coef0,
-                                          controls.newton_max_iter, "type-membership")
+        coef = _mnlogit_step(design, posteriors.type_posterior, coef0,
+                             "type-membership")
         new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
                                         type_slopes=coef[:, 1:].copy())
     return new_params
@@ -632,7 +614,7 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     trace = [loglik]
     cycle_start = None      # theta0 while the second step of a cycle is due
     while True:
-        new_params = m_step(data, posteriors, params, spec, controls)
+        new_params = m_step(data, posteriors, params, spec)
         # Released before the next E-step: a fit never holds two sets of
         # posterior tables at once.
         posteriors = None

@@ -19,6 +19,7 @@ digits, which makes write -> read -> write byte-identical.
 from __future__ import annotations
 
 import codecs
+import dataclasses
 import json
 import re
 from dataclasses import dataclass
@@ -169,6 +170,19 @@ def _parse_covariate_decls(raw: dict, key: str) -> tuple[CovariateDecl, ...]:
     return tuple(decls)
 
 
+def _parse_controls(raw: dict) -> FitControls:
+    """The fit controls under ``controls`` (the defaults if absent or null)."""
+    controls = {} if raw.get("controls") is None else raw["controls"]
+    if not isinstance(controls, dict):
+        raise TypeError(f"controls must be a JSON object, got {controls!r}")
+    names = [field.name for field in dataclasses.fields(FitControls)]
+    for key in controls:
+        if key not in names:
+            raise ValueError(f"unknown control {key!r}; the controls are "
+                             + ", ".join(names))
+    return FitControls(**controls)
+
+
 def parse_config(path) -> ModelConfig:
     """Read and validate a model configuration file (JSON)."""
     def build(raw):
@@ -188,7 +202,7 @@ def parse_config(path) -> ModelConfig:
         )
         return ModelConfig(spec=spec, student_covariates=student_covariates,
                            school_covariates=school_covariates,
-                           controls=FitControls(**dict(raw.get("controls") or {})),
+                           controls=_parse_controls(raw),
                            bic_n=bic_n)
     return _read_input(path, "config", build)
 

@@ -9,8 +9,10 @@ from mlcirt import (
     Parameterization,
     ResponseDataset,
     SchoolGroup,
+    m_step,
     student_class_posteriors,
 )
+from mlcirt.model import max_abs_change
 
 
 def make_spec(n_items=4, dim_of=None, n_classes=2, n_types=2,
@@ -127,3 +129,15 @@ def single_student_dataset(y=(1,), m_v=0, m_u=0):
         student_covariates=np.zeros((1, m_v)),
         responses=np.array([y], dtype=np.int8),
     ),))
+
+
+def stationary_m_step(data, post, params, spec, max_steps=600):
+    """``m_step`` repeated on the fixed posteriors ``post`` until one moves
+    no parameter by 1e-9.  Given the posteriors the three block objectives
+    are separate, so this runs every block to its maximum."""
+    for _ in range(max_steps):
+        new = m_step(data, post, params, spec)
+        if max_abs_change(params, new) < 1e-9:
+            return new
+        params = new
+    raise AssertionError(f"m_step still moving after {max_steps} steps")

@@ -590,7 +590,7 @@ def plain_em_fit(data, spec, controls, init):
         if iteration > 0 and abs(trace[-1] - trace[-2]) < controls.tol_loglik:
             converged = True
             break
-        new_params = em.m_step(data, posteriors, params, spec, controls)
+        new_params = em.m_step(data, posteriors, params, spec)
         delta = max_abs_change(params, new_params)
         params = new_params
         if delta < controls.tol_param:

@@ -35,7 +35,7 @@ from mlcirt.simulate import desk_design, simulate_full
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
-    random_instance, random_params
+    random_instance, random_params, stationary_m_step
 
 N_SEEDS = 20
 
@@ -165,9 +165,6 @@ def test_criterion_5_m_step_optimality():
         from mlcirt import CategoricalCovariate, SimulationDesign
 
         rng = np.random.default_rng(505)
-        # generous inner-iteration budget: the blocks must be optimized to
-        # stationarity, not merely improved as in a routine EM sweep
-        controls = FitControls(n_starts=1, newton_max_iter=600)
         for k in range(10):
             parameterization = (Parameterization.LC if k % 5 == 4 else
                                 Parameterization.ONE_PL if k % 5 == 3 else
@@ -187,7 +184,9 @@ def test_criterion_5_m_step_optimality():
             data = simulate_full(design).dataset
             post = e_step(data, truth, spec)
             params = initialize(data, spec)
-            new = m_step(data, post, params, spec, controls)
+            # The blocks must be optimized to stationarity, not merely
+            # improved as in a routine EM sweep.
+            new = stationary_m_step(data, post, params, spec)
 
             # block (a): item parameters and abilities (or lc table)
             obj = lambda v: reference.item_block_objective_vec(

@@ -30,21 +30,17 @@ from mlcirt.model import PARAM_BLOCKS, ItemBank, ModelSpec, max_abs_change
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
-    random_instance, random_params, single_student_dataset
+    random_instance, random_params, single_student_dataset, stationary_m_step
 
 
 QUICK = FitControls(max_iter=400, tol_loglik=1e-9, tol_param=1e-8, n_starts=1)
-# A Newton budget that runs every block to its maximum.
-STATIONARY = QUICK.replace(newton_max_iter=50)
-# A small Newton budget: each block must still reach its maximum.
-SHORT_NEWTON = QUICK.replace(newton_max_iter=10)
 
 
 def params_with(spec, seed=0, **blocks):
     return random_params(spec, np.random.default_rng(seed)).replace(**blocks)
 
 
-@pytest.mark.parametrize("name", ["max_iter", "newton_max_iter", "n_starts", "seed"])
+@pytest.mark.parametrize("name", ["max_iter", "n_starts", "seed"])
 @pytest.mark.parametrize("value", [2.5, 2.0, "3", True, False])
 def test_fit_controls_reject_a_non_integer_count(name, value):
     """A fractional ``max_iter`` would never equal the trace length, so the
@@ -160,13 +156,13 @@ def lstsq_calls(monkeypatch):
 
 @pytest.fixture
 def newton_blocks(monkeypatch):
-    """What each M-step block hands the Newton loop, which still runs: its
-    ``derivatives``, the start, the number of ``derivatives`` calls the
-    loop made and the point it returned."""
+    """What each M-step block hands the Newton step, which still runs, at
+    the last M-step: its ``derivatives``, the start, the number of
+    ``derivatives`` calls the step made and the point it returned."""
     blocks = {}
-    loop = mlcirt.em._damped_newton
+    step = mlcirt.em._newton_step
 
-    def spy(value, derivatives, x, max_iter, block):
+    def spy(value, derivatives, x, block):
         entry = blocks[block] = {"derivatives": derivatives, "x0": x.copy(),
                                  "calls": 0}
 
@@ -174,10 +170,10 @@ def newton_blocks(monkeypatch):
             entry["calls"] += 1
             return derivatives(y)
 
-        entry["x"] = loop(value, counted, x, max_iter, block)
+        entry["x"] = step(value, counted, x, block)
         return entry["x"]
 
-    monkeypatch.setattr(mlcirt.em, "_damped_newton", spy)
+    monkeypatch.setattr(mlcirt.em, "_newton_step", spy)
     return blocks
 
 
@@ -201,7 +197,7 @@ class TestMStep:
         cond = np.empty((4, 1, 2))
         cond[data.patterns.index] = hard[:, None, :]
         post = PosteriorTables(type_posterior=np.ones((1, 1)), cond_posterior=cond)
-        new = m_step(data, post, params, spec, QUICK)
+        new = m_step(data, post, params, spec)
         for v, rows in ((0, resp[:2]), (1, resp[2:])):
             np.testing.assert_allclose(
                 new.lc_success[v],
@@ -219,9 +215,9 @@ class TestMStep:
             m_step(data, e_step(data, params, design.spec), params, design.spec)
         assert lstsq_calls == []
 
-    def test_default_budget_evaluates_each_block_once(self, newton_blocks):
-        """Under the default controls an M-step is one Newton step per
-        block: each block's derivatives are evaluated exactly once."""
+    def test_an_m_step_is_one_newton_step_per_block(self, newton_blocks):
+        """An M-step is one Newton step per block: each block's derivatives
+        are evaluated exactly once."""
         from mlcirt.simulate import desk_design, simulate_full
 
         design = desk_design(seed=1)
@@ -231,6 +227,18 @@ class TestMStep:
             m_step(data, e_step(data, params, design.spec), params, design.spec)
             assert {block: entry["calls"] for block, entry in newton_blocks.items()} == {
                 "item-ability": 1, "class-membership": 1, "type-membership": 1}
+
+    def test_controls_do_not_change_the_m_step(self):
+        """``m_step`` accepts a fit's controls and ignores them."""
+        spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
+        rng = np.random.default_rng(9)
+        params = random_params(spec, rng)
+        data = random_dataset(spec, rng, n_schools=3, school_size=4)
+        post = e_step(data, params, spec)
+        np.testing.assert_array_equal(
+            mlcirt.em._pack(m_step(data, post, params, spec,
+                                   FitControls(max_iter=1, n_starts=1))),
+            mlcirt.em._pack(m_step(data, post, params, spec)))
 
     def test_empty_class_takes_the_least_squares_step(self, lstsq_calls):
         """A class with no posterior mass leaves the item block's information
@@ -246,7 +254,7 @@ class TestMStep:
         cond /= cond.sum(axis=2, keepdims=True)
         post = PosteriorTables(type_posterior=post.type_posterior,
                                cond_posterior=cond)
-        new = m_step(data, post, params, spec, QUICK)
+        new = m_step(data, post, params, spec)
         assert lstsq_calls
         obj = lambda p: reference.item_block_objective_vec(
             data, post, spec, params, reference.pack_item_block(spec, p))
@@ -260,18 +268,18 @@ class TestMStep:
         data = random_dataset(spec, rng, n_schools=2, school_size=4)
         result = fit(data, spec, QUICK, initialize(data, spec))
         post = e_step(data, result.params, spec)
-        again = m_step(data, post, result.params, spec, QUICK)
+        again = m_step(data, post, result.params, spec)
         assert max_abs_change(result.params, again) < 1e-6
 
     def test_closed_form_weighted_proportions(self):
         """Without covariates and with one type, the membership block's
-        Newton solution equals the posterior class proportions."""
+        maximum equals the posterior class proportions."""
         rng = np.random.default_rng(5)
         spec = make_spec(n_items=3, n_classes=3, n_types=1, m_v=0, m_u=0)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=3, school_size=4)
         post = e_step(data, params, spec)
-        new = m_step(data, post, params, spec, STATIONARY)
+        new = stationary_m_step(data, post, params, spec)
         expected = student_class_posteriors(data, post).mean(axis=0)
         np.testing.assert_allclose(
             reference.class_probs(new.class_intercepts, new.class_slopes,
@@ -282,7 +290,7 @@ class TestMStep:
         for _ in range(10):
             spec, params, data = random_instance(rng)
             post = e_step(data, params, spec)
-            new = m_step(data, post, params, spec, QUICK)
+            new = m_step(data, post, params, spec)
             old_obj = reference.block_item_objective(
                 data, post, spec, params.difficulty, params.discrimination,
                 params.abilities, params.lc_success)
@@ -302,70 +310,68 @@ class TestMStep:
             assert new_obj >= old_obj - 1e-9
 
     def test_blocks_match_generic_maximizer(self):
-        """Each block's solution ties scipy's optimizer on the same block,
-        at a Newton budget of 50 and at a small one."""
+        """Each block's solution, M-steps repeated on fixed posteriors until
+        they stop moving, ties scipy's optimizer on the same block."""
         rng = np.random.default_rng(7)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=3, school_size=3)
         post = e_step(data, params, spec)
-        for controls in (STATIONARY, SHORT_NEWTON):
-            new = m_step(data, post, params, spec, controls)
+        new = stationary_m_step(data, post, params, spec)
 
-            obj = lambda v: reference.item_block_objective_vec(data, post, spec,
-                                                               params, v)
-            x_new = reference.pack_item_block(spec, new)
-            ours = obj(x_new)
-            _, best = reference.maximize(
-                obj, [reference.pack_item_block(spec, params), x_new])
-            assert ours == pytest.approx(best, abs=1e-6)
+        obj = lambda v: reference.item_block_objective_vec(data, post, spec,
+                                                           params, v)
+        x_new = reference.pack_item_block(spec, new)
+        ours = obj(x_new)
+        _, best = reference.maximize(
+            obj, [reference.pack_item_block(spec, params), x_new])
+        assert ours == pytest.approx(best, abs=1e-6)
 
-            obj = lambda v: reference.class_block_objective_vec(data, post, spec, v)
-            x_new = np.concatenate([new.class_intercepts.reshape(-1),
-                                    new.class_slopes.reshape(-1)])
-            x_old = np.concatenate([params.class_intercepts.reshape(-1),
-                                    params.class_slopes.reshape(-1)])
-            ours = obj(x_new)
-            _, best = reference.maximize(obj, [x_old, x_new])
-            assert ours == pytest.approx(best, abs=1e-6)
+        obj = lambda v: reference.class_block_objective_vec(data, post, spec, v)
+        x_new = np.concatenate([new.class_intercepts.reshape(-1),
+                                new.class_slopes.reshape(-1)])
+        x_old = np.concatenate([params.class_intercepts.reshape(-1),
+                                params.class_slopes.reshape(-1)])
+        ours = obj(x_new)
+        _, best = reference.maximize(obj, [x_old, x_new])
+        assert ours == pytest.approx(best, abs=1e-6)
 
-            obj = lambda v: reference.type_block_objective_vec(data, post, spec, v)
-            x_new = np.concatenate([new.type_intercepts,
-                                    new.type_slopes.reshape(-1)])
-            ours = obj(x_new)
-            _, best = reference.maximize(obj, [np.concatenate(
-                [params.type_intercepts, params.type_slopes.reshape(-1)]), x_new])
-            assert ours == pytest.approx(best, abs=1e-6)
+        obj = lambda v: reference.type_block_objective_vec(data, post, spec, v)
+        x_new = np.concatenate([new.type_intercepts,
+                                new.type_slopes.reshape(-1)])
+        ours = obj(x_new)
+        _, best = reference.maximize(obj, [np.concatenate(
+            [params.type_intercepts, params.type_slopes.reshape(-1)]), x_new])
+        assert ours == pytest.approx(best, abs=1e-6)
 
     def test_gradient_vanishes_at_block_solutions(self):
-        """Central finite differences at the returned solutions are < 1e-4,
-        at a Newton budget of 50 and at a small one."""
+        """Central finite differences at the block solutions, M-steps
+        repeated on fixed posteriors until they stop moving, are < 1e-4."""
         rng = np.random.default_rng(8)
         spec = make_spec(n_items=3, n_classes=2, n_types=2, m_v=1, m_u=1)
         params = random_params(spec, rng)
         data = random_dataset(spec, rng, n_schools=2, school_size=3)
         post = e_step(data, params, spec)
-        for controls in (STATIONARY, SHORT_NEWTON):
-            new = m_step(data, post, params, spec, controls)
-            grad = reference.finite_difference_gradient(
-                lambda v: reference.item_block_objective_vec(data, post, spec,
-                                                             params, v),
-                reference.pack_item_block(spec, new))
-            assert np.max(np.abs(grad)) < 1e-4
-            grad = reference.finite_difference_gradient(
-                lambda v: reference.class_block_objective_vec(data, post, spec, v),
-                np.concatenate([new.class_intercepts.reshape(-1),
-                                new.class_slopes.reshape(-1)]))
-            assert np.max(np.abs(grad)) < 1e-4
-            grad = reference.finite_difference_gradient(
-                lambda v: reference.type_block_objective_vec(data, post, spec, v),
-                np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
-            assert np.max(np.abs(grad)) < 1e-4
+        new = stationary_m_step(data, post, params, spec)
+        grad = reference.finite_difference_gradient(
+            lambda v: reference.item_block_objective_vec(data, post, spec,
+                                                         params, v),
+            reference.pack_item_block(spec, new))
+        assert np.max(np.abs(grad)) < 1e-4
+        grad = reference.finite_difference_gradient(
+            lambda v: reference.class_block_objective_vec(data, post, spec, v),
+            np.concatenate([new.class_intercepts.reshape(-1),
+                            new.class_slopes.reshape(-1)]))
+        assert np.max(np.abs(grad)) < 1e-4
+        grad = reference.finite_difference_gradient(
+            lambda v: reference.type_block_objective_vec(data, post, spec, v),
+            np.concatenate([new.type_intercepts, new.type_slopes.reshape(-1)]))
+        assert np.max(np.abs(grad)) < 1e-4
 
 
 def _item_unknowns(spec, params):
     """The item block's unknowns at ``params``, in the order of the Newton
-    loop: free slopes (2PL only), free intercepts, abilities."""
+    step: free slopes (2PL only), free intercepts, abilities."""
     free = ~spec.item_bank.is_reference
     slopes = params.discrimination[free]
     return np.concatenate([
@@ -393,7 +399,7 @@ def _item_logits(spec, params, x):
 
 def _item_objective(data, post, spec, params):
     """``reference.item_block_objective_vec`` as a function of the Newton
-    loop's unknowns, each difficulty being -intercept / slope."""
+    step's unknowns, each difficulty being -intercept / slope."""
     free = ~spec.item_bank.is_reference
     two_pl = spec.parameterization is Parameterization.TWO_PL
 
@@ -435,7 +441,7 @@ def _fisher_information(data, post, spec, params, x, step=1e-4):
 
 def _item_case(parameterization):
     """A small two-dimensional instance with one type, its posteriors, and
-    its item-block objective in the Newton loop's unknowns."""
+    its item-block objective in the Newton step's unknowns."""
     spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=3, n_types=1, m_v=0, m_u=0,
                      parameterization=parameterization)
     rng = np.random.default_rng(0)
@@ -459,7 +465,7 @@ class TestItemInformation:
         reference objective; under 2PL it is not the Fisher information,
         under 1PL it is."""
         spec, params, data, post, objective = _item_case(parameterization)
-        top = m_step(data, post, params, spec, STATIONARY)
+        top = stationary_m_step(data, post, params, spec)
         x = _item_unknowns(spec, top)
         np.testing.assert_allclose(x, newton_blocks["item-ability"]["x"],
                                    rtol=1e-12, atol=1e-12)
@@ -495,11 +501,11 @@ class TestItemInformation:
 
 
 class TestDampedNewton:
-    """The step-halving loop that every M-step block runs through."""
+    """The damped Newton step that every M-step block takes."""
 
     def test_returns_start_when_no_step_ascends(self):
         """At the top of a concave quadratic every halving of the step
-        lowers the objective, so the loop stops where it started."""
+        lowers the objective, so the step stays where it started."""
         center = np.array([0.5, -1.0])
         values, steps = [], []
 
@@ -511,8 +517,8 @@ class TestDampedNewton:
             steps.append(x)
             return np.array([1e6, -1e6]), np.eye(2)
 
-        out = mlcirt.em._damped_newton(value, derivatives, center.copy(), 50,
-                                       "item-ability")
+        out = mlcirt.em._newton_step(value, derivatives, center.copy(),
+                                     "item-ability")
         np.testing.assert_array_equal(out, center)
         assert len(steps) == 1
         assert len(values) == 1 + mlcirt.em._MAX_HALVINGS + 1
@@ -530,15 +536,15 @@ class TestDampedNewton:
             return -np.inf if len(calls) % 2 else np.nan
 
         with pytest.raises(mlcirt.em.MStepError) as err:
-            mlcirt.em._damped_newton(value, lambda x: (np.ones(3), np.eye(3)),
-                                     np.zeros(3), 50, block)
+            mlcirt.em._newton_step(value, lambda x: (np.ones(3), np.eye(3)),
+                                   np.zeros(3), block)
         assert err.value.block == block
         assert str(err.value).startswith(f"[{block}] non-finite objective")
         assert len(calls) == 1 + mlcirt.em._MAX_HALVINGS + 1
 
     def test_steps_solve_the_information_system(self):
-        """On a concave quadratic with Hessian -A the first full step lands
-        on the maximum, and a matrix-shaped unknown keeps its shape."""
+        """On a concave quadratic with Hessian -A the full step lands on the
+        maximum, and a matrix-shaped unknown keeps its shape."""
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         top = np.array([[1.0, -2.0]])
 
@@ -546,9 +552,9 @@ class TestDampedNewton:
             d = (x - top).reshape(-1)
             return -0.5 * float(d @ a @ d)
 
-        out = mlcirt.em._damped_newton(
+        out = mlcirt.em._newton_step(
             value, lambda x: (-a @ (x - top).reshape(-1), a), np.zeros((1, 2)),
-            50, "class-membership")
+            "class-membership")
         assert out.shape == (1, 2)
         np.testing.assert_allclose(out, top, atol=1e-12)
 
@@ -556,10 +562,10 @@ class TestDampedNewton:
         """An unknown the objective ignores gives the information a zero row
         and column: LU reports it singular, and the least-squares step
         leaves that unknown where it was."""
-        out = mlcirt.em._damped_newton(
+        out = mlcirt.em._newton_step(
             lambda x: -float((x[0] - 3.0) ** 2),
             lambda x: (np.array([-2.0 * (x[0] - 3.0), 0.0]), np.diag([2.0, 0.0])),
-            np.array([0.0, 7.0]), 50, "item-ability")
+            np.array([0.0, 7.0]), "item-ability")
         np.testing.assert_allclose(out, [3.0, 7.0], atol=1e-12)
         assert out[1] == 7.0
         assert lstsq_calls
@@ -577,6 +583,13 @@ def _pattern_dataset(n_schools, school_size, n_patterns, rng):
             student_covariates=x[:, None],
             responses=rng.integers(0, 2, size=(school_size, 1)).astype(np.int8)))
     return ResponseDataset.from_schools(schools)
+
+
+def _mnlogit_optimum(design, weights, coef, n_steps=100):
+    """The class-membership regression's maximum: its Newton step, repeated."""
+    for _ in range(n_steps):
+        coef = mlcirt.em._mnlogit_step(design, weights, coef, "class-membership")
+    return coef
 
 
 class TestClassBlockCases:
@@ -624,25 +637,23 @@ class TestClassBlockCases:
             values = [mlcirt.em._mnlogit_value(d, w, w.sum(axis=1), coef)
                       for d, w in (merged, per_student)]
             np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
-        optima = [mlcirt.em._maximize_weighted_mnlogit(
-            d, w, np.zeros((2, 3)), 100, "class-membership")
-            for d, w in (merged, per_student)]
+        optima = [_mnlogit_optimum(d, w, np.zeros((2, 3)))
+                  for d, w in (merged, per_student)]
         np.testing.assert_allclose(optima[0], optima[1], rtol=0, atol=1e-8)
 
     def test_membership_derivatives_match_the_blockwise_sums(self, monkeypatch):
         """The gradient and the information the class-membership block hands
-        the Newton loop equal the case-by-case, block-by-block sums."""
+        the Newton step equal the case-by-case, block-by-block sums."""
         seen = []
-        monkeypatch.setattr(mlcirt.em, "_damped_newton",
-                            lambda value, derivatives, x, max_iter, block:
+        monkeypatch.setattr(mlcirt.em, "_newton_step",
+                            lambda value, derivatives, x, block:
                             seen.append(derivatives(x)) or x)
         rng = np.random.default_rng(34)
         for n_cat, n_feat in ((2, 1), (3, 2), (5, 4)):
             design = rng.normal(size=(30, n_feat))
             weights = rng.dirichlet(np.ones(n_cat), size=30) * rng.uniform(0, 3, (30, 1))
             coef = rng.normal(size=(n_cat - 1, n_feat))
-            mlcirt.em._maximize_weighted_mnlogit(design, weights, coef, 1,
-                                                 "class-membership")
+            mlcirt.em._mnlogit_step(design, weights, coef, "class-membership")
             for ours, ref in zip(seen.pop(), reference.mnlogit_derivatives(
                     design, weights, coef)):
                 np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
@@ -885,6 +896,26 @@ class TestMultistart:
         best = multistart_fit(data, spec,
                               controls.replace(n_starts=5, seed=5))
         assert best.loglik >= single.loglik - 1e-8
+
+    @pytest.mark.parametrize("parameterization, n_iter, start_index, loglik", [
+        (Parameterization.TWO_PL, 28, 1, -33433.254837312415),
+        (Parameterization.ONE_PL, 22, 1, -33638.14871441166),
+        (Parameterization.LC, 35, 0, -33426.13090874656),
+    ])
+    def test_desk_fit_is_pinned(self, parameterization, n_iter, start_index,
+                                loglik):
+        """Two starts on the seed-1 desk data land on these M-step counts,
+        winning starts and log-likelihoods: a refactor that keeps the
+        estimator's arithmetic keeps them."""
+        from mlcirt.simulate import desk_design, simulate_full
+
+        design = desk_design(1)
+        data = simulate_full(design).dataset
+        spec = design.spec.replace(parameterization=parameterization)
+        result = multistart_fit(data, spec, FitControls(n_starts=2, seed=1))
+        assert (result.n_iter, result.start_index, len(result.trace)) == (
+            n_iter, start_index, n_iter + 1)
+        assert result.loglik == pytest.approx(loglik, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("parameterization", list(Parameterization))
     def test_unanchored_reference_item_warns_once(self, parameterization):

@@ -927,7 +927,7 @@ class TestInputErrorsBeforeFitting:
     ("fit", {"controls": {"seed": 1.5}}),
     ("fit", {"controls": {"n_starts": 1.5}}),
     ("fit", {"controls": {"max_iter": 2.5}}),
-    ("fit", {"controls": {"newton_max_iter": 1.5}}),
+    ("fit", {"controls": {"newton_max_iter": 1}}),
     ("fit", {"n_classes": 2.5}),
     ("fit", {"reference_items": [1.7]}),
     ("fit", {"dim_of": [1, 1.5, 1]}),
@@ -966,6 +966,25 @@ def test_malformed_config_or_design_is_a_one_line_input_error(tmp_path, capsys,
 def test_config_spec_problem_numbers_items_from_one(tmp_path, capsys, entry,
                                                      message):
     path = write_inputs(tmp_path, config=dict(BASE_CONFIG, **entry))[2]
+    assert main(["fit", "--students", str(tmp_path / "students.csv"),
+                 "--schools", str(tmp_path / "schools.csv"), "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: bad config ({message})"]
+
+
+@pytest.mark.parametrize("controls, message", [
+    ({"newton_max_iter": 50}, "unknown control 'newton_max_iter'; the controls "
+                              "are max_iter, tol_loglik, tol_param, n_starts, seed"),
+    ({"seed": 2, "newton_tol": 1}, "unknown control 'newton_tol'; the controls "
+                                   "are max_iter, tol_loglik, tol_param, n_starts, seed"),
+    ([1], "controls must be a JSON object, got [1]"),
+], ids=["newton-max-iter", "newton-tol", "list"])
+def test_config_controls_name_the_unknown_control(tmp_path, capsys, controls,
+                                                   message):
+    """``controls`` is a JSON object of ``FitControls`` fields; any other key
+    is named with the list of controls, in one line."""
+    path = write_inputs(tmp_path, config=dict(BASE_CONFIG, controls=controls))[2]
     assert main(["fit", "--students", str(tmp_path / "students.csv"),
                  "--schools", str(tmp_path / "schools.csv"), "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1

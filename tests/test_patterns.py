@@ -144,12 +144,11 @@ def test_m_step_of_student_tables_equals_m_step_of_pattern_table(name):
     maximum and its Newton steps run off, so that case is left to the
     statistics above.)"""
     spec, params, data = case(name)
-    controls = FitControls()
     _, posteriors = em._e_step(data, params, spec)
     _, tables, _ = reference.per_student_e_step(data, params, spec)
     np.testing.assert_allclose(
-        em._pack(m_step(data, tables, params, spec, controls)),
-        em._pack(m_step(data, posteriors, params, spec, controls)),
+        em._pack(m_step(data, tables, params, spec)),
+        em._pack(m_step(data, posteriors, params, spec)),
         rtol=1e-9, atol=1e-12)
 
 
