@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as mio
 from .data import unique_rows, validate_dataset
-from .em import MultistartError, e_step, multistart_fit
+from .em import MultistartError, NonFiniteLikelihoodError, e_step, multistart_fit
 from .model import Parameterization, count_free_parameters
 from .selection import classify, resolve_bic_n, sweep_school_types, type_probabilities_by_profile
 from .simulate import simulate_full
@@ -136,7 +136,10 @@ def cmd_classify(args) -> int:
         raise mio.DataFormatError("invalid dataset: " + "; ".join(problems))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    classification = classify(data, params, spec)
+    try:
+        classification = classify(data, params, spec)
+    except NonFiniteLikelihoodError as exc:
+        raise mio.DataFormatError(f"{args.report}: {exc}") from None
     mio.write_assignments(out, data, classification)
     print(f"assignments written to {out}")
     return EXIT_OK

@@ -16,10 +16,10 @@ expected complete log-likelihood block by block:
     positive definite, and otherwise the Fisher information, which is
     positive semi-definite everywhere.  The "lc" variant has the
     closed-form weighted proportion solution;
-(b) class-membership block: a weighted multinomial logistic regression
-    with the joint (type, class) posteriors as case weights;
-(c) type-membership block: the same solver with the school-type
-    posteriors as case weights.
+(b) class-membership block: a weighted multinomial logit on the rows of
+    ``weights.class_design``, the joint (type, class) posteriors as weights;
+(c) type-membership block: the same on ``weights.type_design`` and the type
+    posteriors.  Both climb the log weights the E-step computes.
 
 Each block supplies its objective, gradient and information matrix, and
 the M-step takes one Newton step per block: ``_newton_step`` solves it
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import expit, log_expit, logit, logsumexp_last
+from ._numeric import expit, log_expit, logit
 from .data import ResponseDataset, ResponsePatterns, validate_dataset
 from .likelihood import (
     NonFiniteLikelihoodError,
@@ -62,6 +62,8 @@ from .model import (
     max_abs_change,
     validate_params,
 )
+from .weights import (class_blocks, class_coef, class_design, log_mnlogit,
+                      type_blocks, type_coef, type_design)
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
@@ -171,14 +173,16 @@ def _sum_types(joint: np.ndarray) -> np.ndarray:
 
 def _e_step(data: ResponseDataset, params: ParameterSet,
             spec: ModelSpec) -> tuple[float, PosteriorTables]:
-    """The log-likelihood and the posterior tables at ``params``."""
-    loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
-        data, params, spec)
-    if not np.isfinite(loglik):
-        raise NonFiniteLikelihoodError("log-likelihood is not finite at the "
-                                       "current parameters")
-    z_hu = np.exp(evidence - school_ll[:, None])                    # (H, k_U)
-    cond_post = np.exp(joint - log_mix[:, :, None])                 # (P, k_U, k_V)
+    """The log-likelihood and the posterior tables at ``params``, judged by
+    their finiteness alone (floating-point warnings are off)."""
+    with np.errstate(all="ignore"):
+        loglik, evidence, school_ll, joint, log_mix = stacked_loglik_terms(
+            data, params, spec)
+        if not np.isfinite(loglik):
+            raise NonFiniteLikelihoodError("log-likelihood is not finite at the "
+                                           "current parameters")
+        z_hu = np.exp(evidence - school_ll[:, None])                # (H, k_U)
+        cond_post = np.exp(joint - log_mix[:, :, None])             # (P, k_U, k_V)
     if not (np.all(np.isfinite(z_hu)) and np.all(np.isfinite(cond_post))):
         raise NonFiniteLikelihoodError("posterior tables are not finite")
     return loglik, PosteriorTables(z_hu, cond_post)
@@ -327,33 +331,20 @@ def _item_block_step(succ, total, params: ParameterSet,
 # M-step blocks (b)/(c): weighted multinomial logistic regressions
 # ---------------------------------------------------------------------------
 
-def _mnlogit_logits(design, coef):
-    """(N, K) category logits, 0 for category 0, and their log-sum-exp."""
-    full = np.concatenate([np.zeros((design.shape[0], 1)), design @ coef.T], axis=1)
-    return full, logsumexp_last(full)
-
-
-def _mnlogit_value(design, weights, total_w, coef) -> float:
-    """The block objective at ``coef``."""
-    full, lse = _mnlogit_logits(design, coef)
-    return float((weights[:, 1:] * full[:, 1:]).sum() - total_w @ lse)
-
-
 def _mnlogit_step(design, weights, coef0, block: str) -> np.ndarray:
-    """One damped Newton step up a weighted multinomial logit.
-
-    ``design`` is (N, p), ``weights`` (N, K) nonnegative with fractional
-    category masses, ``coef0`` (K-1, p); category 0 is the reference with
-    all coefficients fixed to 0.
-    """
+    """One damped Newton step up the weighted multinomial logit of
+    ``weights.log_mnlogit``: (N, p) ``design``, (N, K) nonnegative
+    ``weights`` (fractional category masses), (K-1, p) ``coef0``."""
     (n_cases, n_cat), n_feat = weights.shape, design.shape[1]
     total_w = weights[:, 0].copy()
     for k in range(1, n_cat):
         total_w += weights[:, k]
 
+    def value(coef):
+        return float((weights * log_mnlogit(design, coef)).sum())
+
     def derivatives(coef):
-        full, lse = _mnlogit_logits(design, coef)
-        prob = np.exp(full[:, 1:] - lse[:, None])                # (N, K-1)
+        prob = np.exp(log_mnlogit(design, coef)[:, 1:])          # (N, K-1)
         wp = total_w[:, None] * prob
         grad = (weights[:, 1:] - wp).T @ design                  # (K-1, p)
         # Negative Hessian: block (a, b) is
@@ -367,14 +358,7 @@ def _mnlogit_step(design, weights, coef0, block: str) -> np.ndarray:
             (design.T @ wz).reshape(n_feat, n_cat - 1, n_feat).transpose(1, 0, 2))
         return grad.reshape(-1), info
 
-    return _newton_step(lambda c: _mnlogit_value(design, weights, total_w, c),
-                        derivatives, coef0, block)
-
-
-def _class_design_rows(x: np.ndarray, n_types: int) -> np.ndarray:
-    """Design rows [type one-hot | student covariates], type-major order."""
-    return np.hstack([np.repeat(np.eye(n_types), len(x), axis=0),
-                      np.tile(x, (n_types, 1))])
+    return _newton_step(value, derivatives, coef0, block)
 
 
 def _class_block_cases(x_patterns: np.ndarray, x_index: np.ndarray,
@@ -389,7 +373,7 @@ def _class_block_cases(x_patterns: np.ndarray, x_index: np.ndarray,
     """
     n_pat, k_v = x_patterns.shape[0], joint.shape[2]
     weights = _sum_by(x_index, joint, n_pat)                # (X, k_U, k_V)
-    return (_class_design_rows(x_patterns, n_types),
+    return (class_design(x_patterns, n_types),
             weights.transpose(1, 0, 2).reshape(n_types * n_pat, k_v))
 
 
@@ -432,17 +416,13 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
     if k_v > 1:
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
                                          mass, k_u)
-        coef0 = np.hstack([params.class_intercepts.T, params.class_slopes])
-        coef = _mnlogit_step(design, wts, coef0, "class-membership")
-        new_params = new_params.replace(class_intercepts=coef[:, :k_u].T.copy(),
-                                        class_slopes=coef[:, k_u:].copy())
+        coef = _mnlogit_step(design, wts, class_coef(params), "class-membership")
+        new_params = new_params.replace(**class_blocks(coef, k_u))
     if k_u > 1:
-        design = np.hstack([np.ones((data.n_schools, 1)), data.school_covariates])
-        coef0 = np.hstack([params.type_intercepts[:, None], params.type_slopes])
-        coef = _mnlogit_step(design, posteriors.type_posterior, coef0,
+        coef = _mnlogit_step(type_design(data.school_covariates),
+                             posteriors.type_posterior, type_coef(params),
                              "type-membership")
-        new_params = new_params.replace(type_intercepts=coef[:, 0].copy(),
-                                        type_slopes=coef[:, 1:].copy())
+        new_params = new_params.replace(**type_blocks(coef))
     return new_params
 
 

@@ -59,12 +59,12 @@ class DataFormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _read_input(path, what: str, build):
-    """``build`` applied to the JSON value of the file at ``path``.  Errors
+    """``build`` applied to the JSON object in the file at ``path``.  Errors
     become one ``DataFormatError``: ``missing input file: <path>``, ``<path>:
     <message>`` for ``build``'s own, else ``<path>: bad <what> (<error>)``."""
     path = Path(path)
     try:
-        return build(json.loads(path.read_text(encoding="utf-8-sig")))
+        return build(_object(json.loads(path.read_text(encoding="utf-8-sig")), what))
     except FileNotFoundError:
         raise DataFormatError(f"missing input file: {path}") from None
     except DataFormatError as exc:
@@ -74,6 +74,13 @@ def _read_input(path, what: str, build):
     except (AttributeError, TypeError, ValueError) as exc:
         message = f"bad {what} ({exc})"
     raise DataFormatError(f"{path}: {message}")
+
+
+def _object(value, name: str) -> dict:
+    """``value`` if it is a JSON object, else a ``TypeError`` naming ``name``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {value!r}")
+    return value
 
 
 def _zero_based(values, name: str) -> list[int]:
@@ -172,9 +179,8 @@ def _parse_covariate_decls(raw: dict, key: str) -> tuple[CovariateDecl, ...]:
 
 def _parse_controls(raw: dict) -> FitControls:
     """The fit controls under ``controls`` (the defaults if absent or null)."""
-    controls = {} if raw.get("controls") is None else raw["controls"]
-    if not isinstance(controls, dict):
-        raise TypeError(f"controls must be a JSON object, got {controls!r}")
+    controls = {} if raw.get("controls") is None else _object(raw["controls"],
+                                                              "controls")
     names = [field.name for field in dataclasses.fields(FitControls)]
     for key in controls:
         if key not in names:
@@ -223,11 +229,11 @@ def _covariate_generators(raw: dict, key: str) -> tuple:
 def parse_design(path, seed_override=None) -> SimulationDesign:
     """Read a simulation design file (JSON), with ``seed_override`` if given."""
     def build(raw):
-        spec = spec_from_dict(raw["spec"])
+        spec = spec_from_dict(_object(raw["spec"], "spec"))
         size = raw["school_size"]
         return SimulationDesign(
             spec=spec,
-            truth=params_from_dict(raw["truth"], spec),
+            truth=params_from_dict(_object(raw["truth"], "truth"), spec),
             n_schools=raw["n_schools"],
             school_size=tuple(size) if isinstance(size, list) else size,
             student_covariates=_covariate_generators(raw, "student_covariates"),
@@ -241,8 +247,8 @@ def parse_design(path, seed_override=None) -> SimulationDesign:
 def parse_report(path) -> tuple[ModelSpec, ParameterSet]:
     """The model spec and the parameters of a fit report (JSON), validated."""
     def build(raw):
-        spec = spec_from_dict(raw["model"])
-        params = params_from_dict(raw["parameters"], spec)
+        spec = spec_from_dict(_object(raw["model"], "model"))
+        params = params_from_dict(_object(raw["parameters"], "parameters"), spec)
         if problems := validate_params(params, spec):
             raise DataFormatError("; ".join(problems))
         return spec, params

@@ -29,7 +29,8 @@ from .model import (
     validate_params,
 )
 from .selection import assign_schools, assign_students
-from .weights import log_class_weight_matrix, log_type_weight_matrix
+from .weights import (class_blocks, class_coef, log_class_weight_matrix,
+                      log_type_weight_matrix, type_blocks, type_coef)
 
 _MAX_EXHAUSTIVE = 8
 
@@ -286,6 +287,13 @@ def desk_design(seed: int = 0, n_schools: int = 200, school_size=20,
 # Label alignment and recovery scoring
 # ---------------------------------------------------------------------------
 
+def _relabel_categories(coef: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """(K - 1, p) reference-coded ``coef`` relabelled by ``perm``: category 0's
+    zero row stacked on, rows permuted, re-referenced to the new row 0."""
+    full = np.vstack([np.zeros((1, coef.shape[1])), coef])[perm]
+    return full[1:] - full[[0]]
+
+
 def permute_parameters(params: ParameterSet, spec: ModelSpec, class_perm,
                        type_perm) -> ParameterSet:
     """Relabel latent classes and types without changing the model.
@@ -295,40 +303,22 @@ def permute_parameters(params: ParameterSet, spec: ModelSpec, class_perm,
     reference category, so all implied weights and likelihoods are
     unchanged.
     """
-    class_perm = np.asarray(class_perm, dtype=int)
-    type_perm = np.asarray(type_perm, dtype=int)
+    class_perm, type_perm = (np.asarray(p, dtype=int) for p in (class_perm, type_perm))
     k_v, k_u = spec.n_classes, spec.n_types
-    if sorted(class_perm.tolist()) != list(range(k_v)):
-        raise ValueError("class_perm is not a permutation")
-    if sorted(type_perm.tolist()) != list(range(k_u)):
-        raise ValueError("type_perm is not a permutation")
+    for name, perm, k in (("class_perm", class_perm, k_v), ("type_perm", type_perm, k_u)):
+        if sorted(perm.tolist()) != list(range(k)):
+            raise ValueError(f"{name} is not a permutation")
 
     # The class-indexed blocks the set has: abilities, or the "lc" table.
     class_rows = {name: block[class_perm] for name, block in params.blocks().items()
                   if name in ("abilities", "lc_success")}
 
-    # Class logits: embed the implicit zero column for the reference class,
-    # permute, and re-reference against the new class 0.
-    inter_full = np.hstack([np.zeros((k_u, 1)), params.class_intercepts])
-    inter_full = inter_full[:, class_perm]
-    class_intercepts = inter_full[:, 1:] - inter_full[:, [0]]
-    slope_full = np.vstack([np.zeros((1, params.n_student_covariates)),
-                            params.class_slopes])
-    slope_full = slope_full[class_perm]
-    class_slopes = slope_full[1:] - slope_full[[0]]
-
-    class_intercepts = class_intercepts[type_perm]
-
-    type_full = np.concatenate([[0.0], params.type_intercepts])[type_perm]
-    type_intercepts = type_full[1:] - type_full[0]
-    tslope_full = np.vstack([np.zeros((1, params.n_school_covariates)),
-                             params.type_slopes])[type_perm]
-    type_slopes = tslope_full[1:] - tslope_full[[0]]
-
-    return params.replace(**class_rows, class_intercepts=class_intercepts,
-                          class_slopes=class_slopes,
-                          type_intercepts=type_intercepts,
-                          type_slopes=type_slopes)
+    # Each type's class intercepts (the type columns) move with the type.
+    coef = _relabel_categories(class_coef(params), class_perm)
+    coef[:, :k_u] = coef[:, type_perm]
+    return params.replace(**class_rows, **class_blocks(coef, k_u),
+                          **type_blocks(_relabel_categories(type_coef(params),
+                                                            type_perm)))
 
 
 def align_labels(truth: ParameterSet, estimate: ParameterSet, spec: ModelSpec):
@@ -419,15 +409,9 @@ def recovery_report(truth: ParameterSet, fit_result, labels: LatentLabels,
             errors["discrimination"] = _block_error(aligned.discrimination[free],
                                                     truth.discrimination[free])
         errors["abilities"] = _block_error(aligned.abilities, truth.abilities)
-    zeta_est = np.concatenate([aligned.class_intercepts.ravel(),
-                               aligned.class_slopes.ravel(),
-                               aligned.type_intercepts.ravel(),
-                               aligned.type_slopes.ravel()])
-    zeta_true = np.concatenate([truth.class_intercepts.ravel(),
-                                truth.class_slopes.ravel(),
-                                truth.type_intercepts.ravel(),
-                                truth.type_slopes.ravel()])
-    errors["membership"] = _block_error(zeta_est, zeta_true)
+    errors["membership"] = _block_error(
+        *(np.concatenate([class_coef(p).ravel(), type_coef(p).ravel()])
+          for p in (aligned, truth)))
 
     student_map = assign_students(data, posteriors)
     school_map = assign_schools(posteriors)

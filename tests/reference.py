@@ -18,7 +18,7 @@ from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
 from mlcirt.likelihood import response_logprob_tables, stacked_loglik_terms
 from mlcirt.model import apply_identifiability, max_abs_change
-from mlcirt.weights import log_class_weight_matrix, log_type_weight_matrix
+from mlcirt.weights import class_design, log_class_weight_matrix, log_type_weight_matrix
 
 
 def sigmoid(z):
@@ -145,13 +145,13 @@ def per_student_class_block_cases(student_covariates, z_joint, n_types):
     (type, student), type-major: ``em._class_block_cases`` before merging
     students that share a covariate row."""
     n, _, k_v = z_joint.shape
-    return (em._class_design_rows(student_covariates, n_types),
+    return (class_design(student_covariates, n_types),
             z_joint.transpose(1, 0, 2).reshape(n_types * n, k_v))
 
 
 def mnlogit_derivatives(design, weights, coef):
     """Gradient and negative Hessian of the weighted multinomial logit
-    objective of ``em._mnlogit_value``, case by case and block by block:
+    objective of ``em._mnlogit_step``, case by case and block by block:
     block (a, b) is sum_n w_n p_na (delta_ab - p_nb) d_n d_n'."""
     n_cat, n_feat = weights.shape[1], design.shape[1]
     grad = np.zeros((n_cat - 1, n_feat))
@@ -218,7 +218,7 @@ def per_student_m_step_statistics(data, z_joint, n_types):
     total = z_class.T @ (is_one + is_zero)
     weights = np.zeros((data.x_patterns.shape[0],) + z_joint.shape[1:])
     np.add.at(weights, data.x_pattern_index, z_joint)
-    return (succ, total, em._class_design_rows(data.x_patterns, n_types),
+    return (succ, total, class_design(data.x_patterns, n_types),
             weights.transpose(1, 0, 2).reshape(-1, z_joint.shape[2]))
 
 

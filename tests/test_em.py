@@ -27,6 +27,14 @@ from mlcirt import (
     student_class_posteriors,
 )
 from mlcirt.model import PARAM_BLOCKS, ItemBank, ModelSpec, max_abs_change
+from mlcirt.simulate import (
+    CategoricalCovariate,
+    CyclicCovariate,
+    SimulationDesign,
+    desk_design,
+    simulate_full,
+)
+from mlcirt.weights import log_class_weight_matrix, log_type_weight_matrix
 
 import reference
 from helpers import check_posterior_invariants, make_spec, random_dataset, \
@@ -607,15 +615,15 @@ class TestClassBlockCases:
             expected[:, p, :] += z_joint[i]
         np.testing.assert_array_equal(weights, expected.reshape(2 * n_pat, 3))
         np.testing.assert_array_equal(
-            design, mlcirt.em._class_design_rows(data.x_patterns, 2))
+            design, mlcirt.weights.class_design(data.x_patterns, 2))
 
     def test_class_design_rows_are_type_major(self):
         x = np.array([[0.5, -1.0], [2.0, 3.0]])
-        np.testing.assert_array_equal(mlcirt.em._class_design_rows(x, 3), [
+        np.testing.assert_array_equal(mlcirt.weights.class_design(x, 3), [
             [1, 0, 0, 0.5, -1.0], [1, 0, 0, 2.0, 3.0],
             [0, 1, 0, 0.5, -1.0], [0, 1, 0, 2.0, 3.0],
             [0, 0, 1, 0.5, -1.0], [0, 0, 1, 2.0, 3.0]])
-        assert mlcirt.em._class_design_rows(np.zeros((2, 0)), 3).shape == (6, 3)
+        assert mlcirt.weights.class_design(np.zeros((2, 0)), 3).shape == (6, 3)
 
     @pytest.mark.parametrize("n_patterns", [400, 1200])
     def test_merged_cases_match_per_student_cases(self, n_patterns):
@@ -634,7 +642,7 @@ class TestClassBlockCases:
         assert merged[0].shape[0] == merged[1].shape[0] == 2 * n_pat
 
         for coef in rng.normal(size=(5, 2, 3)):
-            values = [mlcirt.em._mnlogit_value(d, w, w.sum(axis=1), coef)
+            values = [(w * mlcirt.weights.log_mnlogit(d, coef)).sum()
                       for d, w in (merged, per_student)]
             np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
         optima = [_mnlogit_optimum(d, w, np.zeros((2, 3)))
@@ -657,6 +665,39 @@ class TestClassBlockCases:
             for ours, ref in zip(seen.pop(), reference.mnlogit_derivatives(
                     design, weights, coef)):
                 np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
+
+    def test_membership_objectives_are_the_e_step_log_weights(self, monkeypatch):
+        """Each membership block hands the Newton step the objective that the
+        E-step's log weights give, bit for bit: case weights times
+        ``log_class_weight_matrix`` (cases type-major, as
+        ``_class_block_cases`` lays them out) or ``log_type_weight_matrix``.
+        The student covariate is not binary and the school covariate has
+        three levels, so a second statement of the logits would differ in
+        the last bits."""
+        seen = {}
+        monkeypatch.setattr(mlcirt.em, "_newton_step",
+                            lambda value, derivatives, x, block:
+                            seen.update({block: value(x)}) or x)
+        spec = make_spec(n_items=4, n_classes=3, n_types=3, m_v=1, m_u=2)
+        design = SimulationDesign(
+            spec=spec, truth=random_params(spec, np.random.default_rng(35)),
+            n_schools=40, school_size=(3, 8),
+            student_covariates=(CyclicCovariate((-1.3, -0.45, 0.2, 0.85, 1.7)),),
+            school_covariates=(CategoricalCovariate((0.3, 0.3, 0.4)),), seed=35)
+        data = simulate_full(design).dataset
+        params = random_params(spec, np.random.default_rng(36))
+        post = e_step(data, params, spec)
+        m_step(data, post, params, spec)
+
+        _, weights = mlcirt.em._class_block_cases(
+            data.x_patterns, data.patterns.x_index,
+            mlcirt.em._pattern_mass(data, post), spec.n_types)
+        log_w = log_class_weight_matrix(data.x_patterns, params)
+        assert seen["class-membership"] == float(
+            (weights * log_w.transpose(1, 0, 2).reshape(weights.shape)).sum())
+        assert seen["type-membership"] == float(
+            (post.type_posterior
+             * log_type_weight_matrix(data.school_covariates, params)).sum())
 
     def test_pattern_aggregate_allocates_no_student_by_pattern_array(self):
         rng = np.random.default_rng(32)
@@ -916,6 +957,19 @@ class TestMultistart:
         assert (result.n_iter, result.start_index, len(result.trace)) == (
             n_iter, start_index, n_iter + 1)
         assert result.loglik == pytest.approx(loglik, rel=0, abs=1e-9)
+
+    def test_fit_with_a_non_binary_covariate_is_pinned(self):
+        """The desk fit with a seven-valued student covariate in place of the
+        binary one: its logits are inexact sums, so a change to how they are
+        computed shows in these counts and this log-likelihood."""
+        design = dataclasses.replace(
+            desk_design(1),
+            student_covariates=(CyclicCovariate(tuple(np.linspace(-1.5, 1.5, 7))),))
+        data = simulate_full(design).dataset
+        result = multistart_fit(data, design.spec, FitControls(n_starts=2, seed=1))
+        assert (result.n_iter, result.start_index, len(result.trace)) == (
+            31, 1, 32)
+        assert result.loglik == pytest.approx(-33298.46747060815, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("parameterization", list(Parameterization))
     def test_unanchored_reference_item_warns_once(self, parameterization):

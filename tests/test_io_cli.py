@@ -1050,6 +1050,33 @@ def test_json_input_error_is_bad_kind_with_message(fitted, tmp_path, capsys, kin
         f"error: {path}: bad {kind} ({message})"]
 
 
+@pytest.mark.parametrize("value", [[1], "x", 1, None],
+                         ids=["list", "string", "number", "null"])
+@pytest.mark.parametrize("kind, key", [
+    ("config", None), ("design", None), ("design", "spec"), ("design", "truth"),
+    ("report", None), ("report", "model"), ("report", "parameters"),
+], ids=["config", "design", "design-spec", "design-truth", "report",
+        "report-model", "report-parameters"])
+def test_json_value_that_is_not_an_object_is_named(fitted, tmp_path, capsys, kind,
+                                                   key, value):
+    """A file, or a key of one, that must hold a JSON object and holds another
+    value is one ``<path>: bad <kind> (<name> must be a JSON object, got
+    <value>)`` line, exit 1, as ``controls`` is."""
+    raw = (DESIGN if kind == "design" else json.loads(
+        (fitted[1] / "config.json" if kind == "config"
+         else fitted[2] / "report.json").read_text()))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(value if key is None else dict(raw, **{key: value})))
+    if kind == "design":
+        argv = ["simulate", "--design", str(path), "--out", str(tmp_path / "out")]
+    else:
+        argv = classify_argv(fitted, tmp_path / "out", **{kind: path})
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: bad {kind} ({key or kind} must be a JSON object, "
+        f"got {value!r})"]
+
+
 @pytest.mark.parametrize("flag", ["config", "report", "design"])
 def test_missing_json_input_is_a_missing_input_file(fitted, tmp_path, capsys, flag):
     path = tmp_path / "nope.json"
@@ -1142,8 +1169,12 @@ def as_old_lc_report(report):
     (as_old_lc_report,
      "; ".join(f"{block} is not a parameter of the lc parameterization"
                for block in ("difficulty", "discrimination", "abilities"))),
+    # Type logits that overflow: no numpy warning line, no traceback.
+    (lambda report: report["parameters"].update(type_intercepts=[1e308],
+                                                type_slopes=[[1e308]]),
+     "log-likelihood is not finite at the current parameters"),
 ], ids=["reference-99", "no-parameters", "n-classes-2.9", "n-items-7",
-        "lc-table-in-2pl", "old-lc-report"])
+        "lc-table-in-2pl", "old-lc-report", "overflowing-type-logits"])
 def test_bad_report_error_gives_the_message(fitted, tmp_path, capsys, edit,
                                             message):
     path = tmp_path / "report.json"
