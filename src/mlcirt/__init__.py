@@ -32,7 +32,6 @@ from .model import (
     ModelSpec,
     ParameterSet,
     Parameterization,
-    apply_identifiability,
     count_free_parameters,
     validate_params,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "align_labels",
-    "apply_identifiability",
     "assign_schools",
     "assign_students",
     "average_class_weights",

@@ -56,7 +56,6 @@ from .model import (
     ModelSpec,
     ParameterSet,
     Parameterization,
-    apply_identifiability,
     check_integer,
     check_number,
     max_abs_change,
@@ -246,12 +245,12 @@ def _newton_step(value, derivatives, x, block: str):
 # M-step block (a): item parameters and class abilities
 # ---------------------------------------------------------------------------
 
-def _item_block_step(succ, total, params: ParameterSet,
-                     spec: ModelSpec) -> ParameterSet:
+def _item_block_step(succ, total, params: ParameterSet, spec: ModelSpec) -> dict:
+    """The new ``ParameterSet`` fields of block (a): one Newton step, or
+    under "lc" the closed-form weighted proportions."""
     if spec.parameterization is Parameterization.LC:
         lc = np.where(total > 0, succ / np.maximum(total, 1e-300), params.lc_success)
-        return params.replace(lc_success=np.clip(lc, _LC_PROB_FLOOR,
-                                                 1.0 - _LC_PROB_FLOOR))
+        return {"lc_success": np.clip(lc, _LC_PROB_FLOOR, 1.0 - _LC_PROB_FLOOR)}
 
     bank = spec.item_bank
     dim_idx = bank.dim_index
@@ -262,7 +261,9 @@ def _item_block_step(succ, total, params: ParameterSet,
     n_free, n_slope = free.size, slope_items.size
     k_v, n_dims = params.abilities.shape
     # Unknowns, packed: free slopes (2PL only), free intercepts, abilities.
-    # Cell (v, j) has the logit slope_j * ability[v, d(j)] + inter_j.
+    # Cell (v, j) has the logit slope_j * ability[v, d(j)] + inter_j.  The
+    # reference items are never unknowns: they keep difficulty 0 and
+    # discrimination 1 at every step, so the scale is pinned without a final map.
     inter_cols = n_slope + np.arange(n_free)
     ability_cols = (n_slope + n_free + np.arange(k_v)[:, None] * n_dims
                     + dim_idx[None, :])                          # (k_V, r)
@@ -322,9 +323,8 @@ def _item_block_step(succ, total, params: ParameterSet,
                          params.abilities.reshape(-1)])
     x = _newton_step(value, derivatives, x0, "item-ability")
     slope, inter, abilities, _ = unpack(x)
-    difficulty = np.where(is_free, -inter / slope, 0.0)
-    return params.replace(difficulty=difficulty, discrimination=slope,
-                          abilities=abilities)
+    return {"difficulty": np.where(is_free, -inter / slope, 0.0),
+            "discrimination": slope, "abilities": abilities}
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +410,20 @@ def m_step(data: ResponseDataset, posteriors: PosteriorTables,
     """
     mass = _pattern_mass(data, posteriors)
     succ, total = _answer_counts(data.patterns, mass)
-    new_params = _item_block_step(succ, total, params, spec)
+    fields = _item_block_step(succ, total, params, spec)
 
     k_u, k_v = spec.n_types, spec.n_classes
     if k_v > 1:
         design, wts = _class_block_cases(data.x_patterns, data.patterns.x_index,
                                          mass, k_u)
         coef = _mnlogit_step(design, wts, class_coef(params), "class-membership")
-        new_params = new_params.replace(**class_blocks(coef, k_u))
+        fields.update(class_blocks(coef, k_u))
     if k_u > 1:
         coef = _mnlogit_step(type_design(data.school_covariates),
                              posteriors.type_posterior, type_coef(params),
                              "type-membership")
-        new_params = new_params.replace(**type_blocks(coef))
-    return new_params
+        fields.update(type_blocks(coef))
+    return params.replace(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +587,10 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
     than ``tol_loglik``, or when an M-step changes no parameter by
     ``tol_param`` or more.  Hitting the cap yields a result with
     ``converged=False`` rather than an error.
+
+    ``init`` must pass ``validate_params``.  No step moves a reference
+    item, so ``params`` is the point the loop stopped at, as is, and
+    passes ``validate_params`` too.
     """
     _raise_if_invalid(validate_params(init, spec) + validate_dataset(data, spec))
     params = init
@@ -615,7 +619,6 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
             converged = True
             break
 
-    params = apply_identifiability(params, spec.item_bank)
     return FitResult(params=params, loglik=trace[-1], trace=tuple(trace),
                      n_iter=len(trace) - 1, converged=converged, start_index=0)
 

@@ -594,7 +594,8 @@ def _convert_covariates(decls, fields: _Fields, first: int, path: Path,
                         problems: list) -> np.ndarray:
     """(rows, expanded columns) covariate values of one block, whose fields
     ``first``, ``first + 1``, ... hold the tokens.  Invalid tokens become NaN
-    and, like non-finite numbers, are appended to ``problems``."""
+    and, like numbers whose square is not finite, are appended to
+    ``problems``: the membership information sums products of covariates."""
     parts = [np.zeros((len(fields.lines), 0))]
     for j, decl in enumerate(decls, first):
         tokens, inverse = fields.distinct(j)
@@ -602,12 +603,15 @@ def _convert_covariates(decls, fields: _Fields, first: int, path: Path,
         index = np.fromiter(map(lookup.get, tokens, repeat(-1)), np.intp, len(tokens))
         values = table[index]
         parts.append(values[inverse])
-        bad = ~np.isfinite(values).all(axis=1)
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(values * values).all(axis=1)
         for i in np.flatnonzero(bad[inverse]):
             k = inverse[i]
-            what = (f"level {tokens[k]!r} not declared" if decl.kind != "numeric"
-                    else f"non-numeric value {tokens[k]!r}" if index[k] < 0
-                    else f"non-finite value {tokens[k]!r}")
+            token = tokens[k]
+            what = (f"level {token!r} not declared" if decl.kind != "numeric"
+                    else f"non-numeric value {token!r}" if index[k] < 0
+                    else f"non-finite value {token!r}" if not np.isfinite(values[k, 0])
+                    else f"value {token!r} is too large (its square is not finite)")
             line = fields.lines[i]
             problems.append((int(line), j + 1, f"{path}:{line}: column {j + 1} "
                                                f"({decl.name}): {what}"))

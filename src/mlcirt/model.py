@@ -9,7 +9,9 @@ logistic curve,
     P(correct | class v, item j) = sigmoid(disc_j * (ability[v, d(j)] - diff_j)),
 
 with a reference item per dimension pinned to difficulty 0 and
-discrimination 1 so the latent scale is identified.  The Rasch variant
+discrimination 1 so the latent scale is identified.  ``validate_params``
+checks the pin; the estimator never moves a reference item, so the pin
+holds at every step of a fit, the last one included.  The Rasch variant
 ("1pl") fixes all discriminations to 1; the plain latent-class variant
 ("lc") replaces the curve by a free success probability per (class, item)
 cell and ignores the dimension structure, so its parameter sets have no
@@ -227,29 +229,6 @@ class ParameterSet:
 
     def replace(self, **changes) -> "ParameterSet":
         return dataclasses.replace(self, **changes)
-
-
-def apply_identifiability(params: ParameterSet, bank: ItemBank) -> ParameterSet:
-    """Re-express item and ability parameters on the constrained scale.
-
-    For every dimension the reference item ends with difficulty 0 and
-    discrimination 1; remaining items and the class abilities are shifted
-    and rescaled so that all implied response probabilities are unchanged.
-    The map is the identity on already-constrained parameters, and on a set
-    without item parameters ("lc").
-    """
-    if params.abilities is None:
-        return params
-    refs = np.asarray(bank.reference_items)
-    scale, loc = params.discrimination[refs], params.difficulty[refs]    # (s,)
-    if not scale.all():
-        d = np.flatnonzero(scale == 0)[0]
-        raise ValueError(f"reference item {refs[d] + 1} has zero discrimination; "
-                         f"scale of dimension {d + 1} undefined")
-    item_scale, item_loc = scale[bank.dim_index], loc[bank.dim_index]   # (r,)
-    return params.replace(difficulty=item_scale * (params.difficulty - item_loc),
-                          discrimination=params.discrimination / item_scale,
-                          abilities=scale * (params.abilities - loc))
 
 
 def count_free_parameters(spec: ModelSpec) -> int:

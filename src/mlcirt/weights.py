@@ -50,13 +50,12 @@ def type_coef(params: ParameterSet) -> np.ndarray:
 
 def class_blocks(coef: np.ndarray, n_types: int) -> dict:
     """The ``ParameterSet`` fields of a ``class_coef`` matrix."""
-    return {"class_intercepts": coef[:, :n_types].T.copy(),
-            "class_slopes": coef[:, n_types:].copy()}
+    return {"class_intercepts": coef[:, :n_types].T, "class_slopes": coef[:, n_types:]}
 
 
 def type_blocks(coef: np.ndarray) -> dict:
     """The ``ParameterSet`` fields of a ``type_coef`` matrix."""
-    return {"type_intercepts": coef[:, 0].copy(), "type_slopes": coef[:, 1:].copy()}
+    return {"type_intercepts": coef[:, 0], "type_slopes": coef[:, 1:]}
 
 
 def log_class_weight_matrix(x_matrix: np.ndarray, params: ParameterSet) -> np.ndarray:

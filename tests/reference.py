@@ -17,7 +17,7 @@ from mlcirt import Parameterization, em, selection
 from mlcirt.data import MISSING, ResponseDataset, SchoolGroup
 from mlcirt.io import DataFormatError
 from mlcirt.likelihood import response_logprob_tables, stacked_loglik_terms
-from mlcirt.model import apply_identifiability, max_abs_change
+from mlcirt.model import max_abs_change
 from mlcirt.weights import class_design, log_class_weight_matrix, log_type_weight_matrix
 
 
@@ -444,6 +444,10 @@ def _expand_tokens(decls, tokens, path, line, first_col, errors) -> np.ndarray:
                 if not np.isfinite(value):
                     errors.append(f"{path}:{line}: column {col} ({decl.name}): "
                                   f"non-finite value {token!r}")
+                elif math.isinf(value * value):
+                    errors.append(f"{path}:{line}: column {col} ({decl.name}): "
+                                  f"value {token!r} is too large (its square "
+                                  "is not finite)")
             values.append(value)
         else:
             if token not in decl.levels:
@@ -600,6 +604,5 @@ def plain_em_fit(data, spec, controls, init):
     else:
         trace.append(stacked_loglik_terms(data, params, spec)[0])
 
-    params = apply_identifiability(params, spec.item_bank)
     return em.FitResult(params=params, loglik=trace[-1], trace=tuple(trace),
                         n_iter=len(trace) - 1, converged=converged, start_index=0)

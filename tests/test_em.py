@@ -26,7 +26,7 @@ from mlcirt import (
     permute_parameters,
     student_class_posteriors,
 )
-from mlcirt.model import PARAM_BLOCKS, ItemBank, ModelSpec, max_abs_change
+from mlcirt.model import PARAM_BLOCKS, ItemBank, ModelSpec, max_abs_change, validate_params
 from mlcirt.simulate import (
     CategoricalCovariate,
     CyclicCovariate,
@@ -904,6 +904,51 @@ class TestFit:
         with pytest.raises(ValueError, match="^invalid fit inputs: student "
                                              "covariates have 0 columns, expected 1$"):
             multistart_fit(narrow, spec, QUICK)
+
+
+    def test_tol_param_can_end_a_fit_before_tol_loglik(self):
+        """On 100,000 students the log-likelihood still moves by 3.5e-8 when
+        no parameter moves by 1e-6 any more: the default ``tol_param`` ends
+        the fit three M-steps before ``tol_loglik`` would."""
+        design = desk_design(4, n_schools=5000)
+        data = simulate_full(design).dataset
+        init = initialize(data, design.spec)
+        default = fit(data, design.spec, FitControls(), init)
+        assert default.converged
+        assert abs(default.trace[-1] - default.trace[-2]) >= FitControls().tol_loglik
+        by_loglik = fit(data, design.spec, FitControls(tol_param=1e-300), init)
+        assert (default.n_iter, by_loglik.n_iter) == (24, 27)
+
+
+class TestReferencePin:
+    """The scale is pinned by construction: no step moves a reference item,
+    so every fit returns them at difficulty +0.0 and discrimination 1.0."""
+
+    @staticmethod
+    def assert_pinned(params, spec):
+        refs = list(spec.item_bank.reference_items)
+        assert np.all(params.difficulty[refs] == 0.0)
+        assert not np.any(np.signbit(params.difficulty[refs]))
+        assert np.all(params.discrimination[refs] == 1.0)
+        assert validate_params(params, spec) == []
+
+    @pytest.mark.parametrize("dim_of", [[0, 0, 0, 0], [0, 0, 1, 1, 1]],
+                             ids=["one-dim", "two-dims"])
+    @pytest.mark.parametrize("parameterization",
+                             [Parameterization.TWO_PL, Parameterization.ONE_PL])
+    def test_fits_return_the_reference_items_pinned(self, parameterization, dim_of):
+        rng = np.random.default_rng(len(dim_of))
+        for _ in range(3):
+            spec = make_spec(dim_of=dim_of, n_classes=int(rng.integers(1, 4)),
+                             n_types=int(rng.integers(1, 3)),
+                             parameterization=parameterization)
+            data = random_dataset(spec, rng, n_schools=4, school_size=(2, 6),
+                                  missing_rate=0.1)
+            for seed in (None, int(rng.integers(1000))):
+                self.assert_pinned(fit(data, spec, QUICK,
+                                       initialize(data, spec, seed)).params, spec)
+            self.assert_pinned(multistart_fit(data, spec, QUICK.replace(
+                n_starts=3, seed=int(rng.integers(1000)))).params, spec)
 
 
 class TestMultistart:

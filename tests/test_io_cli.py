@@ -771,10 +771,10 @@ class TestDegenerateDeskInputs:
     """The seed-1 desk data made degenerate: one stderr line, and the exit
     code says how the fit ended."""
 
-    def test_extreme_covariate_is_one_error_line(self, tmp_path, capsys):
-        """``x1`` read as a number, one student's value 1e200: every
-        class-membership step overflows, and the failed starts are one
-        ``error:`` line with no numpy warning before it."""
+    @staticmethod
+    def fit_with_numeric_x1(tmp_path, capsys, value):
+        """The exit code and stderr lines of a 2-start fit with ``x1`` read
+        as a number (L0 -> 0, L1 -> 1) and the first student's ``value``."""
         files = desk_inputs(tmp_path)
         config = json.loads(Path(files[5]).read_text())
         config["student_covariates"] = [{"name": "x1", "type": "numeric"}]
@@ -782,15 +782,28 @@ class TestDegenerateDeskInputs:
         files[5] = str(tmp_path / "numeric.json")
 
         def numeric_x1(i, fields):
-            fields[-1] = "1e200" if i == 0 else {"L0": "0", "L1": "1"}[fields[-1]]
+            fields[-1] = value if i == 0 else {"L0": "0", "L1": "1"}[fields[-1]]
 
         files = edit_desk_students(files, tmp_path, numeric_x1)
         capsys.readouterr()
         code = main(["fit", *files, "--out", str(tmp_path / "fit"), "--starts", "2"])
-        err = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error: all starts failed: ")
-        assert "[class-membership] non-finite objective" in err[0]
+        return code, capsys.readouterr().err.splitlines(), files[1]
+
+    def test_extreme_covariate_is_one_error_line(self, tmp_path, capsys):
+        """A covariate whose square overflows would overflow every
+        class-membership step: the loader reports it as an input error with
+        its file, row and column."""
+        for value in ("1e200", "-1e155"):
+            (tmp_path / value).mkdir()
+            code, err, students = self.fit_with_numeric_x1(tmp_path / value,
+                                                           capsys, value)
+            assert code == 1
+            assert err == [f"error: {students}:2: column 18 (x1): value {value!r} "
+                           "is too large (its square is not finite)"]
+
+    def test_large_covariate_with_a_finite_square_still_fits(self, tmp_path, capsys):
+        code, err, _ = self.fit_with_numeric_x1(tmp_path, capsys, "1e153")
+        assert (code, err) == (0, [])
 
     def test_unanchored_reference_item_is_one_warning_line(self, tmp_path, capsys):
         """Item 1, the reference item, answered wrong by every student: one

@@ -1,4 +1,4 @@
-"""Core model types: success curve, identifiability, parameter counts, and
+"""Core model types: success curve, parameter counts, and
 the number rule of every settings type."""
 
 import dataclasses
@@ -12,7 +12,6 @@ from mlcirt import (
     ItemBank,
     ModelSpec,
     Parameterization,
-    apply_identifiability,
     count_free_parameters,
     sweep_school_types,
     validate_params,
@@ -90,90 +89,6 @@ class TestItemSuccessProb:
             two_item_params(spec, [0.0, b], [1.0, 1.3], [[0.2]]), spec)[0, 1]
             for b in grid]
         assert np.all(np.diff(probs) < 0)
-
-
-# ---------------------------------------------------------------------------
-# apply_identifiability
-# ---------------------------------------------------------------------------
-
-class TestApplyIdentifiability:
-
-    def test_fixed_point_on_constrained_params(self):
-        spec = make_spec(n_items=4, n_classes=2, n_types=2)
-        params = random_params(spec, np.random.default_rng(5))
-        out = apply_identifiability(params, spec.item_bank)
-        np.testing.assert_array_equal(out.difficulty, params.difficulty)
-        np.testing.assert_array_equal(out.discrimination, params.discrimination)
-        np.testing.assert_array_equal(out.abilities, params.abilities)
-
-    def test_rescaling_preserves_probabilities(self):
-        """Shift/scale example: probabilities identical before and after."""
-        spec = make_spec(n_items=2, n_classes=1, n_types=1)
-        params = two_item_params(spec, [0.5, 1.0], [2.0, 4.0], [[1.5]])
-        out = apply_identifiability(params, spec.item_bank)
-        assert out.difficulty[0] == 0.0
-        assert out.discrimination[0] == 1.0
-        np.testing.assert_allclose(out.discrimination, [1.0, 2.0])
-        np.testing.assert_allclose(out.abilities, [[2.0]])
-        np.testing.assert_allclose(success_prob_table(out, spec),
-                                   success_prob_table(params, spec), atol=1e-12)
-
-    def test_probability_preservation_random(self):
-        """Unconstrained random parameters: response surface unchanged."""
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            spec = make_spec(dim_of=[0, 0, 1, 1, 1], n_classes=3, n_types=1)
-            params = random_params(spec, rng).replace(
-                difficulty=rng.normal(size=5),
-                discrimination=np.exp(0.5 * rng.normal(size=5)),
-            )
-            out = apply_identifiability(params, spec.item_bank)
-            for d in range(2):
-                ref = spec.item_bank.reference_items[d]
-                assert out.difficulty[ref] == 0.0
-                assert out.discrimination[ref] == pytest.approx(1.0, abs=1e-15)
-            before = success_prob_table(params, spec)
-            assert np.all(np.abs(success_prob_table(out, spec) - before) <= 1e-12)
-
-    def test_zero_reference_discrimination_names_dimension(self):
-        spec = make_spec(dim_of=[0, 0, 1, 1], n_classes=2, n_types=1)
-        params = random_params(spec, np.random.default_rng(3))
-        disc = params.discrimination.copy()
-        disc[spec.item_bank.reference_items[1]] = 0.0
-        with pytest.raises(ValueError, match="^reference item 3 has zero discrimination; "
-                           "scale of dimension 2 undefined$"):
-            apply_identifiability(params.replace(discrimination=disc),
-                                  spec.item_bank)
-
-    def test_idempotent(self):
-        spec = make_spec(n_items=3, n_classes=2, n_types=1)
-        rng = np.random.default_rng(2)
-        params = random_params(spec, rng).replace(
-            difficulty=rng.normal(size=3),
-            discrimination=np.exp(rng.normal(size=3)))
-        once = apply_identifiability(params, spec.item_bank)
-        twice = apply_identifiability(once, spec.item_bank)
-        np.testing.assert_allclose(twice.difficulty, once.difficulty, atol=1e-14)
-        np.testing.assert_allclose(twice.discrimination, once.discrimination,
-                                   atol=1e-14)
-        np.testing.assert_allclose(twice.abilities, once.abilities, atol=1e-14)
-
-    def test_rasch_input_shifts_location_only(self):
-        """With unit discriminations only the location moves."""
-        spec = make_spec(n_items=3, n_classes=2, n_types=1,
-                         parameterization=Parameterization.ONE_PL)
-        params = two_item_params(spec, [0.7, 1.0, -0.2], [1.0, 1.0, 1.0],
-                                 [[-0.5], [0.5]])
-        out = apply_identifiability(params, spec.item_bank)
-        np.testing.assert_allclose(out.discrimination, np.ones(3))
-        np.testing.assert_allclose(out.difficulty, [0.0, 0.3, -0.9])
-        np.testing.assert_allclose(out.abilities, [[-1.2], [-0.2]])
-
-    def test_zero_reference_discrimination_rejected(self):
-        spec = make_spec(n_items=2, n_classes=1, n_types=1)
-        params = two_item_params(spec, [0.0, 1.0], [0.0, 1.0], [[0.0]])
-        with pytest.raises(ValueError, match="zero discrimination"):
-            apply_identifiability(params, spec.item_bank)
 
 
 # ---------------------------------------------------------------------------
