@@ -66,6 +66,8 @@ from .weights import (class_blocks, class_coef, class_design, log_mnlogit,
 
 _LC_PROB_FLOOR = 1e-8
 _MAX_HALVINGS = 30
+# ``tol_loglik`` of the short runs that rank a multistart's starts.
+_SHORT_TOL = 1e-2
 
 
 class MStepError(RuntimeError):
@@ -107,7 +109,9 @@ class FitControls:
     two consecutive log-likelihoods of its trace differ by less than
     ``tol_loglik``, or once an M-step changes no parameter by ``tol_param``
     or more.  ``multistart_fit`` runs ``n_starts`` starts, the random ones
-    seeded from ``seed``.
+    seeded from ``seed``.  With more than one start, each runs first with
+    ``tol_loglik`` loosened to 1e-2 (``_SHORT_TOL``), and only the leader
+    then runs under these controls; ``max_iter`` caps its two phases together.
     Construction raises ``ValueError`` naming a field of the wrong type or range.
     """
 
@@ -623,6 +627,11 @@ def fit(data: ResponseDataset, spec: ModelSpec, controls: FitControls,
                      n_iter=len(trace) - 1, converged=converged, start_index=0)
 
 
+# What makes one EM run fail without failing the others of a multistart.
+_FIT_ERRORS = (NonFiniteLikelihoodError, MStepError, FloatingPointError,
+               np.linalg.LinAlgError)
+
+
 def _child_seed(base_seed: int, start_index: int) -> int:
     """A seed derived from (base_seed, start_index): the seed of a random
     start in ``multistart_fit`` and of a row in ``selection.sweep_school_types``."""
@@ -643,31 +652,63 @@ def _warn_if_unanchored(data: ResponseDataset, spec: ModelSpec) -> None:
                       "of its dimension have no finite estimate", stacklevel=3)
 
 
+def _leader(runs: list[FitResult]) -> FitResult:
+    """The run with the highest log-likelihood; ties within 1e-8 keep the
+    earliest in ``runs``."""
+    best = runs[0]
+    for run in runs[1:]:
+        if run.loglik > best.loglik + 1e-8:
+            best = run
+    return best
+
+
 def multistart_fit(data: ResponseDataset, spec: ModelSpec,
                    controls: FitControls) -> FitResult:
-    """Best of one deterministic and n_starts - 1 random initializations.
+    """Best of one deterministic and n_starts - 1 random initializations,
+    by em-EM (Biernacki, Celeux and Govaert 2003, CSDA 41).
 
-    The winner has the highest final log-likelihood; ties within 1e-8 keep
-    the earliest start.  Failed starts are collected, and only if every
-    start fails is a ``MultistartError`` raised.
+    Short phase: every start runs ``fit`` with ``tol_loglik`` loosened to
+    ``_SHORT_TOL`` (or kept, if it is looser).  The leader is the short run
+    with the highest log-likelihood; ties within 1e-8 keep the earliest
+    start.  Only the leader continues, from its short-run point, under
+    ``controls`` with the M-steps it has left of ``max_iter``.  The result
+    keeps the leader's ``start_index``, and its trace is both phases
+    joined, so ``n_iter == len(trace) - 1`` still holds.  With one start
+    there is nothing to rank: the start runs once under ``controls``.
+
+    Failed runs are collected: a leader that fails while it continues
+    hands over to the next-ranked short run, and only if no start finishes
+    is a ``MultistartError`` raised.
     """
     _raise_if_invalid(validate_dataset(data, spec))
     _warn_if_unanchored(data, spec)
     stack_dataset(data)
-    best: FitResult | None = None
+    short_controls = (controls if controls.n_starts == 1 else
+                      controls.replace(tol_loglik=max(_SHORT_TOL, controls.tol_loglik)))
+    runs: list[FitResult] = []
     failures: list[str] = []
     for start in range(controls.n_starts):
         init = initialize(data, spec,
                           None if start == 0 else _child_seed(controls.seed, start))
         try:
-            result = fit(data, spec, controls, init)
-        except (NonFiniteLikelihoodError, MStepError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:
+            result = fit(data, spec, short_controls, init)
+        except _FIT_ERRORS as exc:
             failures.append(f"start {start}: {exc}")
             continue
-        result = dataclasses.replace(result, start_index=start)
-        if best is None or result.loglik > best.loglik + 1e-8:
-            best = result
-    if best is None:
-        raise MultistartError(failures)
-    return best
+        runs.append(dataclasses.replace(result, start_index=start))
+    while runs:
+        short = _leader(runs)
+        runs.remove(short)
+        if short_controls == controls or short.n_iter == controls.max_iter:
+            return short
+        try:
+            more = fit(data, spec,
+                       controls.replace(max_iter=controls.max_iter - short.n_iter),
+                       short.params)
+        except _FIT_ERRORS as exc:
+            failures.append(f"start {short.start_index}: {exc}")
+            continue
+        return dataclasses.replace(more, trace=short.trace + more.trace[1:],
+                                   n_iter=short.n_iter + more.n_iter,
+                                   start_index=short.start_index)
+    raise MultistartError(failures)

@@ -618,6 +618,25 @@ def _convert_covariates(decls, fields: _Fields, first: int, path: Path,
     return np.concatenate(parts, axis=1)
 
 
+def _sum_of_squares_problems(decls, values: np.ndarray, first: int,
+                             path: Path) -> list[str]:
+    """One line per numeric covariate column (field ``first``, ``first + 1``,
+    ... of ``decls``) whose every square is finite but whose sum of squares
+    over the ``values`` rows is not: the membership information adds those
+    squares up."""
+    columns = np.cumsum([0] + [d.n_columns for d in decls])
+    problems = []
+    for j, (decl, c) in enumerate(zip(decls, columns), first):
+        if decl.kind != "numeric":
+            continue
+        with np.errstate(over="ignore"):
+            squares = values[:, c] * values[:, c]
+            if np.isfinite(squares).all() and not np.isfinite(squares.sum()):
+                problems.append(f"{path}: column {j + 1} ({decl.name}): values too "
+                                "large (their sum of squares is not finite)")
+    return problems
+
+
 def _convert_responses(fields: _Fields, r: int, path: Path, problems: list) -> np.ndarray:
     """(rows, items) int8 response codes of one block (fields 2 to 2 + r).
     Invalid tokens become MISSING and are appended to ``problems``."""
@@ -734,6 +753,11 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
     counts = np.bincount(sidx, minlength=len(school_ids))
     errors += [f"{schools_path}: school {sid!r} has no students in {students_path}"
                for sid in compress(school_ids, counts == 0)]
+    student_covariates = np.concatenate(x_blocks)[first]
+    errors += (_sum_of_squares_problems(config.school_covariates, school_covariates,
+                                        1, schools_path)
+               + _sum_of_squares_problems(config.student_covariates,
+                                          student_covariates, 2 + r, students_path))
     _raise_if_any(errors)
 
     # Group the students by school, keeping file order within each school.
@@ -743,7 +767,7 @@ def load_dataset(students_path, schools_path, config: ModelConfig) -> ResponseDa
         school_covariates=school_covariates,
         sizes=counts,
         student_ids=np.array(student_ids, dtype=object)[first][order],
-        student_covariates=np.concatenate(x_blocks)[first][order],
+        student_covariates=student_covariates[order],
         responses=np.concatenate(response_blocks)[first][order],
     )
 

@@ -6,6 +6,7 @@ between the two paths is meaningful evidence of correctness.
 """
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -550,6 +551,19 @@ def load_dataset_per_row(students_path, schools_path, config) -> ResponseDataset
         if not students[sid]:
             errors.append(f"{schools_path}: school {sid!r} has no students in "
                           f"{students_path}")
+    loaded = ((schools_path, config.school_covariates, 2,
+               [school_cov[sid] for sid in school_order]),
+              (students_path, config.student_covariates, 3 + r,
+               [rec[1] for sid in school_order for rec in students[sid]]))
+    for path, decls, first_col, rows in loaded:
+        col = 0
+        for offset, decl in enumerate(decls):
+            squares = [float(row[col]) * float(row[col]) for row in rows]
+            if (decl.kind == "numeric" and all(map(math.isfinite, squares))
+                    and not math.isfinite(sum(squares))):
+                errors.append(f"{path}: column {first_col + offset} ({decl.name}): "
+                              "values too large (their sum of squares is not finite)")
+            col += decl.n_columns
 
     if errors:
         shown = errors[:_MAX_PER_ROW_ERRORS]
@@ -606,3 +620,25 @@ def plain_em_fit(data, spec, controls, init):
 
     return em.FitResult(params=params, loglik=trace[-1], trace=tuple(trace),
                         n_iter=len(trace) - 1, converged=converged, start_index=0)
+
+
+# ---------------------------------------------------------------------------
+# Full multistart: every start to convergence, the oracle of em-EM
+# ---------------------------------------------------------------------------
+
+def full_multistart(data, spec, controls):
+    """Every start of ``em.multistart_fit`` run to convergence under
+    ``controls``; the highest final log-likelihood wins, ties within 1e-8
+    keeping the earliest start.
+
+    This is ``em.multistart_fit`` without its short phase.  It calls
+    ``em.fit`` through the module, so a wrapper there sees every run.
+    """
+    best = None
+    for start in range(controls.n_starts):
+        init = em.initialize(data, spec, None if start == 0
+                             else em._child_seed(controls.seed, start))
+        result = em.fit(data, spec, controls, init)
+        if best is None or result.loglik > best.loglik + 1e-8:
+            best = dataclasses.replace(result, start_index=start)
+    return best

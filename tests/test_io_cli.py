@@ -772,9 +772,10 @@ class TestDegenerateDeskInputs:
     code says how the fit ended."""
 
     @staticmethod
-    def fit_with_numeric_x1(tmp_path, capsys, value):
+    def fit_with_numeric_x1(tmp_path, capsys, value, n_rows=1):
         """The exit code and stderr lines of a 2-start fit with ``x1`` read
-        as a number (L0 -> 0, L1 -> 1) and the first student's ``value``."""
+        as a number (L0 -> 0, L1 -> 1) and the first ``n_rows`` students'
+        ``value``."""
         files = desk_inputs(tmp_path)
         config = json.loads(Path(files[5]).read_text())
         config["student_covariates"] = [{"name": "x1", "type": "numeric"}]
@@ -782,7 +783,7 @@ class TestDegenerateDeskInputs:
         files[5] = str(tmp_path / "numeric.json")
 
         def numeric_x1(i, fields):
-            fields[-1] = value if i == 0 else {"L0": "0", "L1": "1"}[fields[-1]]
+            fields[-1] = value if i < n_rows else {"L0": "0", "L1": "1"}[fields[-1]]
 
         files = edit_desk_students(files, tmp_path, numeric_x1)
         capsys.readouterr()
@@ -804,6 +805,17 @@ class TestDegenerateDeskInputs:
     def test_large_covariate_with_a_finite_square_still_fits(self, tmp_path, capsys):
         code, err, _ = self.fit_with_numeric_x1(tmp_path, capsys, "1e153")
         assert (code, err) == (0, [])
+
+    def test_overflowing_covariate_sum_of_squares_is_one_error_line(self, tmp_path,
+                                                                    capsys):
+        """Two students at 1e154: each square is finite, but their sum, which
+        every class-membership information adds up, is not.  One input
+        error names the file and the column, where every start used to fail."""
+        code, err, students = self.fit_with_numeric_x1(tmp_path, capsys, "1e154",
+                                                       n_rows=2)
+        assert code == 1
+        assert err == [f"error: {students}: column 18 (x1): values too large "
+                       "(their sum of squares is not finite)"]
 
     def test_unanchored_reference_item_is_one_warning_line(self, tmp_path, capsys):
         """Item 1, the reference item, answered wrong by every student: one

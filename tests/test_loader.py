@@ -231,9 +231,10 @@ def test_peak_memory_below_row_by_row_loader(tmp_path):
 
 ROUND_TRIP_IDS = IDS + ["l\nm", "x\r\ny"]
 LEVEL_POOL = ("M", "F", "x,y", 'q"t', "0", "")
-# 1e154 is about the largest decade the loader takes: a value whose square
-# overflows (|x| > 1.34e154) is an input error.
-SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e154]
+# A value whose square overflows (|x| > 1.34e154) is an input error, and so
+# is a column whose sum of squares does: 1e153 is the largest decade whose
+# column of up to 20 rows (4 schools of 5 students) the loader takes.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e153]
 
 
 @st.composite
@@ -256,7 +257,7 @@ def datasets_with_decls(draw):
     # Values that survive 12 significant digits, as every written value must,
     # and that the loader takes.
     numeric = st.one_of(st.sampled_from(SPECIAL_VALUES),
-                        st.floats(min_value=-1e154, max_value=1e154)
+                        st.floats(min_value=-1e153, max_value=1e153)
                         .map(lambda v: float(format(v, ".12g"))))
 
     def values(decls, n):
@@ -321,3 +322,30 @@ def test_written_files_load_back_bitwise(case, block_rows):
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
     assert second == first
+
+
+def test_column_whose_sum_of_squares_overflows_is_one_error(tmp_path):
+    """A numeric covariate column whose every square is finite but whose sum
+    of squares over the rows is not is one error line naming the file and
+    the column, in the students and in the schools file alike."""
+    config = make_config(1, ["numeric"], ["categorical", "numeric"])
+    schools = [["school_id", "w0", "w1"], ["s", "M", "1e154"], ["t", "F", "1"]]
+    students = [["school_id", "student_id", "item_1", "x0"],
+                ["s", "a", "1", "1e154"], ["t", "b", "0", "2"], ["t", "c", "NA", "3"]]
+    paths = {name: tmp_path / f"{name}.csv" for name in ("schools", "students")}
+
+    def load():
+        write_csv(paths["schools"], schools)
+        write_csv(paths["students"], students)
+        return [load_or_error(loader, paths["students"], paths["schools"], config)
+                for loader in (load_dataset, load_dataset_per_row)]
+
+    got, want = load()
+    assert isinstance(got, ResponseDataset)
+    assert_same_dataset(got, want)
+    students[2][3] = "-1e154"
+    schools[2][2] = "1.2e154"
+    got, want = load()
+    assert got == want == "\n".join(
+        f"{paths[name]}: column {col}: values too large (their sum of squares "
+        "is not finite)" for name, col in (("schools", "3 (w1)"), ("students", "4 (x0)")))
